@@ -7,7 +7,9 @@ channel is the direct path plus the per-element contributions, all carried
 as complex numbers.
 """
 
+import cmath
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -37,6 +39,8 @@ class PhaseShiftSet:
         phases = tuple(float(p) for p in phases)
         if len(phases) == 0:
             raise ValueError("phase-shift set needs at least one phase")
+        if not all(math.isfinite(p) for p in phases):
+            raise ValueError(f"phases must be finite, got {phases}")
         if phases[0] < 0.0 or phases[-1] >= TWO_PI:
             raise ValueError("phases must lie within [0, 2*pi)")
         for lo, hi in zip(phases, phases[1:]):
@@ -144,21 +148,31 @@ class ChannelRealization:
 
     Elements with zero amplitude contribute nothing and have no argument,
     so they are dropped at construction (with a warning) rather than
-    carried along.
+    carried along.  Non-finite values are rejected with ValueError.
     """
 
     def __init__(self, h_d: complex, v: Sequence[complex]):
+        h_d = complex(h_d)
+        if not cmath.isfinite(h_d):
+            raise ValueError(f"direct path h_d must be finite, got {h_d}")
         v = np.asarray(v, dtype=complex)
         if v.ndim == 0:
             v = v.reshape(1)
-        nonzero = np.abs(v) > 0.0
+        amp = np.abs(v)  # NaN or infinite for a NaN or infinite part
+        finite = np.isfinite(amp)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ValueError(
+                f"element coefficients must be finite: {bad.size} non-finite, "
+                f"the first at index {int(bad[0])} ({v[bad[0]]})")
+        nonzero = amp > 0.0
         self.n_dropped = int(v.size - np.count_nonzero(nonzero))
         if self.n_dropped:
             warnings.warn(
                 f"dropped {self.n_dropped} zero-amplitude element(s) from realization",
                 stacklevel=2,
             )
-        self.h_d = complex(h_d)
+        self.h_d = h_d
         self.v = v[nonzero]
         self.v.flags.writeable = False
 
@@ -230,19 +244,36 @@ def overall_h(real: ChannelRealization, phase_set: PhaseShiftSet,
               config: Sequence[int]) -> complex:
     """Overall channel: direct path plus every element's contribution.
 
+    Bit-identical to adding realize_g of each element in turn: the
+    products are formed in the same real arithmetic as Python's complex
+    multiply, and a cumulative sum adds them in element order.
+
     Args:
         config: per-element choices, length real.n.
 
     Raises:
         ValueError: on a length mismatch.
+        IndexError: on a choice outside 0..K.
     """
     config = np.asarray(config, dtype=int)
     if config.shape != (real.n,):
         raise ValueError(f"config length {config.size} != {real.n} elements")
-    h = real.h_d
-    for v_n, c in zip(real.v, config):
-        h += realize_g(v_n, phase_set, int(c))
-    return h
+    if real.n == 0:
+        return real.h_d
+    bad = config[(config < OFF) | (config > phase_set.k)]
+    if bad.size:
+        raise IndexError(
+            f"phase index {int(bad[0])} out of range 1..{phase_set.k}")
+    units = np.array([0j] + [unit_from_arg(p) for p in phase_set.phases])
+    u = units[config]
+    a, b = real.v.real, real.v.imag
+    c, d = u.real, u.imag
+    on = config != OFF
+    terms = np.empty(real.n + 1, dtype=complex)
+    terms[0] = real.h_d
+    terms[1:].real = np.where(on, a * c - b * d, 0.0)
+    terms[1:].imag = np.where(on, a * d + b * c, 0.0)
+    return complex(np.cumsum(terms)[-1])
 
 
 def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike) -> ChannelRealization:

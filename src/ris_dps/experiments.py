@@ -33,6 +33,11 @@ SOLVERS = ("sweep", "cpp", "cpp_always_on", "exhaustive", "continuous_ub")
 AXES = ("n_elements", "gain_direct_db", "snr_budget_db", "phase_gap",
         "phase_gap_pair")
 
+#: Top-level keys of a scenario JSON document.
+SCENARIO_KEYS = ("schema_version", "name", "budget", "n_elements", "phases",
+                 "sweep", "trials", "seed", "solvers", "empty_ratio", "mode",
+                 "exhaustive_cap")
+
 _PI = math.pi
 
 
@@ -132,6 +137,11 @@ class Scenario:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported scenario schema_version {doc.get('schema_version')!r}")
+        unknown = sorted(set(doc) - set(SCENARIO_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown scenario key(s) {', '.join(map(repr, unknown))}; "
+                f"expected a subset of {', '.join(SCENARIO_KEYS)}")
         sweep = doc.get("sweep") or {"axis": "n_elements", "values": []}
         values = tuple(tuple(v) if isinstance(v, list) else v
                        for v in sweep.get("values", []))

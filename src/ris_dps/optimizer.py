@@ -8,6 +8,13 @@ K+1, fixed by the phase-set gaps) splits the circle into N*L sectors; the
 candidate channel for each sector follows from the previous one by a
 single subtract/add, so one pass over the sorted lines evaluates every
 sector.
+
+The sweep is one array program over the N x L line table: one stable
+argsort orders the lines, a cumulative sum forms the candidate chain, and
+the winning configuration is read off the last crossing of each element.
+The rotation + min-heap merge (O(N*L*log L) comparisons) stays as the
+counted reference sort that ``sweep_optimize(..., instrument=True)`` runs;
+both give the same order and the same result.
 """
 
 import heapq
@@ -169,8 +176,12 @@ class _CountingKey:
         return self.key < other.key
 
 
-def _column_rotation(col: np.ndarray) -> int:
-    """Start index that rotates a single-break cyclic column into sorted order.
+def _column_rotation(col: np.ndarray) -> np.ndarray:
+    """Row order that rotates a single-break cyclic column into sorted order.
+
+    Rows past the break whose argument wrapped onto the first row's (a
+    rounding tie at the seam) follow the equal rows before the break, so
+    equal arguments stay in row order.
 
     Raises ValueError if the column has more than one cyclic descent,
     which means the matrix rows were not sorted by element angle.
@@ -179,7 +190,16 @@ def _column_rotation(col: np.ndarray) -> int:
     if desc.size > 1 or (desc.size == 1 and col[-1] > col[0]):
         raise ValueError(
             "separation-line rows are not sorted by element angle")
-    return int(desc[0]) + 1 if desc.size else 0
+    n = col.size
+    if not desc.size:
+        return np.arange(n)
+    start = int(desc[0]) + 1
+    tied_tail = n - int(np.searchsorted(col[start:], col[0])) - start
+    tied_head = int(np.searchsorted(col[:start], col[0], side="right"))
+    return np.concatenate([np.arange(start, n - tied_tail),
+                           np.arange(0, tied_head),
+                           np.arange(n - tied_tail, n),
+                           np.arange(tied_head, start)])
 
 
 def _sorted_line_order(args: np.ndarray, counters: Optional[SweepCounters]):
@@ -190,11 +210,7 @@ def _sorted_line_order(args: np.ndarray, counters: Optional[SweepCounters]):
     Returns (rows, cols) index arrays of length N*L.
     """
     n, l = args.shape
-    col_orders = []
-    for c in range(l):
-        start = _column_rotation(args[:, c])
-        col_orders.append(np.concatenate([np.arange(start, n),
-                                          np.arange(0, start)]))
+    col_orders = [_column_rotation(args[:, c]) for c in range(l)]
     if counters is not None:
         # N-1 in-column comparisons plus the wraparound check, per column.
         counters.rotation_comparisons += n * l
@@ -302,22 +318,50 @@ def update_h(h_prev: complex, line: SeparationLine, real: ChannelRealization,
             + realize_g(v_n, phase_set, line.ending))
 
 
+def _argsort_line_order(args: np.ndarray):
+    """Order the N x L argument matrix ascending, ties by (row, column).
+
+    One stable argsort of the row-major flattened matrix: row-major order
+    makes the flat index break ties by (row, column), exactly the rule of
+    the rotation + heap merge in _sorted_line_order.  Returns (rows, cols)
+    index arrays of length N*L.
+    """
+    flat = np.argsort(args, axis=None, kind="stable")
+    return np.divmod(flat, args.shape[1])
+
+
+def _apply_crossings(cfg: np.ndarray, rows: np.ndarray,
+                     choices: np.ndarray) -> None:
+    """Give each crossed element the ending choice of its last crossing.
+
+    rows/choices list consecutive crossings in sweep order; an element
+    crossed more than once keeps its latest choice.
+    """
+    if rows.size:
+        elems, last = np.unique(rows[::-1], return_index=True)
+        cfg[elems] = choices[::-1][last]
+
+
 def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
                    instrument: bool = False, verify: bool = False,
                    with_candidates: bool = False) -> SweepResult:
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
-    Elements are sorted by angle once, the lines are sorted by the
-    rotation + min-heap merge, and the first sector's candidate channel is
-    built from the configuration at the sector midpoint (N vector
-    additions).  Each subsequent sector costs two vector additions, so the
-    whole candidate chain takes N + 2*N*L additions.  The configuration of
-    the winning sector is reconstructed by replaying the line crossings
-    and mapped back to the input element order.
+    Elements are sorted by angle once and the lines are put in ascending
+    order by one stable argsort of the N x L line table.  The first
+    sector's candidate channel is built from each element's starting
+    choice at its first line (N vector additions); each subsequent sector
+    costs two vector additions, so the candidate chain (one cumulative
+    sum) takes N + 2*N*L additions.  The configuration of the winning sector is
+    reconstructed from the last crossing of each element before it and
+    mapped back to the input element order.
 
     Args:
-        instrument: attach operation counters and the full-cycle channel
+        instrument: order the lines with the counted reference sort (the
+            rotation + min-heap merge, O(N*L*log L) comparisons) and
+            attach its operation counters and the full-cycle channel
             (which must agree with the starting one up to float drift).
+            The result is identical to the uninstrumented sweep.
         verify: recompute the channel from scratch every ceil(N/4)
             crossings and raise RuntimeError if the incremental value has
             drifted by more than 1e-9 relative to the summed vector scale
@@ -346,90 +390,80 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     args = _wrap_matrix(va[:, None] + offsets[None, :])
-    rows, cols = _sorted_line_order(args, counters)
+    if instrument:
+        rows, cols = _sorted_line_order(args, counters)
+    else:
+        rows, cols = _argsort_line_order(args)
     m = n * l
     sorted_args = args[rows, cols]
 
-    # Per-element candidate contributions; start/end contribution of every
-    # sorted line (0 for the off state).
-    f_table = vv[:, None] * np.exp(1j * phases)[None, :]
-    start_choice = col_start[cols]
+    # Contribution of every element under every choice (column 0: off),
+    # and the start/end contribution of every sorted line.
+    g_table = np.zeros((n, phases.size + 1), dtype=complex)
+    g_table[:, 1:] = vv[:, None] * np.exp(1j * phases)[None, :]
     end_choice = col_end[cols]
-    g_start = np.zeros(m, dtype=complex)
-    g_end = np.zeros(m, dtype=complex)
-    on = start_choice != OFF
-    g_start[on] = f_table[rows[on], start_choice[on] - 1]
-    on = end_choice != OFF
-    g_end[on] = f_table[rows[on], end_choice[on] - 1]
+    g_start = g_table[rows, col_start[cols]]
+    g_end = g_table[rows, end_choice]
 
-    # First sector: between the last and first sorted arguments (wrapping).
-    theta0 = wrap_angle((sorted_args[-1] + sorted_args[0] + TWO_PI) / 2.0)
-    cfg0 = _config_for_direction(va, phases, theta0)
-    g0 = np.zeros(n, dtype=complex)
-    on0 = cfg0 != OFF
-    g0[on0] = f_table[np.nonzero(on0)[0], cfg0[on0] - 1]
-    h = complex(real.h_d + g0.sum())
-    counters.vector_additions += n
+    # The first sector lies between the last and the first sorted lines
+    # (wrapping), so each element starts in the starting choice of its
+    # first line.  Reading it off the table keeps the chain consistent even
+    # when that sector is narrower than the angle tolerance.
+    position = np.empty((n, l), dtype=int)
+    position[rows, cols] = np.arange(m)
+    cfg0 = col_start[position.argmin(axis=1)]
+    h0 = complex(real.h_d + g_table[np.arange(n), cfg0].sum())
 
-    cand_h = np.empty(m, dtype=complex)
+    # chain[j] is the candidate of sector j (chain[m]: back in sector 0).
+    # add.accumulate is a sequential left fold, so each entry is exactly
+    # chain[j] - g_start[j] + g_end[j].
+    steps = np.empty(2 * m + 1, dtype=complex)
+    steps[0] = h0
+    steps[1::2] = -g_start
+    steps[2::2] = g_end
+    chain = np.cumsum(steps)[::2]
+    counters.vector_additions += n + 2 * m
+
+    if verify:
+        recheck = max(1, math.ceil(n / 4))
+        # Drift is judged against the scale of the summed vectors; the
+        # channel itself can pass arbitrarily close to zero mid-sweep.
+        drift_scale = abs(real.h_d) + float(np.abs(vv).sum())
+        cfg_run = cfg0.copy()
+        done = 0
+        for stop in range(recheck, m + 1, recheck):
+            _apply_crossings(cfg_run, rows[done:stop], end_choice[done:stop])
+            done = stop
+            counters.scratch_recomputes += 1
+            _check_drift(real.h_d, g_table, cfg_run, complex(chain[stop]),
+                         drift_scale)
+
+    # Zero-width sectors (equal consecutive arguments) are crossed without
+    # being evaluated.
     valid = np.ones(m, dtype=bool)
-    cand_h[0] = h
-
-    gs = g_start.tolist()
-    ge = g_end.tolist()
-    sa = sorted_args.tolist()
-    cfg_run = cfg0.copy() if verify else None
-    recheck = max(1, math.ceil(n / 4)) if verify else 0
-    # Drift is judged against the scale of the summed vectors; the channel
-    # itself can pass arbitrarily close to zero mid-sweep.
-    drift_scale = abs(real.h_d) + float(np.abs(vv).sum())
-    cycle_h: complex = h
-    for j in range(m):
-        h = h - gs[j] + ge[j]
-        counters.vector_additions += 2
-        if verify:
-            cfg_run[rows[j]] = end_choice[j]
-            if (j + 1) % recheck == 0:
-                counters.scratch_recomputes += 1
-                _check_drift(real.h_d, f_table, cfg_run, h, drift_scale)
-        if j + 1 < m:
-            if sa[j + 1] == sa[j]:
-                # Zero-width sector: cross it, record no candidate.
-                valid[j + 1] = False
-                cand_h[j + 1] = complex(math.nan, math.nan)
-            else:
-                cand_h[j + 1] = h
-        else:
-            cycle_h = h  # back in the first sector; drift diagnostic
-
-    amp = np.abs(cand_h)
+    valid[1:] = sorted_args[1:] != sorted_args[:-1]
+    amp = np.abs(chain[:m])
     amp[~valid] = -math.inf
     best = int(np.argmax(amp))  # first max: lowest sector index
 
-    # Replay the crossings up to the winning sector; an element crossed
-    # twice must keep its latest choice, so apply them one by one.
     cfg = cfg0.copy()
-    for j in range(best):
-        cfg[rows[j]] = end_choice[j]
+    _apply_crossings(cfg, rows[:best], end_choice[:best])
     config = np.empty(n, dtype=int)
     config[order] = cfg
 
     candidates = None
     if with_candidates or instrument:
-        candidates = np.where(valid, np.abs(cand_h), math.nan)
+        candidates = np.where(valid, amp, math.nan)
     return SweepResult(
-        config=config, h_star=complex(cand_h[best]), sector_index=best,
+        config=config, h_star=complex(chain[best]), sector_index=best,
         candidates=candidates,
         counters=counters if instrument else None,
-        cycle_h=cycle_h if instrument else None)
+        cycle_h=complex(chain[m]) if instrument else None)
 
 
-def _check_drift(h_d: complex, f_table: np.ndarray, cfg: np.ndarray,
+def _check_drift(h_d: complex, g_table: np.ndarray, cfg: np.ndarray,
                  h_incremental: complex, scale: float) -> None:
-    g = np.zeros(cfg.size, dtype=complex)
-    on = cfg != OFF
-    g[on] = f_table[np.nonzero(on)[0], cfg[on] - 1]
-    fresh = h_d + g.sum()
+    fresh = h_d + g_table[np.arange(cfg.size), cfg].sum()
     if scale > 0.0 and abs(fresh - h_incremental) > 1e-9 * scale:
         raise RuntimeError(
             f"incremental channel drifted: {h_incremental} vs {fresh}")

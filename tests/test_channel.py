@@ -149,6 +149,54 @@ def test_zero_amplitude_elements_dropped():
     assert real.n_dropped == 1
 
 
+def test_phase_set_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        PhaseShiftSet((math.nan,))
+    with pytest.raises(ValueError, match="finite"):
+        PhaseShiftSet((0.0, math.inf))
+
+
+def test_nan_element_rejected_not_dropped():
+    with pytest.raises(ValueError, match="finite.*index 1"):
+        ChannelRealization(1, [1, complex(math.nan, 0.0)])
+
+
+def test_infinite_element_rejected():
+    # it used to reach sweep_optimize and come back as h_star = nan+nanj
+    with pytest.raises(ValueError, match="finite"):
+        ChannelRealization(1, [1 + 0j, complex(0.0, math.inf)])
+
+
+def test_nan_direct_path_rejected():
+    with pytest.raises(ValueError, match="h_d"):
+        ChannelRealization(complex(math.nan, 0.0), [1 + 0j])
+    doc = ChannelRealization(1 + 0j, [1 + 0j]).to_json()
+    doc["h_d"]["im"] = math.inf
+    with pytest.raises(ValueError, match="h_d"):
+        ChannelRealization.from_json(doc)
+
+
+def test_overall_h_matches_elementwise_sum_bit_for_bit():
+    rng = np.random.default_rng(13)
+    ps = PhaseShiftSet((0.3, 2.0, 4.0))
+    for n in (1, 7, 50):
+        v = rng.uniform(0.1, 2, n) * np.exp(1j * rng.uniform(0, 2 * PI, n))
+        real = ChannelRealization(complex(rng.normal(), rng.normal()), v)
+        cfg = rng.integers(0, 4, size=n)
+        h = real.h_d
+        for v_n, c in zip(real.v, cfg):
+            h += realize_g(v_n, ps, int(c))
+        assert repr(overall_h(real, ps, cfg)) == repr(h)
+
+
+def test_overall_h_rejects_unknown_choice():
+    real = ChannelRealization(1 + 0j, [1 + 0j, 1j])
+    ps = PhaseShiftSet((0.0, PI))
+    for bad in ([1, 3], [-1, 1]):
+        with pytest.raises(IndexError, match="out of range"):
+            overall_h(real, ps, bad)
+
+
 def test_realization_json_roundtrip(tmp_path):
     real = ChannelRealization(0.5 - 0.25j, [1 + 2j, -3j])
     doc = real.to_json()

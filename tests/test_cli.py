@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ris_dps
 from ris_dps import LinkBudget, sample_realization
 from ris_dps.cli import main, parse_phases
 
@@ -148,9 +151,13 @@ def test_module_entry_point(tmp_path):
                               (5, 0))
     path = tmp_path / "real.json"
     real.save(path)
+    # the child must import the same package, installed or not
+    package_root = str(Path(ris_dps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "ris_dps", "solve", "--input", str(path),
          "--phases", "pi/6,5pi/6", "--solver", "sweep"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]

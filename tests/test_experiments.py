@@ -71,6 +71,15 @@ def test_scenario_json_roundtrip():
         Scenario.from_json({**doc, "schema_version": 99})
 
 
+def test_scenario_json_rejects_unknown_keys():
+    doc = json.loads(json.dumps(tiny_scenario().to_json()))
+    del doc["trials"]
+    with pytest.raises(ValueError, match="'trails'"):
+        Scenario.from_json({**doc, "trails": 5})
+    with pytest.raises(ValueError, match="'colour', 'extra'"):
+        Scenario.from_json({**doc, "extra": 1, "colour": "red"})
+
+
 def test_run_scenario_rows():
     rows = run_scenario(tiny_scenario())
     assert [row.x for row in rows] == [(2,), (4,)]

@@ -144,6 +144,12 @@ class TestSortSeparationLines:
         keys = [(ln.argument, ln.element) for ln in out]
         assert keys == sorted(keys)
 
+    def test_seam_ties_ordered_by_element(self):
+        # the last row wrapped onto the first row's argument
+        matrix = synthetic_matrix([[3.0, 4.0, 0.5, 3.0]])
+        out = [(ln.argument, ln.element) for ln in sort_separation_lines(matrix)]
+        assert out == [(0.5, 2), (3.0, 0), (3.0, 3), (4.0, 1)]
+
     def test_unsorted_rows_rejected(self):
         matrix = synthetic_matrix([[5.0, 1.0, 6.0, 2.0]])
         with pytest.raises(ValueError, match="not sorted"):

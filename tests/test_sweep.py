@@ -148,6 +148,22 @@ def test_verify_mode_tolerates_exact_cancellation_mid_sweep():
         exhaustive_optimize(real, ps).amplitude, rel=1e-12)
 
 
+def test_one_ulp_wide_first_sector():
+    # the first (wrapping) sector runs from a line at 2*pi - 1 ulp to one
+    # at 0.0, too narrow to probe the configuration at its midpoint
+    v = [complex(-1.0, 1.2246467991473532e-16),
+         complex(0.9659258262890681, -0.25881904510252157),
+         complex(0.5000000000000001, -0.8660254037844386),
+         complex(6.123233995736766e-17, 1.0)]
+    real = ChannelRealization(0j, v)
+    ps = PhaseShiftSet((0.0, PI / 6, PI / 4))
+    res = sweep_optimize(real, ps, verify=True)
+    assert abs(overall_h(real, ps, res.config)) == pytest.approx(
+        res.amplitude, rel=1e-12)
+    assert res.amplitude == pytest.approx(
+        exhaustive_optimize(real, ps).amplitude, rel=1e-12)
+
+
 def test_no_optimal_candidate_sits_near_right_angle():
     # the chosen contribution of an on element never makes an angle within
     # 1e-6 of pi/2 with the optimal channel, on generic instances
