@@ -27,13 +27,16 @@ res = sweep_optimize(real, phases)
 regions = empty_regions(real, phases, res.amplitude)
 report = measured_empty_ratio(regions)
 theta_star = arg_mod_2pi(res.h_star)
+# one arc per separation line: its center and half-width
+centers = regions.lines.args.ravel()
+widths = regions.half_width.ravel()
 
-print(f"one draw, N=50, K=2 (plus off): {len(regions)} separation lines")
+print(f"one draw, N=50, K=2 (plus off): {centers.size} separation lines")
 print(f"union of empty regions: {report.measured_ratio:.1%} of the circle")
 print(f"summed widths (upper bound): {report.sum_ratio_ub:.1%}, "
       f"overlap eats {report.overlap_fraction:.1%} of that")
-inside = sum(circular_distance(theta_star, r.center) < r.half_width
-             for r in regions)
+inside = sum(circular_distance(theta_star, c) < w
+             for c, w in zip(centers, widths))
 print(f"arg(h*) = {theta_star:.4f} rad sits inside {inside} regions (must be 0)")
 
 print("\nuniform sets, 300 draws at N=200:")
@@ -56,11 +59,10 @@ except ImportError:
     print("\nmatplotlib not available; skipping the polar plot")
 else:
     fig, ax = plt.subplots(subplot_kw={"projection": "polar"}, figsize=(7, 7))
-    for region in regions:
-        lo, hi = region.interval()
-        arc = np.linspace(lo, hi, 16)
+    for c, w in zip(centers, widths):
+        arc = np.linspace(c - w, c + w, 16)
         ax.fill_between(arc, 0.9, 1.0, color="tab:orange", alpha=0.35, lw=0)
-        ax.plot([region.center, region.center], [0.9, 1.0], color="k", lw=0.6)
+        ax.plot([c, c], [0.9, 1.0], color="k", lw=0.6)
     ax.plot([theta_star, theta_star], [0.0, 1.0], color="tab:blue", lw=2,
             label="arg(h*)")
     ax.set_rticks([])

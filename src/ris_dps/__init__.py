@@ -11,7 +11,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .analysis import (EmptyRatioReport, EmptyRegion, circle_union_length,
+from .analysis import (EmptyRatioReport, EmptyRegions, circle_union_length,
                        empty_ratio_upper_bound_approx, empty_regions,
                        measured_empty_ratio, omega_large_gap, omega_small_gap,
                        write_regions_csv)
@@ -23,11 +23,10 @@ from .experiments import (ResultRow, Scenario, builtin_scenarios, get_builtin,
                           regions_dump, run_scenario, write_meta_json,
                           write_rows_csv)
 from .metrics import CapacityReport, capacity, performance_gain
-from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, SeparationLine, SweepCounters,
+from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, LineTable, SweepCounters,
                         SweepResult, config_given_direction,
                         continuous_upper_bound, cpp_optimize,
-                        exhaustive_optimize, separation_lines,
-                        sort_separation_lines, sweep_optimize, update_h)
+                        exhaustive_optimize, separation_lines, sweep_optimize)
 
 __all__ = [
     "ANGLE_EPS", "TWO_PI", "OFF", "DEFAULT_EXHAUSTIVE_CAP", "__version__",
@@ -35,12 +34,11 @@ __all__ = [
     "wrap_angle",
     "ChannelRealization", "LinkBudget", "PhaseShiftSet",
     "f_vector", "overall_h", "realize_g", "sample_realization",
-    "SeparationLine", "SweepCounters", "SweepResult",
+    "LineTable", "SweepCounters", "SweepResult",
     "config_given_direction", "continuous_upper_bound", "cpp_optimize",
-    "exhaustive_optimize", "separation_lines", "sort_separation_lines",
-    "sweep_optimize", "update_h",
+    "exhaustive_optimize", "separation_lines", "sweep_optimize",
     "CapacityReport", "capacity", "performance_gain",
-    "EmptyRatioReport", "EmptyRegion", "circle_union_length",
+    "EmptyRatioReport", "EmptyRegions", "circle_union_length",
     "empty_ratio_upper_bound_approx", "empty_regions", "measured_empty_ratio",
     "omega_large_gap", "omega_small_gap", "write_regions_csv",
     "ResultRow", "Scenario", "builtin_scenarios", "get_builtin",

@@ -11,37 +11,25 @@ approximation of the summed-width upper bound.
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .channel import OFF, ChannelRealization, PhaseShiftSet
-from .geometry import ANGLE_EPS, TWO_PI, wrap_angle
-from .optimizer import SeparationLine, separation_lines
+from .geometry import ANGLE_EPS, TWO_PI, wrap_angles
+from .optimizer import LineTable, separation_lines
 
 
 @dataclass(frozen=True)
-class EmptyRegion:
-    """Arc around one separation line that cannot contain arg(h*)."""
+class EmptyRegions:
+    """Arcs around every separation line that cannot contain arg(h*).
 
-    line: SeparationLine
-    half_width: float
+    The arc around line (n, c) is centered on lines.args[n, c] and has
+    half-width half_width[n, c].
+    """
 
-    @property
-    def center(self) -> float:
-        return self.line.argument
-
-    @property
-    def kind(self) -> str:
-        """"between_phases" for a line separating two applied phases,
-        "off_boundary" for a line bordering the off region."""
-        if self.line.starting != OFF and self.line.ending != OFF:
-            return "between_phases"
-        return "off_boundary"
-
-    def interval(self) -> Tuple[float, float]:
-        """The excluded arc as (center - w, center + w), not re-wrapped."""
-        return (self.center - self.half_width, self.center + self.half_width)
+    lines: LineTable
+    half_width: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,6 +43,12 @@ class EmptyRatioReport:
     measured_ratio: float
     sum_ratio_ub: float
     overlap_fraction: float
+
+
+def _check_h_star(h_star_amp: float) -> None:
+    if not 0.0 < h_star_amp < math.inf:
+        raise ValueError(
+            f"h_star_amp must be positive and finite, got {h_star_amp!r}")
 
 
 def _arcsin_clamped(ratio: float) -> float:
@@ -78,10 +72,10 @@ def omega_small_gap(v_amp: float, phi_lo: float, phi_hi: float,
         h_star_amp: amplitude of the optimal channel.
 
     Raises:
-        ValueError: if h_star_amp is not positive or the gap exceeds pi.
+        ValueError: if h_star_amp is not positive and finite, or the gap
+            exceeds pi.
     """
-    if h_star_amp <= 0.0:
-        raise ValueError("h_star_amp must be positive")
+    _check_h_star(h_star_amp)
     gap = (phi_hi - phi_lo) % TWO_PI
     if gap > math.pi + ANGLE_EPS:
         raise ValueError("phase gap exceeds pi; the off region applies there")
@@ -96,78 +90,81 @@ def omega_large_gap(v_amp: float, h_star_amp: float) -> float:
     both lines bracketing an off region.
 
     Raises:
-        ValueError: if h_star_amp is not positive.
+        ValueError: if h_star_amp is not positive and finite.
     """
-    if h_star_amp <= 0.0:
-        raise ValueError("h_star_amp must be positive")
+    _check_h_star(h_star_amp)
     return _arcsin_clamped(v_amp / (2.0 * h_star_amp))
 
 
 def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
-                  h_star_amp: float) -> List[EmptyRegion]:
-    """One empty region per separation line of the realization.
+                  h_star_amp: float) -> EmptyRegions:
+    """The empty region of every separation line of the realization.
+
+    Each width has the bits of omega_small_gap / omega_large_gap: the ratio
+    is formed in their order ((v * 0.5) / h equals v / (2h)), and the
+    arcsine stays math.asin, since np.arcsin can differ in the last bit.
 
     Args:
         h_star_amp: amplitude of the optimal channel; pass the sweep
             optimum, or the continuous upper bound for the conservative
             (narrowest-region) variant.
     """
-    if h_star_amp <= 0.0:
-        raise ValueError("h_star_amp must be positive")
+    _check_h_star(h_star_amp)
+    lines = separation_lines(real, phase_set)
     phases = phase_set.phases
-    v_amp = np.abs(real.v)
-    regions = []
-    for row in separation_lines(real, phase_set):
-        for ln in row:
-            if ln.starting != OFF and ln.ending != OFF:
-                w = omega_small_gap(float(v_amp[ln.element]),
-                                    phases[ln.starting - 1],
-                                    phases[ln.ending - 1], h_star_amp)
-            else:
-                w = omega_large_gap(float(v_amp[ln.element]), h_star_amp)
-            regions.append(EmptyRegion(ln, w))
-    return regions
+    # Per column: |sin(gap/2)| between two phases, 0.5 at the off region.
+    factors = np.array([
+        0.5 if OFF in (s, e)
+        else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
+        for s, e in zip(lines.starting.tolist(), lines.ending.tolist())])
+    ratio = np.minimum(np.abs(real.v)[:, None] * factors / h_star_amp, 1.0)
+    half_width = np.array([math.asin(r) for r in ratio.ravel().tolist()])
+    return EmptyRegions(lines, half_width.reshape(ratio.shape))
 
 
-def circle_union_length(arcs: Sequence[Tuple[float, float]]) -> float:
+def _running_total(x: np.ndarray) -> float:
+    # Left to right, as a Python loop adds; np.sum adds pairwise.
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
+
+
+def circle_union_length(arcs: Union[np.ndarray,
+                                    Sequence[Tuple[float, float]]]) -> float:
     """Total length of the union of arcs on the circle.
 
-    Arcs are (start, end) with end >= start; they may wrap past 2*pi and
-    are reduced modulo 2*pi.
+    Arcs are (start, end) pairs, or an (M, 2) array of them, with end >=
+    start; they may wrap past 2*pi and are reduced modulo 2*pi.  An arc
+    that reaches past 2*pi after reduction is split there; the pieces are
+    sorted by start, overlapping pieces merge into runs, and the run
+    lengths are added in order.
     """
-    segments = []
-    for lo, hi in arcs:
-        width = hi - lo
-        if width <= 0.0:
-            continue
-        if width >= TWO_PI:
-            return TWO_PI
-        lo = wrap_angle(lo)
-        hi = lo + width
-        if hi > TWO_PI:
-            segments.append((lo, TWO_PI))
-            segments.append((0.0, hi - TWO_PI))
-        else:
-            segments.append((lo, hi))
-    if not segments:
+    arcs = np.asarray(arcs, dtype=float).reshape(-1, 2)
+    width = arcs[:, 1] - arcs[:, 0]
+    keep = width > 0.0
+    if (width[keep] >= TWO_PI).any():
+        return TWO_PI
+    lo = wrap_angles(arcs[keep, 0])
+    hi = lo + width[keep]
+    over = hi > TWO_PI
+    lo = np.concatenate([lo, np.zeros(np.count_nonzero(over))])
+    hi = np.concatenate([np.where(over, TWO_PI, hi), hi[over] - TWO_PI])
+    if not lo.size:
         return 0.0
-    segments.sort()
-    total = 0.0
-    cur_lo, cur_hi = segments[0]
-    for lo, hi in segments[1:]:
-        if lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    total += cur_hi - cur_lo
-    return min(total, TWO_PI)
+    order = np.argsort(lo)
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    # A piece starting past everything before it opens a new run.
+    opens = np.flatnonzero(lo[1:] > reach[:-1]) + 1
+    run_lo = lo[np.concatenate([[0], opens])]
+    run_hi = reach[np.concatenate([opens - 1, [lo.size - 1]])]
+    return min(_running_total(run_hi - run_lo), TWO_PI)
 
 
-def measured_empty_ratio(regions: Sequence[EmptyRegion]) -> EmptyRatioReport:
+def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap."""
-    union = circle_union_length([r.interval() for r in regions])
-    summed = 2.0 * sum(r.half_width for r in regions)
+    centers = regions.lines.args.ravel()
+    widths = regions.half_width.ravel()
+    union = circle_union_length(
+        np.stack([centers - widths, centers + widths], axis=1))
+    summed = 2.0 * _running_total(widths)
     overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
     return EmptyRatioReport(measured_ratio=union / TWO_PI,
                             sum_ratio_ub=summed / TWO_PI,
@@ -185,10 +182,18 @@ def empty_ratio_upper_bound_approx(k: int) -> float:
     return k * math.sin(math.pi / k) / math.pi
 
 
-def write_regions_csv(regions: Sequence[EmptyRegion], fh) -> None:
-    """Dump regions as CSV rows (center_rad, half_width_rad, element, kind)."""
+def write_regions_csv(regions: EmptyRegions, fh) -> None:
+    """Dump regions as CSV rows (center_rad, half_width_rad, element, kind).
+
+    kind is "off_boundary" for a line bordering the off region, else
+    "between_phases"; rows go by element, then column.
+    """
+    lines = regions.lines
+    kinds = ["off_boundary" if OFF in (s, e) else "between_phases"
+             for s, e in zip(lines.starting.tolist(), lines.ending.tolist())]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["center_rad", "half_width_rad", "element", "kind"])
-    for r in regions:
-        writer.writerow([repr(float(r.center)), repr(float(r.half_width)),
-                         r.line.element, r.kind])
+    for element, (centers, widths) in enumerate(
+            zip(lines.args.tolist(), regions.half_width.tolist())):
+        writer.writerows([repr(c), repr(w), element, kind]
+                         for c, w, kind in zip(centers, widths, kinds))

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .geometry import TWO_PI, unit_from_arg
+from .geometry import TWO_PI, unit_from_arg, wrap_angles
 
 SCHEMA_VERSION = 1
 
@@ -138,9 +138,10 @@ class LinkBudget:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinkBudget":
-        return cls(**{k: float(doc[k]) for k in (
-            "gain_tx_ris_db", "gain_ris_rx_db", "gain_direct_db",
-            "snr_budget_db", "bandwidth_hz")})
+        keys = ("gain_tx_ris_db", "gain_ris_rx_db", "gain_direct_db",
+                "snr_budget_db", "bandwidth_hz")
+        check_json_keys(doc, "budget", keys)
+        return cls(**{k: float(doc[k]) for k in keys})
 
 
 class ChannelRealization:
@@ -182,9 +183,7 @@ class ChannelRealization:
 
     def element_angles(self) -> np.ndarray:
         """Arguments of the v_n, reduced to [0, 2*pi)."""
-        a = np.angle(self.v) % TWO_PI
-        a[a >= TWO_PI] = 0.0
-        return a
+        return wrap_angles(np.angle(self.v))
 
     def to_json(self) -> dict:
         return {
@@ -196,8 +195,9 @@ class ChannelRealization:
     @classmethod
     def from_json(cls, doc: dict) -> "ChannelRealization":
         _check_schema(doc)
-        h_d = complex(doc["h_d"]["re"], doc["h_d"]["im"])
-        v = [complex(e["re"], e["im"]) for e in doc["v"]]
+        check_json_keys(doc, "realization", ("schema_version", "h_d", "v"))
+        h_d = _complex_from_json(doc["h_d"], "h_d")
+        v = [_complex_from_json(e, f"v[{i}]") for i, e in enumerate(doc["v"])]
         return cls(h_d, v)
 
     def save(self, path) -> None:
@@ -214,6 +214,26 @@ def _check_schema(doc: dict) -> None:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
+
+
+def check_json_keys(doc, what: str, required: Sequence[str],
+                    optional: Sequence[str] = ()) -> None:
+    """Raise ValueError naming any unknown or missing key of a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+            f"expected a subset of {', '.join((*required, *optional))}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
+def _complex_from_json(doc, what: str) -> complex:
+    check_json_keys(doc, what, ("re", "im"))
+    return complex(doc["re"], doc["im"])
 
 
 def f_vector(v_n: complex, phase_set: PhaseShiftSet, i: int) -> complex:

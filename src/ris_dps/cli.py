@@ -47,14 +47,22 @@ def parse_phases(text: str) -> PhaseShiftSet:
     return PhaseShiftSet(values)
 
 
+def _read_json(path: str, parse):
+    """parse() of a JSON file's document; a ValueError names the file."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_realization(path: str) -> ChannelRealization:
-    return ChannelRealization.load(path)
+    return _read_json(path, ChannelRealization.from_json)
 
 
 def _resolve_scenarios(name_or_path: str) -> List[Scenario]:
     if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            return [Scenario.from_json(json.load(fh))]
+        return [_read_json(name_or_path, Scenario.from_json)]
     return get_builtin(name_or_path)
 
 

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import empty_regions, measured_empty_ratio
-from .channel import LinkBudget, PhaseShiftSet, sample_realization
+from .channel import (LinkBudget, PhaseShiftSet, check_json_keys,
+                      sample_realization)
 from .metrics import performance_gain
 from .optimizer import (continuous_upper_bound, cpp_optimize,
                         exhaustive_optimize, sweep_optimize)
@@ -137,12 +138,11 @@ class Scenario:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported scenario schema_version {doc.get('schema_version')!r}")
-        unknown = sorted(set(doc) - set(SCENARIO_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown scenario key(s) {', '.join(map(repr, unknown))}; "
-                f"expected a subset of {', '.join(SCENARIO_KEYS)}")
+        required = ("name", "budget", "seed")
+        check_json_keys(doc, "scenario", required,
+                        [k for k in SCENARIO_KEYS if k not in required])
         sweep = doc.get("sweep") or {"axis": "n_elements", "values": []}
+        check_json_keys(sweep, "sweep", (), ("axis", "values"))
         values = tuple(tuple(v) if isinstance(v, list) else v
                        for v in sweep.get("values", []))
         phases = doc.get("phases")
@@ -274,7 +274,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
 
 
 def regions_dump(scenario: Scenario):
-    """Regions of a single seeded realization (list of EmptyRegion)."""
+    """Empty regions of one seeded realization, as an EmptyRegions record."""
     scenario.validate()
     if scenario.mode != "regions":
         raise ValueError("scenario is not in regions mode")

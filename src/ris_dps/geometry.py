@@ -23,6 +23,13 @@ def wrap_angle(theta: float) -> float:
     return 0.0 if t >= TWO_PI else t
 
 
+def wrap_angles(theta):
+    """wrap_angle applied elementwise to an array, with the same bits."""
+    t = theta % TWO_PI
+    t[t >= TWO_PI] = 0.0
+    return t
+
+
 def arg_mod_2pi(v: complex) -> float:
     """Argument of a nonzero complex number, reduced to [0, 2*pi).
 

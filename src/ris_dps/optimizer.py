@@ -20,13 +20,13 @@ both give the same order and the same result.
 import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                      overall_h, realize_g)
-from .geometry import ANGLE_EPS, TWO_PI, arg_mod_2pi, wrap_angle
+                      overall_h)
+from .geometry import ANGLE_EPS, TWO_PI, arg_mod_2pi, wrap_angle, wrap_angles
 
 HALF_PI = math.pi / 2.0
 
@@ -35,21 +35,22 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
-class SeparationLine:
-    """A direction at which one element's optimal choice changes.
+class LineTable:
+    """All N*L separation lines of a realization, as arrays.
+
+    Line (n, c) is the direction at which element n's optimal choice
+    changes from starting[c] to ending[c] as the direction of the optimal
+    channel rotates counterclockwise across it.
 
     Attributes:
-        argument: line direction in [0, 2*pi).
-        element: row index of the owning element.
-        starting: the element's choice just before the direction of the
-            optimal channel crosses the line (counterclockwise).
-        ending: the element's choice just past the line.
+        args: (N, L) line directions in [0, 2*pi), rows in element order.
+        starting: (L,) each column's choice just before its line.
+        ending: (L,) each column's choice just past its line.
     """
 
-    argument: float
-    element: int
-    starting: int
-    ending: int
+    args: np.ndarray
+    starting: np.ndarray
+    ending: np.ndarray
 
 
 @dataclass
@@ -138,7 +139,7 @@ def _column_templates(phase_set: PhaseShiftSet):
 
 
 def separation_lines(real: ChannelRealization,
-                     phase_set: PhaseShiftSet) -> List[List[SeparationLine]]:
+                     phase_set: PhaseShiftSet) -> LineTable:
     """All separation lines, one row per element, L columns.
 
     L is K when every cyclic phase gap is at most pi and K+1 when one gap
@@ -148,18 +149,8 @@ def separation_lines(real: ChannelRealization,
     if real.n < 1:
         raise ValueError("need at least one element")
     offsets, starting, ending = _column_templates(phase_set)
-    args = _wrap_matrix(real.element_angles()[:, None] + offsets[None, :])
-    return [
-        [SeparationLine(float(args[r, c]), r, int(starting[c]), int(ending[c]))
-         for c in range(offsets.size)]
-        for r in range(real.n)
-    ]
-
-
-def _wrap_matrix(a: np.ndarray) -> np.ndarray:
-    a = a % TWO_PI
-    a[a >= TWO_PI] = 0.0
-    return a
+    args = wrap_angles(real.element_angles()[:, None] + offsets[None, :])
+    return LineTable(args, starting, ending)
 
 
 class _CountingKey:
@@ -207,6 +198,8 @@ def _sorted_line_order(args: np.ndarray, counters: Optional[SweepCounters]):
 
     Each column is rotated into sorted order around its single break
     (O(N) per column), then the L sorted runs are merged with a min-heap.
+    The rows must be in element-angle order, as sweep_optimize puts them;
+    a column more than one rotation away from sorted raises ValueError.
     Returns (rows, cols) index arrays of length N*L.
     """
     n, l = args.shape
@@ -236,31 +229,6 @@ def _sorted_line_order(args: np.ndarray, counters: Optional[SweepCounters]):
         if pos[c] < n:
             heapq.heappush(heap, entry(c))
     return rows, cols
-
-
-def sort_separation_lines(matrix: Sequence[Sequence[SeparationLine]],
-                          counters: Optional[SweepCounters] = None
-                          ) -> List[SeparationLine]:
-    """Flatten an N x L line matrix into one list of ascending arguments.
-
-    The matrix rows must be ordered by the owning elements' angles; this
-    is checked structurally (each column must be a single rotation away
-    from sorted order) and violations are rejected.  Equal arguments come
-    out ordered by (element, column).
-
-    Args:
-        matrix: rows of separation lines as built by separation_lines.
-        counters: optional SweepCounters receiving comparison counts.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return []
-    l = len(rows[0])
-    if any(len(r) != l for r in rows):
-        raise ValueError("line matrix must be rectangular")
-    args = np.array([[ln.argument for ln in r] for r in rows])
-    order_r, order_c = _sorted_line_order(args, counters)
-    return [rows[r][c] for r, c in zip(order_r, order_c)]
 
 
 def _candidate_angles(element_angles: np.ndarray, phases: np.ndarray,
@@ -304,18 +272,6 @@ def config_given_direction(real: ChannelRealization, phase_set: PhaseShiftSet,
     return _config_for_direction(real.element_angles(),
                                  np.asarray(phase_set.phases),
                                  wrap_angle(float(theta)))
-
-
-def update_h(h_prev: complex, line: SeparationLine, real: ChannelRealization,
-             phase_set: PhaseShiftSet) -> complex:
-    """Optimal channel just past a separation line, from the one just before.
-
-    One vector subtraction (the starting contribution) and one addition
-    (the ending contribution); everything else is unchanged.
-    """
-    v_n = real.v[line.element]
-    return (h_prev - realize_g(v_n, phase_set, line.starting)
-            + realize_g(v_n, phase_set, line.ending))
 
 
 def _argsort_line_order(args: np.ndarray):
@@ -389,7 +345,7 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
 
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
-    args = _wrap_matrix(va[:, None] + offsets[None, :])
+    args = wrap_angles(va[:, None] + offsets[None, :])
     if instrument:
         rows, cols = _sorted_line_order(args, counters)
     else:

@@ -1,7 +1,14 @@
-import numpy as np
+import math
+import os
+from pathlib import Path
 
+import numpy as np
+from hypothesis import strategies as st
+
+import ris_dps
 from ris_dps import ChannelRealization, PhaseShiftSet
 
+PI = math.pi
 TWO_PI = 2.0 * np.pi
 
 
@@ -19,3 +26,55 @@ def random_instance(rng, n, k, hd_max=2.0):
     v = rng.uniform(0.1, 2.0, size=n) * np.exp(1j * rng.uniform(0, TWO_PI, n))
     h_d = rng.uniform(0.0, hd_max) * np.exp(1j * rng.uniform(0, TWO_PI))
     return ChannelRealization(h_d, v), phases
+
+
+def child_env() -> dict:
+    """Environment for a child Python that must import this same package.
+
+    pytest's own pythonpath setting does not reach a subprocess.
+    """
+    package_root = str(Path(ris_dps.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+GRID = [i * TWO_PI / 24 for i in range(24)]
+
+FIXED_SETS = (
+    (0.0,),                           # K = 1
+    (0.0, PI),                        # a gap of exactly pi
+    (0.0, 2 * PI / 3, 4 * PI / 3),    # uniform, no off lines
+    (PI / 6, 5 * PI / 6),             # lopsided, one gap above pi
+    (0.0, PI / 2, PI),                # a gap of exactly pi after two small ones
+)
+
+
+@st.composite
+def phase_sets(draw):
+    if draw(st.booleans()):
+        return PhaseShiftSet(draw(st.sampled_from(FIXED_SETS)))
+    # grid phases: gaps of exactly pi and coinciding lines across elements
+    picks = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4,
+                          unique=True))
+    return PhaseShiftSet(sorted(picks))
+
+
+@st.composite
+def instances(draw, max_n=10):
+    ps = draw(phase_sets())
+    n = draw(st.integers(1, max_n))
+    angle = st.one_of(st.sampled_from(GRID), st.floats(0.0, TWO_PI,
+                                                       exclude_max=True))
+    angles = draw(st.lists(angle, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # repeated elements: identical lines, hence zero-width sectors
+        angles = [angles[i // 2] for i in range(n)]
+    amps = draw(st.one_of(
+        st.just([1.0] * n),
+        st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    v = np.asarray(amps) * np.exp(1j * np.asarray(angles))
+    h_d = 0j
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(GRID))
+        h_d = draw(st.floats(0.01, 2.0)) * complex(math.cos(a), math.sin(a))
+    return ChannelRealization(h_d, v), ps

@@ -120,9 +120,10 @@ def test_exclusion_property():
         real = sample_realization(BUDGET, 50, (20_004, trial))
         res = sweep_optimize(real, TWO_PHASES)
         theta = arg_mod_2pi(res.h_star)
-        for region in empty_regions(real, TWO_PHASES, res.amplitude):
-            margin = (circular_distance(theta, region.center)
-                      - region.half_width)
+        regions = empty_regions(real, TWO_PHASES, res.amplitude)
+        for center, half_width in zip(regions.lines.args.ravel(),
+                                      regions.half_width.ravel()):
+            margin = circular_distance(theta, center) - half_width
             worst_margin = min(worst_margin, margin)
             if margin <= -1e-9:
                 violations += 1
@@ -194,7 +195,7 @@ def test_operation_budget():
             v = np.exp(1j * rng.uniform(0, 2 * PI, n))
             real = ChannelRealization(1e-3 + 0j, v)
             res = sweep_optimize(real, ps, instrument=True)
-            l = len(separation_lines(real, ps)[0])
+            l = separation_lines(real, ps).args.shape[1]
             adds = res.counters.vector_additions
             ok &= adds == n + 2 * n * l
             heap = res.counters.heap_comparisons

@@ -3,16 +3,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_instance
-from ris_dps import (ChannelRealization, EmptyRegion, PhaseShiftSet,
-                     SeparationLine, arg_mod_2pi, circle_union_length,
-                     circular_distance, empty_ratio_upper_bound_approx,
+from conftest import GRID, instances, random_instance
+from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
+                     LineTable, PhaseShiftSet, arg_mod_2pi,
+                     circle_union_length, circular_distance,
+                     empty_ratio_upper_bound_approx,
                      empty_regions, measured_empty_ratio, omega_large_gap,
-                     omega_small_gap, sweep_optimize, write_regions_csv)
+                     omega_small_gap, separation_lines, sweep_optimize,
+                     wrap_angle, write_regions_csv)
 
 PI = math.pi
+TWO_PI = 2.0 * PI
+
+
+def regions_at(centers, widths):
+    """EmptyRegions of one-column lines at the given centers and widths."""
+    table = LineTable(np.array(centers, dtype=float).reshape(-1, 1),
+                      np.array([1]), np.array([2]))
+    return EmptyRegions(table, np.array(widths, dtype=float).reshape(-1, 1))
 
 
 class TestOmega:
@@ -42,6 +52,17 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega_large_gap(1.0, 0.0)
 
+    @pytest.mark.parametrize("h_star_amp", [math.nan, math.inf, -math.inf,
+                                            -1.0])
+    def test_non_finite_h_star_rejected(self, h_star_amp):
+        real = ChannelRealization(1 + 0j, [1 + 0j])
+        with pytest.raises(ValueError, match="positive and finite"):
+            omega_small_gap(1.0, 0.0, 1.0, h_star_amp)
+        with pytest.raises(ValueError, match="positive and finite"):
+            omega_large_gap(1.0, h_star_amp)
+        with pytest.raises(ValueError, match="positive and finite"):
+            empty_regions(real, PhaseShiftSet((0.0,)), h_star_amp)
+
     def test_clamp_keeps_width_in_range(self):
         for ratio_amp in (0.1, 1.0, 10.0, 1e6):
             assert 0.0 <= omega_large_gap(ratio_amp, 1.0) <= PI / 2
@@ -53,31 +74,28 @@ class TestEmptyRegions:
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         real = ChannelRealization(1 + 0j, [1 + 0j])
         regions = empty_regions(real, ps, 4.0)
-        centers = sorted(r.center for r in regions)
-        assert centers == pytest.approx([PI / 2, 4 * PI / 3, 5 * PI / 3])
-        kinds = {round(r.center, 6): r.kind for r in regions}
-        assert kinds[round(PI / 2, 6)] == "between_phases"
-        assert kinds[round(4 * PI / 3, 6)] == "off_boundary"
+        lines = regions.lines
+        assert lines.args[0] == pytest.approx([PI / 2, 4 * PI / 3, 5 * PI / 3])
+        # the line between the phases, then the two bracketing the off region
+        assert lines.starting.tolist() == [1, 2, OFF]
+        assert lines.ending.tolist() == [2, OFF, 1]
         # widths follow the two formulas
-        for r in regions:
-            if r.kind == "between_phases":
-                assert r.half_width == pytest.approx(
-                    omega_small_gap(1.0, PI / 6, 5 * PI / 6, 4.0))
-            else:
-                assert r.half_width == pytest.approx(omega_large_gap(1.0, 4.0))
+        between, *off = regions.half_width[0]
+        assert between == pytest.approx(
+            omega_small_gap(1.0, PI / 6, 5 * PI / 6, 4.0))
+        assert off == pytest.approx([omega_large_gap(1.0, 4.0)] * 2)
 
     def test_region_count_scales_with_elements(self):
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         rng = np.random.default_rng(2)
         v = np.exp(1j * rng.uniform(0, 2 * PI, 50))
         real = ChannelRealization(1 + 0j, v)
-        assert len(empty_regions(real, ps, 30.0)) == 150
+        assert empty_regions(real, ps, 30.0).half_width.shape == (50, 3)
 
     def test_widths_vanish_for_large_h_star(self):
         ps = PhaseShiftSet.uniform(3)
         real = ChannelRealization(1 + 0j, [1 + 0j, 1j])
-        for r in empty_regions(real, ps, 1e12):
-            assert r.half_width < 1e-11
+        assert (empty_regions(real, ps, 1e12).half_width < 1e-11).all()
 
     def test_rejects_nonpositive_h_star(self):
         real = ChannelRealization(1 + 0j, [1 + 0j])
@@ -87,15 +105,13 @@ class TestEmptyRegions:
 
 class TestUnionMeasure:
     def test_no_regions(self):
-        report = measured_empty_ratio([])
+        report = measured_empty_ratio(regions_at([], []))
         assert report.measured_ratio == 0.0
         assert report.sum_ratio_ub == 0.0
         assert report.overlap_fraction == 0.0
 
     def test_identical_arcs_full_overlap(self):
-        ln = SeparationLine(1.0, 0, 1, 2)
-        regions = [EmptyRegion(ln, 0.1), EmptyRegion(ln, 0.1)]
-        report = measured_empty_ratio(regions)
+        report = measured_empty_ratio(regions_at([1.0, 1.0], [0.1, 0.1]))
         assert report.measured_ratio == pytest.approx(0.2 / (2 * PI))
         assert report.sum_ratio_ub == pytest.approx(0.4 / (2 * PI))
         assert report.overlap_fraction == pytest.approx(0.5)
@@ -142,9 +158,10 @@ def test_exclusion_property_small():
         real = ChannelRealization(0.1 + 0j, v)
         res = sweep_optimize(real, ps)
         theta = arg_mod_2pi(res.h_star)
-        for region in empty_regions(real, ps, res.amplitude):
-            assert circular_distance(theta, region.center) > (
-                region.half_width - 1e-9)
+        regions = empty_regions(real, ps, res.amplitude)
+        for center, half_width in zip(regions.lines.args.ravel(),
+                                      regions.half_width.ravel()):
+            assert circular_distance(theta, center) > half_width - 1e-9
 
 
 def test_upper_bound_approximation_values():
@@ -181,7 +198,100 @@ def test_regions_csv_format():
     write_regions_csv(regions, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "center_rad,half_width_rad,element,kind"
-    assert len(lines) == 1 + len(regions)
+    assert len(lines) == 1 + regions.half_width.size
     first = lines[1].split(",")
     assert len(first) == 4
     float(first[0]), float(first[1])  # parseable numbers
+    # rows go by element, then column: the line between the two phases,
+    # then the two bordering the off region
+    assert [row.split(",")[2:] for row in lines[1:4]] == [
+        ["0", "between_phases"], ["0", "off_boundary"], ["0", "off_boundary"]]
+    assert lines[4].split(",")[2] == "1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.one_of(st.floats(0.05, 50.0),
+                              st.sampled_from([1e-3, 0.5, 1.0])))
+def test_array_widths_equal_scalar_omegas(inst, h_star_amp):
+    # bit for bit on every line, the clamp at pi/2 included, and so is the
+    # ratio report built from them
+    real, ps = inst
+    regions = empty_regions(real, ps, h_star_amp)
+    lines = regions.lines
+    np.testing.assert_array_equal(lines.args, separation_lines(real, ps).args)
+    cols = list(zip(lines.starting.tolist(), lines.ending.tolist()))
+    want = [[omega_large_gap(v, h_star_amp) if OFF in (s, e)
+             else omega_small_gap(v, ps.phases[s - 1], ps.phases[e - 1],
+                                  h_star_amp)
+             for s, e in cols]
+            for v in np.abs(real.v).tolist()]
+    assert regions.half_width.tolist() == want
+    # the report adds in line order, as a loop over the lines would
+    flat = [w for row in want for w in row]
+    intervals = [(c - w, c + w) for c, w in zip(lines.args.ravel().tolist(),
+                                                flat)]
+    summed = 2.0 * sum(flat)
+    union = union_by_sort_and_merge(intervals)
+    assert measured_empty_ratio(regions) == EmptyRatioReport(
+        union / TWO_PI, summed / TWO_PI,
+        0.0 if summed == 0.0 else 1.0 - union / summed)
+
+
+def union_by_sort_and_merge(arcs):
+    """Reference union length: one arc at a time, a sorted list, a merge."""
+    segments = []
+    for lo, hi in arcs:
+        width = hi - lo
+        if width <= 0.0:
+            continue
+        if width >= TWO_PI:
+            return TWO_PI
+        lo = wrap_angle(lo)
+        hi = lo + width
+        if hi > TWO_PI:
+            segments.append((lo, TWO_PI))
+            segments.append((0.0, hi - TWO_PI))
+        else:
+            segments.append((lo, hi))
+    if not segments:
+        return 0.0
+    segments.sort()
+    total = 0.0
+    cur_lo, cur_hi = segments[0]
+    for lo, hi in segments[1:]:
+        if lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+        else:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+    total += cur_hi - cur_lo
+    return min(total, TWO_PI)
+
+
+@st.composite
+def arc_lists(draw):
+    start = st.one_of(st.sampled_from(GRID), st.floats(-4 * PI, 4 * PI))
+    width = st.one_of(st.just(0.0), st.floats(-0.5, 0.6),
+                      st.sampled_from([PI / 12, PI]))
+    arcs = []
+    for _ in range(draw(st.integers(0, 24))):
+        # an arc may start exactly where the previous one ends
+        touch = arcs and draw(st.booleans())
+        lo = arcs[-1][1] if touch else draw(start)
+        arcs.append((lo, lo + draw(width)))
+    if arcs and draw(st.integers(0, 9)) == 0:
+        lo = draw(start)
+        arcs.insert(draw(st.integers(0, len(arcs))),
+                    (lo, lo + draw(st.sampled_from([TWO_PI, 2.5 * PI]))))
+    return arcs
+
+
+@settings(max_examples=500, deadline=None)
+@given(arc_lists())
+@example([(TWO_PI - 0.1, TWO_PI + 0.1), (0.1, 0.3)])  # wraps, then touches
+@example([(0.24, 3.69), (3.69, 4.39), (1.0, 1.0)])  # touching runs merge
+@example([(3.0, 3.0 + TWO_PI)])
+def test_union_equals_sort_and_merge(arcs):
+    want = union_by_sort_and_merge(arcs)
+    assert circle_union_length(arcs) == want
+    assert circle_union_length(np.array(arcs).reshape(-1, 2)) == want

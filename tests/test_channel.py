@@ -210,6 +210,16 @@ def test_realization_json_roundtrip(tmp_path):
     assert np.array_equal(ChannelRealization.load(path).v, real.v)
 
 
+def test_realization_json_names_missing_fields():
+    doc = ChannelRealization(0.5 - 0.25j, [1 + 2j, -3j]).to_json()
+    with pytest.raises(ValueError, match="realization is missing 'h_d'"):
+        ChannelRealization.from_json({k: v for k, v in doc.items()
+                                      if k != "h_d"})
+    doc["v"][1] = {"re": 0.0}
+    with pytest.raises(ValueError, match=r"v\[1\] is missing 'im'"):
+        ChannelRealization.from_json(doc)
+
+
 def test_phase_set_json_roundtrip():
     ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
     assert PhaseShiftSet.from_json(ps.to_json()).phases == ps.phases

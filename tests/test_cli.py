@@ -1,13 +1,11 @@
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import ris_dps
+from conftest import child_env
 from ris_dps import LinkBudget, sample_realization
 from ris_dps.cli import main, parse_phases
 
@@ -146,18 +144,36 @@ def test_invalid_scenario_fails_cleanly(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_missing_json_field_names_file_and_field(realization_file, tmp_path,
+                                                  capsys):
+    doc = json.loads(realization_file.read_text())
+    del doc["h_d"]
+    bad_real = tmp_path / "no_h_d.json"
+    bad_real.write_text(json.dumps(doc))
+    for cmd in (["solve", "--solver", "sweep"], ["regions"]):
+        rc = main(cmd + ["--input", str(bad_real), "--phases", "pi/6,5pi/6"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad_real) in err and "missing 'h_d'" in err
+
+    scenario = scenario_doc()
+    del scenario["budget"]["bandwidth_hz"]
+    spath = tmp_path / "no_bandwidth.json"
+    spath.write_text(json.dumps(scenario))
+    rc = main(["run", "--scenario", str(spath), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(spath) in err and "missing 'bandwidth_hz'" in err
+
+
 def test_module_entry_point(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 3,
                               (5, 0))
     path = tmp_path / "real.json"
     real.save(path)
-    # the child must import the same package, installed or not
-    package_root = str(Path(ris_dps.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "ris_dps", "solve", "--input", str(path),
          "--phases", "pi/6,5pi/6", "--solver", "sweep"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]

@@ -80,6 +80,25 @@ def test_scenario_json_rejects_unknown_keys():
         Scenario.from_json({**doc, "extra": 1, "colour": "red"})
 
 
+def test_scenario_json_rejects_nested_typos_and_names_missing_fields():
+    doc = json.loads(json.dumps(tiny_scenario().to_json()))
+    budget = {**doc["budget"]}
+    budget["gain_direct_dB"] = budget.pop("gain_direct_db")
+    with pytest.raises(ValueError, match="unknown budget.*'gain_direct_dB'"):
+        Scenario.from_json({**doc, "budget": budget})
+    with pytest.raises(ValueError, match="unknown sweep key.*'value'"):
+        Scenario.from_json({**doc, "sweep": {"axis": "n_elements",
+                                             "value": [2]}})
+    del budget["gain_direct_dB"], budget["bandwidth_hz"]
+    with pytest.raises(ValueError, match="budget is missing "
+                                         "'gain_direct_db', 'bandwidth_hz'"):
+        Scenario.from_json({**doc, "budget": budget})
+    with pytest.raises(ValueError, match="scenario is missing 'seed'"):
+        Scenario.from_json({k: v for k, v in doc.items() if k != "seed"})
+    with pytest.raises(ValueError, match="budget must be a JSON object"):
+        Scenario.from_json({**doc, "budget": 5})
+
+
 def test_run_scenario_rows():
     rows = run_scenario(tiny_scenario())
     assert [row.x for row in rows] == [(2,), (4,)]
@@ -201,6 +220,6 @@ def test_fig13_grid_contains_uniform_point():
 def test_regions_dump_matches_line_count():
     s = get_builtin("fig14")[0]
     regions = regions_dump(s)
-    assert len(regions) == 150  # 50 elements, K+1 = 3 lines each
+    assert regions.half_width.shape == (50, 3)  # K+1 = 3 lines each
     with pytest.raises(ValueError):
         regions_dump(tiny_scenario())

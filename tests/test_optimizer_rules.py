@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from ris_dps import (OFF, ChannelRealization, PhaseShiftSet, SeparationLine,
-                     SweepCounters, config_given_direction, overall_h,
-                     separation_lines, sort_separation_lines, update_h)
+from ris_dps import (OFF, ChannelRealization, PhaseShiftSet, SweepCounters,
+                     config_given_direction, separation_lines)
+from ris_dps.optimizer import _sorted_line_order
 
 PI = math.pi
 
 
-def line_args(row):
-    return [ln.argument for ln in row]
+def columns(table):
+    """(starting, ending) of every column of a line table."""
+    return list(zip(table.starting.tolist(), table.ending.tolist()))
 
 
 class TestConfigGivenDirection:
@@ -49,52 +50,48 @@ class TestSeparationLines:
     def test_two_phase_example(self):
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         real = ChannelRealization(1 + 0j, [1 + 0j])
-        (row,) = separation_lines(real, ps)
-        assert line_args(row) == pytest.approx([PI / 2, 4 * PI / 3, 5 * PI / 3])
-        assert (row[0].starting, row[0].ending) == (1, 2)
-        assert (row[1].starting, row[1].ending) == (2, OFF)
-        assert (row[2].starting, row[2].ending) == (OFF, 1)
+        table = separation_lines(real, ps)
+        assert table.args[0] == pytest.approx([PI / 2, 4 * PI / 3, 5 * PI / 3])
+        assert columns(table) == [(1, 2), (2, OFF), (OFF, 1)]
+        with pytest.raises(TypeError):
+            table[0]  # a record, not the old list of rows
 
     def test_uniform_three_phase_example(self):
         ps = PhaseShiftSet.uniform(3)
         real = ChannelRealization(1 + 0j, [1 + 0j])
-        (row,) = separation_lines(real, ps)
-        assert line_args(row) == pytest.approx([PI / 3, PI, 5 * PI / 3])
-        assert all(ln.starting != OFF and ln.ending != OFF for ln in row)
+        table = separation_lines(real, ps)
+        assert table.args[0] == pytest.approx([PI / 3, PI, 5 * PI / 3])
+        assert all(OFF not in col for col in columns(table))
 
     def test_single_phase_brackets_off_half_plane(self):
         ps = PhaseShiftSet((0.0,))
         real = ChannelRealization(1 + 0j, [1 + 0j])
-        (row,) = separation_lines(real, ps)
-        assert line_args(row) == pytest.approx([PI / 2, 3 * PI / 2])
-        assert (row[0].starting, row[0].ending) == (1, OFF)
-        assert (row[1].starting, row[1].ending) == (OFF, 1)
+        table = separation_lines(real, ps)
+        assert table.args[0] == pytest.approx([PI / 2, 3 * PI / 2])
+        assert columns(table) == [(1, OFF), (OFF, 1)]
 
     def test_gap_of_exactly_pi_collapses_off_sector(self):
         ps = PhaseShiftSet.uniform(2)  # gaps are exactly pi
         real = ChannelRealization(1 + 0j, [np.exp(0.4j)])
-        (row,) = separation_lines(real, ps)
-        assert len(row) == 2
-        assert line_args(row) == pytest.approx([0.4 + PI / 2, 0.4 + 3 * PI / 2])
-        assert (row[0].starting, row[0].ending) == (1, 2)
-        assert (row[1].starting, row[1].ending) == (2, 1)
+        table = separation_lines(real, ps)
+        assert table.args.shape == (1, 2)
+        assert table.args[0] == pytest.approx([0.4 + PI / 2, 0.4 + 3 * PI / 2])
+        assert columns(table) == [(1, 2), (2, 1)]
 
     def test_column_count_shared_across_elements(self):
         rng = np.random.default_rng(5)
         for k in (1, 2, 3, 4):
             real, ps = random_instance(rng, 6, k)
-            rows = separation_lines(real, ps)
-            widths = {len(r) for r in rows}
-            assert len(rows) == 6
-            assert len(widths) == 1
-            assert widths.pop() in (k, k + 1)
+            table = separation_lines(real, ps)
+            n, l = table.args.shape
+            assert n == 6
+            assert l in (k, k + 1)
+            assert table.starting.shape == table.ending.shape == (l,)
 
     def test_line_arguments_offset_by_element_angle(self):
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         real = ChannelRealization(1 + 0j, [1 + 0j, np.exp(1.1j)])
-        rows = separation_lines(real, ps)
-        base = np.array(line_args(rows[0]))
-        shifted = np.array(line_args(rows[1]))
+        base, shifted = separation_lines(real, ps).args
         assert shifted == pytest.approx((base + 1.1) % (2 * PI))
 
     def test_empty_realization_rejected(self):
@@ -102,24 +99,25 @@ class TestSeparationLines:
             separation_lines(ChannelRealization(1 + 0j, []), PhaseShiftSet((0.0,)))
 
 
-def synthetic_matrix(columns):
-    """Build an N x L SeparationLine matrix from per-column argument lists."""
-    n = len(columns[0])
-    return [
-        [SeparationLine(columns[c][r], r, 1, 2) for c in range(len(columns))]
-        for r in range(n)
-    ]
+def sorted_args(columns, counters=None):
+    """Run the reference sort on an N x L matrix given column by column.
+
+    Returns the (argument, row, column) of every line in sorted order.
+    """
+    args = np.array(columns, dtype=float).T
+    rows, cols = _sorted_line_order(args, counters)
+    return [(args[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 class TestSortSeparationLines:
+    """The rotation + min-heap merge, the counted reference line order."""
+
     def test_single_break_rotation(self):
-        matrix = synthetic_matrix([[5.0, 6.0, 1.0, 2.0]])
-        out = [ln.argument for ln in sort_separation_lines(matrix)]
+        out = [a for a, _, _ in sorted_args([[5.0, 6.0, 1.0, 2.0]])]
         assert out == [1.0, 2.0, 5.0, 6.0]
 
     def test_two_column_heap_merge(self):
-        matrix = synthetic_matrix([[0.1, 0.5], [0.2, 0.6]])
-        out = [ln.argument for ln in sort_separation_lines(matrix)]
+        out = [a for a, _, _ in sorted_args([[0.1, 0.5], [0.2, 0.6]])]
         assert out == [0.1, 0.2, 0.5, 0.6]
 
     def test_matches_comparison_sort(self):
@@ -130,77 +128,32 @@ class TestSortSeparationLines:
             va = np.sort(rng.uniform(0, 2 * PI, n))
             offsets = rng.uniform(0, 2 * PI, l)
             args = (va[:, None] + offsets[None, :]) % (2 * PI)
-            matrix = synthetic_matrix([args[:, c].tolist() for c in range(l)])
-            out = sort_separation_lines(matrix)
-            got = [ln.argument for ln in out]
-            assert got == sorted(np.ravel(args).tolist())
-            # output is a permutation of the input lines
-            assert sorted((ln.element, ln.argument) for ln in out) == sorted(
-                (r, args[r, c]) for r in range(n) for c in range(l))
+            out = sorted_args(args.T)
+            assert [a for a, _, _ in out] == sorted(np.ravel(args).tolist())
+            # every line comes out exactly once, with its own argument
+            assert sorted((r, c) for _, r, c in out) == [
+                (r, c) for r in range(n) for c in range(l)]
+            assert all(args[r, c] == a for a, r, c in out)
 
     def test_equal_arguments_ordered_by_element_then_column(self):
-        matrix = synthetic_matrix([[1.0, 1.0, 2.0], [3.0, 3.0, 3.0]])
-        out = sort_separation_lines(matrix)
-        keys = [(ln.argument, ln.element) for ln in out]
-        assert keys == sorted(keys)
+        out = sorted_args([[1.0, 1.0, 2.0], [3.0, 3.0, 3.0]])
+        assert out == sorted(out)
 
     def test_seam_ties_ordered_by_element(self):
         # the last row wrapped onto the first row's argument
-        matrix = synthetic_matrix([[3.0, 4.0, 0.5, 3.0]])
-        out = [(ln.argument, ln.element) for ln in sort_separation_lines(matrix)]
+        out = [(a, r) for a, r, _ in sorted_args([[3.0, 4.0, 0.5, 3.0]])]
         assert out == [(0.5, 2), (3.0, 0), (3.0, 3), (4.0, 1)]
 
     def test_unsorted_rows_rejected(self):
-        matrix = synthetic_matrix([[5.0, 1.0, 6.0, 2.0]])
         with pytest.raises(ValueError, match="not sorted"):
-            sort_separation_lines(matrix)
-
-    def test_ragged_matrix_rejected(self):
-        matrix = synthetic_matrix([[1.0, 2.0]])
-        matrix[1].pop()
-        with pytest.raises(ValueError, match="rectangular"):
-            sort_separation_lines(matrix)
+            sorted_args([[5.0, 1.0, 6.0, 2.0]])
 
     def test_comparison_counter(self):
         rng = np.random.default_rng(23)
         va = np.sort(rng.uniform(0, 2 * PI, 64))
         offsets = rng.uniform(0, 2 * PI, 3)
         args = (va[:, None] + offsets[None, :]) % (2 * PI)
-        matrix = synthetic_matrix([args[:, c].tolist() for c in range(3)])
         counters = SweepCounters()
-        plain = sort_separation_lines(matrix)
-        counted = sort_separation_lines(matrix, counters)
-        assert [ln.argument for ln in plain] == [ln.argument for ln in counted]
+        assert sorted_args(args.T) == sorted_args(args.T, counters)
         assert counters.heap_comparisons > 0
         assert counters.rotation_comparisons == 64 * 3
-
-
-class TestUpdateH:
-    def test_off_endpoints(self):
-        ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
-        real = ChannelRealization(2 + 0j, [1 + 0j])
-        (row,) = separation_lines(real, ps)
-        h = 1 + 1j
-        into_off = row[1]  # starting ON(2), ending OFF
-        assert update_h(h, into_off, real, ps) == pytest.approx(
-            h - np.exp(5j * PI / 6))
-        out_of_off = row[2]  # starting OFF, ending ON(1)
-        assert update_h(h, out_of_off, real, ps) == pytest.approx(
-            h + np.exp(1j * PI / 6))
-
-    def test_matches_full_recomputation(self):
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            real, ps = random_instance(rng, int(rng.integers(2, 7)),
-                                       int(rng.integers(1, 4)))
-            rows = separation_lines(real, ps)
-            n = real.n
-            ln = rows[int(rng.integers(0, n))][
-                int(rng.integers(0, len(rows[0])))]
-            cfg = rng.integers(0, ps.k + 1, size=n)
-            cfg[ln.element] = ln.starting
-            h_before = overall_h(real, ps, cfg)
-            cfg[ln.element] = ln.ending
-            h_after = overall_h(real, ps, cfg)
-            assert update_h(h_before, ln, real, ps) == pytest.approx(
-                h_after, rel=1e-12, abs=1e-12)

@@ -9,7 +9,7 @@ from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      angle_between, config_given_direction,
                      continuous_upper_bound, cpp_optimize, exhaustive_optimize,
                      overall_h, sample_realization, separation_lines,
-                     sort_separation_lines, sweep_optimize, unit_from_arg)
+                     sweep_optimize, unit_from_arg)
 
 PI = math.pi
 
@@ -80,7 +80,7 @@ def test_sector_count_and_candidates():
     for k in (1, 2, 3):
         real, ps = random_instance(rng, 5, k)
         res = sweep_optimize(real, ps, with_candidates=True)
-        l = len(separation_lines(real, ps)[0])
+        l = separation_lines(real, ps).args.shape[1]
         assert res.candidates.shape == (5 * l,)
         assert np.all(np.isfinite(res.candidates))
         assert res.candidates[res.sector_index] == pytest.approx(res.amplitude)
@@ -90,11 +90,7 @@ def test_sector_count_and_candidates():
 def test_config_constant_within_sectors():
     rng = np.random.default_rng(41)
     real, ps = random_instance(rng, 4, 2)
-    # the sorter's precondition: element rows ordered by angle
-    order = np.argsort(real.element_angles())
-    real = ChannelRealization(real.h_d, real.v[order])
-    lines = sort_separation_lines(separation_lines(real, ps))
-    args = np.array([ln.argument for ln in lines])
+    args = np.sort(separation_lines(real, ps).args, axis=None)
     for j in range(len(args)):
         lo = args[j - 1] if j > 0 else args[-1] - 2 * PI
         hi = args[j]
@@ -120,7 +116,7 @@ def test_vector_addition_budget():
     for n, k in ((5, 1), (12, 2), (30, 3)):
         real, ps = random_instance(rng, n, k)
         res = sweep_optimize(real, ps, instrument=True)
-        l = len(separation_lines(real, ps)[0])
+        l = separation_lines(real, ps).args.shape[1]
         assert res.counters.vector_additions == n + 2 * n * l
 
 

@@ -12,54 +12,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import ris_dps.optimizer as optimizer
+from conftest import instances
 from ris_dps import (ChannelRealization, PhaseShiftSet, exhaustive_optimize,
-                     separation_lines, sort_separation_lines, sweep_optimize)
+                     separation_lines, sweep_optimize)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
-GRID = [i * TWO_PI / 24 for i in range(24)]
-
-FIXED_SETS = (
-    (0.0,),                           # K = 1
-    (0.0, PI),                        # a gap of exactly pi
-    (0.0, 2 * PI / 3, 4 * PI / 3),    # uniform, no off lines
-    (PI / 6, 5 * PI / 6),             # lopsided, one gap above pi
-    (0.0, PI / 2, PI),                # a gap of exactly pi after two small ones
-)
-
-
-@st.composite
-def phase_sets(draw):
-    if draw(st.booleans()):
-        return PhaseShiftSet(draw(st.sampled_from(FIXED_SETS)))
-    # grid phases: gaps of exactly pi and coinciding lines across elements
-    picks = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4,
-                          unique=True))
-    return PhaseShiftSet(sorted(picks))
-
-
-@st.composite
-def instances(draw, max_n=10):
-    ps = draw(phase_sets())
-    n = draw(st.integers(1, max_n))
-    angle = st.one_of(st.sampled_from(GRID), st.floats(0.0, TWO_PI,
-                                                       exclude_max=True))
-    angles = draw(st.lists(angle, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        # repeated elements: identical lines, hence zero-width sectors
-        angles = [angles[i // 2] for i in range(n)]
-    amps = draw(st.one_of(
-        st.just([1.0] * n),
-        st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
-    v = np.asarray(amps) * np.exp(1j * np.asarray(angles))
-    h_d = 0j
-    if draw(st.booleans()):
-        a = draw(st.sampled_from(GRID))
-        h_d = draw(st.floats(0.01, 2.0)) * complex(math.cos(a), math.sin(a))
-    return ChannelRealization(h_d, v), ps
 
 
 def _angle_sorted(real):
@@ -74,11 +34,11 @@ def _angle_sorted(real):
 @example((ChannelRealization(1 + 0j, [1j, 1j, -1j]), PhaseShiftSet((0.0, PI))))
 def test_argsort_order_matches_heap_merge(inst):
     real, ps = inst
-    matrix = separation_lines(_angle_sorted(real), ps)
-    args = np.array([[ln.argument for ln in row] for row in matrix])
+    args = separation_lines(_angle_sorted(real), ps).args
     rows, cols = optimizer._argsort_line_order(args)
-    assert sort_separation_lines(matrix) == [
-        matrix[r][c] for r, c in zip(rows, cols)]
+    ref_rows, ref_cols = optimizer._sorted_line_order(args, None)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(cols, ref_cols)
 
 
 def _assert_same(a, b):
