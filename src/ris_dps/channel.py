@@ -87,8 +87,8 @@ class PhaseShiftSet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PhaseShiftSet":
-        _check_schema(doc)
-        return cls(doc["phases"])
+        check_schema(doc, "phase set")
+        return cls(json_numbers(doc.get("phases"), "phases"))
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class LinkBudget:
         keys = ("gain_tx_ris_db", "gain_ris_rx_db", "gain_direct_db",
                 "snr_budget_db", "bandwidth_hz")
         check_json_keys(doc, "budget", keys)
-        return cls(**{k: float(doc[k]) for k in keys})
+        return cls(**{k: json_number(doc[k], f"budget.{k}") for k in keys})
 
 
 class ChannelRealization:
@@ -194,10 +194,11 @@ class ChannelRealization:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ChannelRealization":
-        _check_schema(doc)
+        check_schema(doc, "realization")
         check_json_keys(doc, "realization", ("schema_version", "h_d", "v"))
         h_d = _complex_from_json(doc["h_d"], "h_d")
-        v = [_complex_from_json(e, f"v[{i}]") for i, e in enumerate(doc["v"])]
+        v = [_complex_from_json(e, f"v[{i}]")
+             for i, e in enumerate(json_list(doc["v"], "v"))]
         return cls(h_d, v)
 
     def save(self, path) -> None:
@@ -210,18 +211,18 @@ class ChannelRealization:
             return cls.from_json(json.load(fh))
 
 
-def _check_schema(doc: dict) -> None:
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}")
+def check_schema(doc, what: str, version: int = SCHEMA_VERSION) -> None:
+    """Raise ValueError unless doc is a JSON object of the schema version."""
+    found = json_object(doc, what).get("schema_version")
+    if found != version:
+        raise ValueError(f"unsupported {what} schema_version {found!r}")
 
 
 def check_json_keys(doc, what: str, required: Sequence[str],
                     optional: Sequence[str] = ()) -> None:
     """Raise ValueError naming any unknown or missing key of a JSON object."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(required) - set(optional))
+    unknown = sorted(set(json_object(doc, what)) - set(required)
+                     - set(optional))
     if unknown:
         raise ValueError(
             f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
@@ -231,9 +232,47 @@ def check_json_keys(doc, what: str, required: Sequence[str],
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; anything else raises ValueError naming it."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer; a bool or any other number raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """A JSON object; anything else raises ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """A JSON array; anything else raises ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def json_numbers(value, what: str) -> list:
+    """A JSON array of numbers as floats; ValueError names a bad entry."""
+    return [json_number(x, f"{what}[{i}]")
+            for i, x in enumerate(json_list(value, what))]
+
+
 def _complex_from_json(doc, what: str) -> complex:
     check_json_keys(doc, what, ("re", "im"))
-    return complex(doc["re"], doc["im"])
+    return complex(json_number(doc["re"], f"{what}.re"),
+                   json_number(doc["im"], f"{what}.im"))
 
 
 def f_vector(v_n: complex, phase_set: PhaseShiftSet, i: int) -> complex:

@@ -21,10 +21,11 @@ import numpy as np
 
 from .analysis import empty_regions, measured_empty_ratio
 from .channel import (LinkBudget, PhaseShiftSet, check_json_keys,
+                      check_schema, json_int, json_list, json_numbers,
                       sample_realization)
 from .metrics import performance_gain
-from .optimizer import (continuous_upper_bound, cpp_optimize,
-                        exhaustive_optimize, sweep_optimize)
+from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, continuous_upper_bound,
+                        cpp_optimize, exhaustive_optimize, sweep_optimize)
 
 SCHEMA_VERSION = 1
 
@@ -62,7 +63,7 @@ class Scenario:
     solvers: tuple
     empty_ratio: bool = False
     mode: str = "curve"
-    exhaustive_cap: int = 2 ** 24
+    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
 
     def validate(self) -> None:
         if self.trials < 1:
@@ -135,30 +136,33 @@ class Scenario:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Scenario":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported scenario schema_version {doc.get('schema_version')!r}")
+        check_schema(doc, "scenario", SCHEMA_VERSION)
         required = ("name", "budget", "seed")
         check_json_keys(doc, "scenario", required,
                         [k for k in SCENARIO_KEYS if k not in required])
         sweep = doc.get("sweep") or {"axis": "n_elements", "values": []}
         check_json_keys(sweep, "sweep", (), ("axis", "values"))
         values = tuple(tuple(v) if isinstance(v, list) else v
-                       for v in sweep.get("values", []))
+                       for v in json_list(sweep.get("values", []),
+                                          "sweep.values"))
         phases = doc.get("phases")
         scenario = cls(
             name=str(doc["name"]),
             budget=LinkBudget.from_json(doc["budget"]),
-            n_elements=int(doc.get("n_elements", 0)),
-            phases=PhaseShiftSet(phases) if phases else None,
+            n_elements=json_int(doc.get("n_elements", 0), "n_elements"),
+            phases=PhaseShiftSet(json_numbers(phases, "phases"))
+            if phases else None,
             axis=sweep.get("axis", "n_elements"),
             values=values,
-            trials=int(doc.get("trials", 1000)),
-            seed=int(doc["seed"]),
-            solvers=tuple(doc.get("solvers", ("sweep", "cpp"))),
+            trials=json_int(doc.get("trials", 1000), "trials"),
+            seed=json_int(doc["seed"], "seed"),
+            solvers=tuple(json_list(doc.get("solvers", ["sweep", "cpp"]),
+                                    "solvers")),
             empty_ratio=bool(doc.get("empty_ratio", False)),
             mode=str(doc.get("mode", "curve")),
-            exhaustive_cap=int(doc.get("exhaustive_cap", 2 ** 24)),
+            exhaustive_cap=json_int(doc.get("exhaustive_cap",
+                                            DEFAULT_EXHAUSTIVE_CAP),
+                                    "exhaustive_cap"),
         )
         scenario.validate()
         return scenario
@@ -182,12 +186,15 @@ class ResultRow:
 
 def _solve_trial(budget: LinkBudget, n: int, phases: PhaseShiftSet,
                  solvers: tuple, seed: int, cap: int, want_ratio: bool,
-                 trial: int) -> Tuple[Dict[str, Optional[float]], Optional[float]]:
-    """Amplitudes |h| per solver (and the empty ratio) for one trial."""
+                 trial: int) -> Tuple[Dict[str, float], Optional[float]]:
+    """Amplitudes |h| per solver (and the empty ratio) for one trial.
+
+    The caller passes only solvers that fit at this point; want_ratio
+    needs "sweep" among them.
+    """
     real = sample_realization(budget, n, (seed, trial))
-    need_sweep = "sweep" in solvers or want_ratio
-    sweep_res = sweep_optimize(real, phases) if need_sweep else None
-    amps: Dict[str, Optional[float]] = {}
+    sweep_res = sweep_optimize(real, phases) if "sweep" in solvers else None
+    amps: Dict[str, float] = {}
     for solver in solvers:
         if solver == "sweep":
             amps[solver] = sweep_res.amplitude
@@ -196,10 +203,7 @@ def _solve_trial(budget: LinkBudget, n: int, phases: PhaseShiftSet,
         elif solver == "cpp_always_on":
             amps[solver] = cpp_optimize(real, phases, always_on=True).amplitude
         elif solver == "exhaustive":
-            if (phases.k + 1) ** real.n <= cap:
-                amps[solver] = exhaustive_optimize(real, phases, cap).amplitude
-            else:
-                amps[solver] = None
+            amps[solver] = exhaustive_optimize(real, phases, cap).amplitude
         elif solver == "continuous_ub":
             amps[solver] = continuous_upper_bound(real)
     ratio = None
@@ -239,11 +243,13 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     cached_amps = None  # the channel does not depend on the SNR budget
     for x in scenario.values:
         budget, n, phases = scenario._point(x)
+        solvers = tuple(s for s in scenario.solvers
+                        if s != "exhaustive" or scenario._exhaustive_ok(x))
         if scenario.axis == "snr_budget_db" and cached_amps is not None:
             amps, ratios = cached_amps
         else:
             amps, ratios = _point_trials(
-                budget, n, phases, scenario.solvers, scenario.seed,
+                budget, n, phases, solvers, scenario.seed,
                 scenario.trials, scenario.exhaustive_cap,
                 scenario.empty_ratio, jobs)
             if scenario.axis == "snr_budget_db":
@@ -253,12 +259,11 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
         mean_se: Dict[str, Optional[float]] = {}
         std_se: Dict[str, Optional[float]] = {}
         for solver in scenario.solvers:
-            vals = amps[solver]
-            if any(a is None for a in vals):
+            if solver not in amps:  # exhaustive over its cap at this point
                 mean_se[solver] = None
                 std_se[solver] = None
                 continue
-            se = np.log2(1.0 + snr_scale * np.asarray(vals) ** 2)
+            se = np.log2(1.0 + snr_scale * np.asarray(amps[solver]) ** 2)
             mean_se[solver] = float(se.mean())
             std_se[solver] = float(se.std())
         gain = None

@@ -13,8 +13,9 @@ The sweep is one array program over the N x L line table: one stable
 argsort orders the lines, a cumulative sum forms the candidate chain, and
 the winning configuration is read off the last crossing of each element.
 The rotation + min-heap merge (O(N*L*log L) comparisons) stays as the
-counted reference sort that ``sweep_optimize(..., instrument=True)`` runs;
-both give the same order and the same result.
+counted reference sort: ``sweep_optimize(..., instrument=True)`` runs it
+beside the argsort, not instead of it, and checks that both give the same
+order, so the result never depends on the switch.
 """
 
 import heapq
@@ -299,8 +300,7 @@ def _apply_crossings(cfg: np.ndarray, rows: np.ndarray,
 
 
 def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
-                   instrument: bool = False, verify: bool = False,
-                   with_candidates: bool = False) -> SweepResult:
+                   instrument: bool = False) -> SweepResult:
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
     Elements are sorted by angle once and the lines are put in ascending
@@ -313,16 +313,16 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     mapped back to the input element order.
 
     Args:
-        instrument: order the lines with the counted reference sort (the
-            rotation + min-heap merge, O(N*L*log L) comparisons) and
-            attach its operation counters and the full-cycle channel
-            (which must agree with the starting one up to float drift).
-            The result is identical to the uninstrumented sweep.
-        verify: recompute the channel from scratch every ceil(N/4)
-            crossings and raise RuntimeError if the incremental value has
-            drifted by more than 1e-9 relative to the summed vector scale
-            (the channel itself can pass through zero mid-sweep).
-        with_candidates: attach the per-sector |h| diagnostics.
+        instrument: observe the sweep without changing its result.  The
+            counted reference sort (the rotation + min-heap merge,
+            O(N*L*log L) comparisons) runs beside the argsort, and the
+            channel is recomputed from scratch every ceil(N/4) crossings;
+            RuntimeError is raised if the two orders differ or if the
+            incremental channel has drifted by more than 1e-9 relative to
+            the summed vector scale (the channel itself can pass through
+            zero mid-sweep).  The operation counters, the per-sector |h|
+            diagnostics and the full-cycle channel (which must agree with
+            the starting one up to float drift) are attached.
 
     Returns:
         SweepResult with |h_star| maximal over all sectors; ties break to
@@ -333,7 +333,7 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     if n == 0:
         return SweepResult(
             config=np.zeros(0, dtype=int), h_star=real.h_d, sector_index=0,
-            candidates=np.array([abs(real.h_d)]) if (with_candidates or instrument) else None,
+            candidates=np.array([abs(real.h_d)]) if instrument else None,
             counters=counters if instrument else None,
             cycle_h=real.h_d if instrument else None)
 
@@ -346,10 +346,7 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     args = wrap_angles(va[:, None] + offsets[None, :])
-    if instrument:
-        rows, cols = _sorted_line_order(args, counters)
-    else:
-        rows, cols = _argsort_line_order(args)
+    rows, cols = _argsort_line_order(args)
     m = n * l
     sorted_args = args[rows, cols]
 
@@ -380,7 +377,9 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     chain = np.cumsum(steps)[::2]
     counters.vector_additions += n + 2 * m
 
-    if verify:
+    if instrument:
+        if not np.array_equal(_sorted_line_order(args, counters), (rows, cols)):
+            raise RuntimeError("line order differs from the reference sort")
         recheck = max(1, math.ceil(n / 4))
         # Drift is judged against the scale of the summed vectors; the
         # channel itself can pass arbitrarily close to zero mid-sweep.
@@ -407,14 +406,13 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     config = np.empty(n, dtype=int)
     config[order] = cfg
 
-    candidates = None
-    if with_candidates or instrument:
-        candidates = np.where(valid, amp, math.nan)
+    if not instrument:
+        return SweepResult(config=config, h_star=complex(chain[best]),
+                           sector_index=best)
     return SweepResult(
         config=config, h_star=complex(chain[best]), sector_index=best,
-        candidates=candidates,
-        counters=counters if instrument else None,
-        cycle_h=complex(chain[m]) if instrument else None)
+        candidates=np.where(valid, amp, math.nan), counters=counters,
+        cycle_h=complex(chain[m]))
 
 
 def _check_drift(h_d: complex, g_table: np.ndarray, cfg: np.ndarray,

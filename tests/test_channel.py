@@ -220,8 +220,28 @@ def test_realization_json_names_missing_fields():
         ChannelRealization.from_json(doc)
 
 
+def test_realization_json_rejects_non_numbers():
+    doc = ChannelRealization(0.5 - 0.25j, [1 + 2j, -3j]).to_json()
+    with pytest.raises(ValueError, match="realization must be a JSON object"):
+        ChannelRealization.from_json([1])
+    for bad in ("x", "1", None, True, [1.0], 10 ** 400):
+        broken = {**doc, "v": [doc["v"][0], {"re": 0.0, "im": bad}]}
+        with pytest.raises(ValueError, match=r"v\[1\]\.im must be a number"):
+            ChannelRealization.from_json(broken)
+    with pytest.raises(ValueError, match="h_d.re must be a number"):
+        ChannelRealization.from_json({**doc, "h_d": {"re": "x", "im": 0}})
+    with pytest.raises(ValueError, match="v must be a JSON array"):
+        ChannelRealization.from_json({**doc, "v": {"re": 1.0, "im": 0.0}})
+    back = ChannelRealization.from_json({**doc, "h_d": {"re": 1, "im": 0}})
+    assert back.h_d == 1 + 0j
+
+
 def test_phase_set_json_roundtrip():
     ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
     assert PhaseShiftSet.from_json(ps.to_json()).phases == ps.phases
     with pytest.raises(ValueError, match="schema_version"):
         PhaseShiftSet.from_json({"phases": [0.0]})
+    with pytest.raises(ValueError, match="phase set must be a JSON object"):
+        PhaseShiftSet.from_json([0.0])
+    with pytest.raises(ValueError, match="phases must be a JSON array"):
+        PhaseShiftSet.from_json({"schema_version": 1, "phases": 0.5})

@@ -166,6 +166,42 @@ def test_missing_json_field_names_file_and_field(realization_file, tmp_path,
     assert str(spath) in err and "missing 'bandwidth_hz'" in err
 
 
+def test_non_object_json_fails_cleanly(realization_file, tmp_path, capsys):
+    spath = tmp_path / "list.json"
+    spath.write_text("[1, 2]")
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ris-dps: error:")
+    assert str(spath) in err and "scenario must be a JSON object" in err
+
+    bad_real = tmp_path / "one.json"
+    bad_real.write_text("[1]")
+    assert main(["solve", "--input", str(bad_real), "--phases", "pi/6,5pi/6",
+                 "--solver", "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ris-dps: error:")
+    assert "realization must be a JSON object" in err
+
+    doc = json.loads(realization_file.read_text())
+    doc["h_d"] = {"re": "x", "im": 0}
+    bad_real.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(bad_real), "--phases", "pi/6,5pi/6",
+                 "--solver", "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ris-dps: error:")
+    assert "h_d.re must be a number, got 'x'" in err
+
+
+def test_unconvertible_field_is_named(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["budget"]["gain_tx_ris_db"] = "abc"
+    spath = tmp_path / "t.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{spath}: budget.gain_tx_ris_db must be a number, got 'abc'" in err
+
+
 def test_module_entry_point(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 3,
                               (5, 0))

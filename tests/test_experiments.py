@@ -99,6 +99,32 @@ def test_scenario_json_rejects_nested_typos_and_names_missing_fields():
         Scenario.from_json({**doc, "budget": 5})
 
 
+def test_scenario_json_names_unconvertible_fields():
+    doc = json.loads(json.dumps(tiny_scenario().to_json()))
+    with pytest.raises(ValueError, match="scenario must be a JSON object"):
+        Scenario.from_json([1, 2])
+    budget = {**doc["budget"], "gain_tx_ris_db": "abc"}
+    with pytest.raises(ValueError, match="budget.gain_tx_ris_db must be a "
+                                         "number, got 'abc'"):
+        Scenario.from_json({**doc, "budget": budget})
+    with pytest.raises(ValueError, match=r"phases\[1\] must be a number"):
+        Scenario.from_json({**doc, "phases": [0.5, None]})
+    for key, value in (("phases", "abc"), ("solvers", "sweep"),
+                       ("sweep", {"axis": "n_elements", "values": 4})):
+        with pytest.raises(ValueError, match="must be a JSON array"):
+            Scenario.from_json({**doc, key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.9), ("n_elements", 4.7), ("trials", True), ("trials", 8.0),
+    ("exhaustive_cap", "64"), ("seed", None)])
+def test_scenario_json_integer_fields_are_not_truncated(key, value):
+    doc = json.loads(json.dumps(tiny_scenario().to_json()))
+    with pytest.raises(ValueError,
+                       match=f"{key} must be an integer, got {value!r}"):
+        Scenario.from_json({**doc, key: value})
+
+
 def test_run_scenario_rows():
     rows = run_scenario(tiny_scenario())
     assert [row.x for row in rows] == [(2,), (4,)]

@@ -79,7 +79,7 @@ def test_sector_count_and_candidates():
     rng = np.random.default_rng(37)
     for k in (1, 2, 3):
         real, ps = random_instance(rng, 5, k)
-        res = sweep_optimize(real, ps, with_candidates=True)
+        res = sweep_optimize(real, ps, instrument=True)
         l = separation_lines(real, ps).args.shape[1]
         assert res.candidates.shape == (5 * l,)
         assert np.all(np.isfinite(res.candidates))
@@ -125,7 +125,7 @@ def test_verify_mode_agrees_with_plain_sweep():
     for _ in range(20):
         real, ps = random_instance(rng, int(rng.integers(2, 12)), 2)
         plain = sweep_optimize(real, ps)
-        checked = sweep_optimize(real, ps, verify=True, instrument=True)
+        checked = sweep_optimize(real, ps, instrument=True)
         assert checked.counters.scratch_recomputes > 0
         assert checked.amplitude == plain.amplitude
         assert list(checked.config) == list(plain.config)
@@ -138,7 +138,7 @@ def test_verify_mode_tolerates_exact_cancellation_mid_sweep():
     ps = PhaseShiftSet((0.0,))
     v = np.array([0.1 + 0.2j, 0.3 + 0.7j, 0.25 + 0.45j])
     real = ChannelRealization(-((v[2] + v[0]) + v[1]), v)
-    res = sweep_optimize(real, ps, verify=True, with_candidates=True)
+    res = sweep_optimize(real, ps, instrument=True)
     assert np.nanmin(res.candidates) < 1e-12
     assert res.amplitude == pytest.approx(
         exhaustive_optimize(real, ps).amplitude, rel=1e-12)
@@ -153,7 +153,7 @@ def test_one_ulp_wide_first_sector():
          complex(6.123233995736766e-17, 1.0)]
     real = ChannelRealization(0j, v)
     ps = PhaseShiftSet((0.0, PI / 6, PI / 4))
-    res = sweep_optimize(real, ps, verify=True)
+    res = sweep_optimize(real, ps, instrument=True)
     assert abs(overall_h(real, ps, res.config)) == pytest.approx(
         res.amplitude, rel=1e-12)
     assert res.amplitude == pytest.approx(

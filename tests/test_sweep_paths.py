@@ -1,8 +1,9 @@
 """The array sweep against its counted reference, on adversarial instances.
 
-The plain sweep orders the separation lines with one stable argsort; the
-instrumented sweep runs the rotation + min-heap merge instead.  These
-properties pin the two to the same order and the same result, including on
+The sweep orders the separation lines with one stable argsort; the
+instrumented sweep also runs the rotation + min-heap merge beside it and
+raises if the two orders differ.  These properties pin the two to the same
+order, and the instrumented sweep to the plain sweep's result, including on
 ties, zero-width sectors, gaps of exactly pi, K = 1, N = 1 and a zero
 direct path.
 """
@@ -45,7 +46,6 @@ def _assert_same(a, b):
     assert np.array_equal(a.config, b.config)
     assert a.h_star == b.h_star
     assert a.sector_index == b.sector_index
-    np.testing.assert_array_equal(a.candidates, b.candidates)  # NaN-aware
 
 
 @settings(max_examples=300, deadline=None)
@@ -54,11 +54,13 @@ def _assert_same(a, b):
 @example((ChannelRealization(0.5j, [1 + 1j, 1 + 1j]), PhaseShiftSet((0.0, PI))))
 def test_sweep_flags_do_not_change_the_result(inst):
     real, ps = inst
-    plain = sweep_optimize(real, ps, with_candidates=True)
-    for flags in ({"instrument": True},
-                  {"verify": True, "with_candidates": True},
-                  {"instrument": True, "verify": True}):
-        _assert_same(sweep_optimize(real, ps, **flags), plain)
+    plain = sweep_optimize(real, ps)
+    counted = sweep_optimize(real, ps, instrument=True)
+    _assert_same(counted, plain)
+    best = counted.candidates[counted.sector_index]
+    assert best == np.nanmax(counted.candidates)
+    # np.abs and abs() of one complex may differ in the last bit
+    assert best == pytest.approx(counted.amplitude, rel=1e-15)
     if real.n <= 8:
         oracle = exhaustive_optimize(real, ps)
         scale = abs(real.h_d) + float(np.abs(real.v).sum())
@@ -68,9 +70,9 @@ def test_sweep_flags_do_not_change_the_result(inst):
 def test_repeated_elements_give_zero_width_sectors():
     real = ChannelRealization(0j, [1j, 1j, np.exp(0.3j)])
     ps = PhaseShiftSet((0.0, PI))
-    plain = sweep_optimize(real, ps, with_candidates=True)
-    counted = sweep_optimize(real, ps, instrument=True, verify=True)
-    assert np.isnan(plain.candidates).sum() == 2  # one per coinciding pair
+    plain = sweep_optimize(real, ps)
+    counted = sweep_optimize(real, ps, instrument=True)
+    assert np.isnan(counted.candidates).sum() == 2  # one per coinciding pair
     _assert_same(counted, plain)
 
 
@@ -79,7 +81,7 @@ def test_verify_raises_on_drift(monkeypatch):
     v = rng.uniform(0.5, 1.5, 12) * np.exp(1j * rng.uniform(0, TWO_PI, 12))
     real = ChannelRealization(0.3 + 0j, v)
     ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
-    checked = sweep_optimize(real, ps, verify=True, instrument=True)
+    checked = sweep_optimize(real, ps, instrument=True)
     # 36 crossings, checked every ceil(12/4) = 3
     assert checked.counters.scratch_recomputes == 12
 
@@ -94,5 +96,20 @@ def test_verify_raises_on_drift(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_check_drift", skewed)
     with pytest.raises(RuntimeError, match="drifted"):
-        sweep_optimize(real, ps, verify=True)
+        sweep_optimize(real, ps, instrument=True)
     assert len(calls) == 2
+
+
+def test_instrument_raises_on_line_order_mismatch(monkeypatch):
+    real = ChannelRealization(0.3 + 0j, np.exp(1j * np.array([0.2, 1.9, 4.4])))
+    ps = PhaseShiftSet((0.0, PI / 2))
+    original = optimizer._sorted_line_order
+
+    def swapped(args, counters):
+        rows, cols = original(args, counters)
+        return np.roll(rows, 1), cols  # 3 elements: the order moves
+
+    monkeypatch.setattr(optimizer, "_sorted_line_order", swapped)
+    with pytest.raises(RuntimeError, match="reference sort"):
+        sweep_optimize(real, ps, instrument=True)
+    sweep_optimize(real, ps)  # the plain sweep never runs the reference
