@@ -2,7 +2,8 @@
 
 Library layout:
     geometry     angle utilities on complex channel coefficients
-    channel      phase-shift sets, link budgets, random realizations
+    channel      phase-shift sets, link budgets, random realizations and
+                 batches of them
     optimizer    the linear-time sweep, plus exhaustive/CPP baselines
     metrics      capacity and performance-gain metrics
     analysis     empty-region widths and circle-coverage measurements
@@ -16,7 +17,8 @@ from .analysis import (EmptyRatioReport, EmptyRegions, circle_union_length,
                        measured_empty_ratio, omega_large_gap, omega_small_gap,
                        write_regions_csv)
 from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                      f_vector, overall_h, realize_g, sample_realization)
+                      RealizationBatch, f_vector, overall_h, realize_g,
+                      sample_realization)
 from .geometry import (ANGLE_EPS, TWO_PI, angle_between, arg_mod_2pi,
                        circular_distance, unit_from_arg, wrap_angle)
 from .experiments import (ResultRow, Scenario, builtin_scenarios, get_builtin,
@@ -32,7 +34,7 @@ __all__ = [
     "ANGLE_EPS", "TWO_PI", "OFF", "DEFAULT_EXHAUSTIVE_CAP", "__version__",
     "angle_between", "arg_mod_2pi", "circular_distance", "unit_from_arg",
     "wrap_angle",
-    "ChannelRealization", "LinkBudget", "PhaseShiftSet",
+    "ChannelRealization", "LinkBudget", "PhaseShiftSet", "RealizationBatch",
     "f_vector", "overall_h", "realize_g", "sample_realization",
     "LineTable", "SweepCounters", "SweepResult",
     "config_given_direction", "continuous_upper_bound", "cpp_optimize",

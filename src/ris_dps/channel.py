@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -211,6 +211,75 @@ class ChannelRealization:
             return cls.from_json(json.load(fh))
 
 
+@dataclass(frozen=True)
+class RealizationBatch:
+    """T realizations of N elements each, solved as one block.
+
+    Row t is one realization: direct path h_d[t], elements v[t].  Both
+    arrays are read-only copies.  The solvers and overall_h take a batch
+    wherever they take a ChannelRealization and return their fields with
+    a leading trials axis; each row equals the single call bit for bit.
+
+    Attributes:
+        h_d: (T,) direct paths.
+        v: (T, N) element coefficients, finite and nonzero.
+    """
+
+    h_d: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        h_d = np.array(self.h_d, dtype=complex)
+        v = np.array(self.v, dtype=complex)
+        if h_d.ndim != 1 or v.ndim != 2 or v.shape[0] != h_d.size:
+            raise ValueError(f"need h_d of shape (T,) and v of shape (T, N), "
+                             f"got {h_d.shape} and {v.shape}")
+        if not (np.isfinite(h_d).all() and np.isfinite(v).all()):
+            raise ValueError("batch channels must be finite")
+        if not v.all():
+            raise ValueError("batch elements must have nonzero amplitude")
+        h_d.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "h_d", h_d)
+        object.__setattr__(self, "v", v)
+
+    @property
+    def n(self) -> int:
+        """Elements per trial."""
+        return int(self.v.shape[1])
+
+    @property
+    def trials(self) -> int:
+        return int(self.v.shape[0])
+
+    def element_angles(self) -> np.ndarray:
+        """Arguments of the v, reduced to [0, 2*pi); shape (T, N)."""
+        return wrap_angles(np.angle(self.v))
+
+    @classmethod
+    def stack(cls, reals: Sequence[ChannelRealization]) -> "RealizationBatch":
+        """One row per realization, in order.
+
+        Raises:
+            ValueError: for no realizations or unequal element counts.
+        """
+        if not reals:
+            raise ValueError("cannot stack an empty list of realizations")
+        counts = {r.n for r in reals}
+        if len(counts) > 1:
+            raise ValueError(f"cannot stack realizations of unequal size: "
+                             f"N in {sorted(counts)}")
+        return cls(np.array([r.h_d for r in reals], dtype=complex),
+                   np.stack([r.v for r in reals]))
+
+
+def as_batch(real) -> Tuple[RealizationBatch, bool]:
+    """(batch, single): a realization as the one-row batch, a batch as is."""
+    if isinstance(real, RealizationBatch):
+        return real, False
+    return RealizationBatch(np.array([real.h_d]), real.v[None, :]), True
+
+
 def check_schema(doc, what: str, version: int = SCHEMA_VERSION) -> None:
     """Raise ValueError unless doc is a JSON object of the schema version."""
     found = json_object(doc, what).get("schema_version")
@@ -246,6 +315,20 @@ def json_int(value, what: str) -> int:
     """A JSON integer; a bool or any other number raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_bool(value, what: str) -> bool:
+    """A JSON true/false; anything else raises ValueError naming it."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string; anything else raises ValueError naming it."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -299,8 +382,7 @@ def realize_g(v_n: complex, phase_set: PhaseShiftSet, choice: int) -> complex:
     return f_vector(v_n, phase_set, choice)
 
 
-def overall_h(real: ChannelRealization, phase_set: PhaseShiftSet,
-              config: Sequence[int]) -> complex:
+def overall_h(real, phase_set: PhaseShiftSet, config):
     """Overall channel: direct path plus every element's contribution.
 
     Bit-identical to adding realize_g of each element in turn: the
@@ -308,31 +390,36 @@ def overall_h(real: ChannelRealization, phase_set: PhaseShiftSet,
     multiply, and a cumulative sum adds them in element order.
 
     Args:
+        real: a ChannelRealization, or a RealizationBatch (then config
+            has shape (T, N) and the result is a (T,) array).
         config: per-element choices, length real.n.
 
     Raises:
         ValueError: on a length mismatch.
         IndexError: on a choice outside 0..K.
     """
+    batch, single = as_batch(real)
     config = np.asarray(config, dtype=int)
-    if config.shape != (real.n,):
-        raise ValueError(f"config length {config.size} != {real.n} elements")
-    if real.n == 0:
-        return real.h_d
+    shape = batch.v.shape[1:] if single else batch.v.shape
+    if config.shape != shape:
+        raise ValueError(f"config shape {config.shape} != {shape}: "
+                         f"{batch.n} elements per trial")
     bad = config[(config < OFF) | (config > phase_set.k)]
     if bad.size:
         raise IndexError(
             f"phase index {int(bad[0])} out of range 1..{phase_set.k}")
     units = np.array([0j] + [unit_from_arg(p) for p in phase_set.phases])
+    config = config.reshape(batch.v.shape)
     u = units[config]
-    a, b = real.v.real, real.v.imag
+    a, b = batch.v.real, batch.v.imag
     c, d = u.real, u.imag
     on = config != OFF
-    terms = np.empty(real.n + 1, dtype=complex)
-    terms[0] = real.h_d
-    terms[1:].real = np.where(on, a * c - b * d, 0.0)
-    terms[1:].imag = np.where(on, a * d + b * c, 0.0)
-    return complex(np.cumsum(terms)[-1])
+    terms = np.empty((batch.trials, batch.n + 1), dtype=complex)
+    terms[:, 0] = batch.h_d
+    terms[:, 1:].real = np.where(on, a * c - b * d, 0.0)
+    terms[:, 1:].imag = np.where(on, a * d + b * c, 0.0)
+    h = np.cumsum(terms, axis=1)[:, -1]
+    return complex(h[0]) if single else h
 
 
 def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike) -> ChannelRealization:

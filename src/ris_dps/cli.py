@@ -47,6 +47,17 @@ def parse_phases(text: str) -> PhaseShiftSet:
     return PhaseShiftSet(values)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_json(path: str, parse):
     """parse() of a JSON file's document; a ValueError names the file."""
     with open(path) as fh:
@@ -155,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the trial count")
     run_p.add_argument("--fast", action="store_true",
                        help="cap trials at 100 for quick runs")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the trial loop")
+    run_p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for the trial blocks (at "
+                            "least 1)")
     run_p.set_defaults(func=_cmd_run)
 
     solve_p = sub.add_parser("solve", help="solve one saved realization")

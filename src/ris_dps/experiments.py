@@ -4,12 +4,15 @@ A Scenario fixes a link budget, a phase-shift set (or a gap-parameterized
 family), the solvers to compare, and a sweep axis; run_scenario samples
 `trials` seeded realizations per axis point, solves each with every
 requested solver, and aggregates spectral-efficiency statistics into
-ResultRows.  Output is CSV plus a JSON metadata sidecar; the CSV is a pure
-function of (scenario, seed) so repeated runs are byte-identical.
+ResultRows.  The trials of a point are solved in blocks (one
+RealizationBatch per block), bit-identical to solving them one at a time.
+Output is CSV plus a JSON metadata sidecar; the CSV is a pure function of
+(scenario, seed) so repeated runs are byte-identical.
 """
 
 import json
 import math
+import numbers
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import empty_regions, measured_empty_ratio
-from .channel import (LinkBudget, PhaseShiftSet, check_json_keys,
-                      check_schema, json_int, json_list, json_numbers,
-                      sample_realization)
+from .channel import (LinkBudget, PhaseShiftSet, RealizationBatch,
+                      check_json_keys, check_schema, json_bool, json_int,
+                      json_list, json_numbers, json_str, sample_realization)
 from .metrics import performance_gain
 from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, continuous_upper_bound,
                         cpp_optimize, exhaustive_optimize, sweep_optimize)
@@ -41,6 +44,10 @@ SCENARIO_KEYS = ("schema_version", "name", "budget", "n_elements", "phases",
                  "exhaustive_cap")
 
 _PI = math.pi
+
+#: Upper bound on the separation lines solved in one block of trials; it
+#: bounds the block's memory on 1000-trial points.
+_BLOCK_LINES = 2 ** 16
 
 
 @dataclass
@@ -85,6 +92,12 @@ class Scenario:
             raise ValueError(f"solvers must be a non-empty subset of {SOLVERS}")
         if self.empty_ratio and "sweep" not in self.solvers:
             raise ValueError("empty_ratio needs the sweep solver")
+        if self.axis == "n_elements":
+            for i, x in enumerate(self.values):
+                if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
+                        or x < 0):
+                    raise ValueError(f"sweep.values[{i}] must be a "
+                                     f"non-negative integer, got {x!r}")
         if self.axis in ("phase_gap", "phase_gap_pair"):
             for x in self.values:
                 self._point(x)  # raises on an invalid gap combination
@@ -147,19 +160,19 @@ class Scenario:
                                           "sweep.values"))
         phases = doc.get("phases")
         scenario = cls(
-            name=str(doc["name"]),
+            name=json_str(doc["name"], "name"),
             budget=LinkBudget.from_json(doc["budget"]),
             n_elements=json_int(doc.get("n_elements", 0), "n_elements"),
             phases=PhaseShiftSet(json_numbers(phases, "phases"))
             if phases else None,
-            axis=sweep.get("axis", "n_elements"),
+            axis=json_str(sweep.get("axis", "n_elements"), "sweep.axis"),
             values=values,
             trials=json_int(doc.get("trials", 1000), "trials"),
             seed=json_int(doc["seed"], "seed"),
-            solvers=tuple(json_list(doc.get("solvers", ["sweep", "cpp"]),
-                                    "solvers")),
-            empty_ratio=bool(doc.get("empty_ratio", False)),
-            mode=str(doc.get("mode", "curve")),
+            solvers=tuple(json_str(x, f"solvers[{i}]") for i, x in enumerate(
+                json_list(doc.get("solvers", ["sweep", "cpp"]), "solvers"))),
+            empty_ratio=json_bool(doc.get("empty_ratio", False), "empty_ratio"),
+            mode=json_str(doc.get("mode", "curve"), "mode"),
             exhaustive_cap=json_int(doc.get("exhaustive_cap",
                                             DEFAULT_EXHAUSTIVE_CAP),
                                     "exhaustive_cap"),
@@ -186,45 +199,54 @@ class ResultRow:
 
 def _solve_trial(budget: LinkBudget, n: int, phases: PhaseShiftSet,
                  solvers: tuple, seed: int, cap: int, want_ratio: bool,
-                 trial: int) -> Tuple[Dict[str, float], Optional[float]]:
-    """Amplitudes |h| per solver (and the empty ratio) for one trial.
+                 trials: range) -> Tuple[Dict[str, np.ndarray],
+                                         Optional[np.ndarray]]:
+    """Amplitudes |h| per solver (and the empty ratios) for a block of trials.
 
-    The caller passes only solvers that fit at this point; want_ratio
-    needs "sweep" among them.
+    Each trial is sampled from its own (seed, trial) stream; the block is
+    then solved by one call of each batched solver.  Exhaustive search and
+    the empty ratio run per trial.  The caller passes only solvers that fit
+    at this point; want_ratio needs "sweep" among them.
     """
-    real = sample_realization(budget, n, (seed, trial))
-    sweep_res = sweep_optimize(real, phases) if "sweep" in solvers else None
-    amps: Dict[str, float] = {}
+    reals = [sample_realization(budget, n, (seed, t)) for t in trials]
+    batch = RealizationBatch.stack(reals)
+    amps: Dict[str, np.ndarray] = {}
     for solver in solvers:
         if solver == "sweep":
-            amps[solver] = sweep_res.amplitude
+            amps[solver] = sweep_optimize(batch, phases).amplitude
         elif solver == "cpp":
-            amps[solver] = cpp_optimize(real, phases).amplitude
+            amps[solver] = cpp_optimize(batch, phases).amplitude
         elif solver == "cpp_always_on":
-            amps[solver] = cpp_optimize(real, phases, always_on=True).amplitude
+            amps[solver] = cpp_optimize(batch, phases,
+                                        always_on=True).amplitude
         elif solver == "exhaustive":
-            amps[solver] = exhaustive_optimize(real, phases, cap).amplitude
+            amps[solver] = np.array(
+                [exhaustive_optimize(r, phases, cap).amplitude for r in reals])
         elif solver == "continuous_ub":
-            amps[solver] = continuous_upper_bound(real)
-    ratio = None
+            amps[solver] = continuous_upper_bound(batch)
+    ratios = None
     if want_ratio:
-        regions = empty_regions(real, phases, sweep_res.amplitude)
-        ratio = measured_empty_ratio(regions).measured_ratio
-    return amps, ratio
+        ratios = np.array([measured_empty_ratio(
+            empty_regions(r, phases, float(a))).measured_ratio
+            for r, a in zip(reals, amps["sweep"])])
+    return amps, ratios
 
 
 def _point_trials(budget, n, phases, solvers, seed, trials, cap, want_ratio,
-                  jobs) -> Tuple[Dict[str, list], List[Optional[float]]]:
+                  jobs) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
+    # K+1 lines per element bounds L, so no block exceeds _BLOCK_LINES.
+    size = max(1, _BLOCK_LINES // max(1, n * (phases.k + 1)))
+    blocks = [range(lo, min(lo + size, trials))
+              for lo in range(0, trials, size)]
     worker = partial(_solve_trial, budget, n, phases, tuple(solvers), seed,
                      cap, want_ratio)
     if jobs > 1:
-        chunk = max(1, trials // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, range(trials), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+            results = list(pool.map(worker, blocks))
     else:
-        results = [worker(t) for t in range(trials)]
-    amps = {s: [r[0][s] for r in results] for s in solvers}
-    ratios = [r[1] for r in results]
+        results = [worker(b) for b in blocks]
+    amps = {s: np.concatenate([r[0][s] for r in results]) for s in solvers}
+    ratios = np.concatenate([r[1] for r in results]) if want_ratio else None
     return amps, ratios
 
 
@@ -232,10 +254,15 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     """Run every axis point of a curve scenario.
 
     Trials are deterministic per (scenario seed, trial index), shared
-    across axis points, and aggregated in trial order, so the result is
-    independent of `jobs`.
+    across axis points, and aggregated in trial order.  Each point's
+    trials are cut into blocks of at most _BLOCK_LINES separation lines,
+    each solved as one batch; `jobs` > 1 spreads the blocks over that many
+    worker processes (at most one per block), so the result is independent
+    of `jobs`.
     """
     scenario.validate()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if scenario.mode != "curve":
         raise ValueError("run_scenario handles curve scenarios; "
                          "use regions_dump for regions mode")
@@ -263,7 +290,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
                 mean_se[solver] = None
                 std_se[solver] = None
                 continue
-            se = np.log2(1.0 + snr_scale * np.asarray(amps[solver]) ** 2)
+            se = np.log2(1.0 + snr_scale * amps[solver] ** 2)
             mean_se[solver] = float(se.mean())
             std_se[solver] = float(se.std())
         gain = None

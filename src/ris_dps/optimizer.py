@@ -12,6 +12,8 @@ sector.
 The sweep is one array program over the N x L line table: one stable
 argsort orders the lines, a cumulative sum forms the candidate chain, and
 the winning configuration is read off the last crossing of each element.
+Every solver runs on a (T, N) block of realizations (a RealizationBatch)
+with the same kernel; a single ChannelRealization is the one-row block.
 The rotation + min-heap merge (O(N*L*log L) comparisons) stays as the
 counted reference sort: ``sweep_optimize(..., instrument=True)`` runs it
 beside the argsort, not instead of it, and checks that both give the same
@@ -26,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                      overall_h)
+                      as_batch, overall_h)
 from .geometry import ANGLE_EPS, TWO_PI, arg_mod_2pi, wrap_angle, wrap_angles
 
 HALF_PI = math.pi / 2.0
@@ -68,6 +70,8 @@ class SweepCounters:
 class SweepResult:
     """Solver output: a configuration and the channel it realizes.
 
+    For a RealizationBatch every field has a leading trials axis: config
+    (T, N), h_star a (T,) complex array, sector_index a (T,) int array.
     ``candidates`` holds per-sector |h| diagnostics when requested (NaN
     marks zero-width sectors that were crossed without being evaluated);
     ``counters`` and ``cycle_h`` are filled by instrumented sweeps.
@@ -81,8 +85,11 @@ class SweepResult:
     cycle_h: Optional[complex] = None
 
     @property
-    def amplitude(self) -> float:
-        return abs(self.h_star)
+    def amplitude(self):
+        """|h_star|; for a batch, np.hypot per row, which has abs()'s bits."""
+        if isinstance(self.h_star, complex):
+            return abs(self.h_star)
+        return np.hypot(self.h_star.real, self.h_star.imag)
 
     def to_json(self, budget: Optional[LinkBudget] = None) -> dict:
         doc = {
@@ -232,21 +239,17 @@ def _sorted_line_order(args: np.ndarray, counters: Optional[SweepCounters]):
     return rows, cols
 
 
-def _candidate_angles(element_angles: np.ndarray, phases: np.ndarray,
-                      theta: float) -> np.ndarray:
-    """Angle between each candidate vector and the direction theta; (N, K)."""
-    x = (element_angles[:, None] + phases[None, :] - theta) % TWO_PI
-    return np.minimum(x, TWO_PI - x)
-
-
 def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
-                          theta: float, always_on: bool = False) -> np.ndarray:
-    ang = _candidate_angles(element_angles, phases, theta)
-    best = np.argmin(ang, axis=1)  # first occurrence: lowest phase index
+                          theta, always_on: bool = False) -> np.ndarray:
+    """Per-element choices toward theta; angles (..., N), theta (...)."""
+    theta = np.asarray(theta)[..., None, None]
+    # angle between each candidate vector and the direction; (..., N, K)
+    x = (element_angles[..., None] + phases - theta) % TWO_PI
+    ang = np.minimum(x, TWO_PI - x)
+    best = np.argmin(ang, axis=-1)  # first occurrence: lowest phase index
     if always_on:
         return best + 1
-    n = element_angles.size
-    smallest = ang[np.arange(n), best]
+    smallest = np.take_along_axis(ang, best[..., None], axis=-1)[..., 0]
     return np.where(smallest < HALF_PI + ANGLE_EPS, best + 1, OFF)
 
 
@@ -276,15 +279,17 @@ def config_given_direction(real: ChannelRealization, phase_set: PhaseShiftSet,
 
 
 def _argsort_line_order(args: np.ndarray):
-    """Order the N x L argument matrix ascending, ties by (row, column).
+    """Order each (N, L) argument matrix ascending, ties by (row, column).
 
     One stable argsort of the row-major flattened matrix: row-major order
     makes the flat index break ties by (row, column), exactly the rule of
-    the rotation + heap merge in _sorted_line_order.  Returns (rows, cols)
-    index arrays of length N*L.
+    the rotation + heap merge in _sorted_line_order.  args may carry
+    leading batch axes.  Returns (rows, cols) index arrays of length N*L
+    along the last axis.
     """
-    flat = np.argsort(args, axis=None, kind="stable")
-    return np.divmod(flat, args.shape[1])
+    flat = np.argsort(args.reshape(*args.shape[:-2], -1), axis=-1,
+                      kind="stable")
+    return np.divmod(flat, args.shape[-1])
 
 
 def _apply_crossings(cfg: np.ndarray, rows: np.ndarray,
@@ -299,7 +304,45 @@ def _apply_crossings(cfg: np.ndarray, rows: np.ndarray,
         cfg[elems] = choices[::-1][last]
 
 
-def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
+def _sorted_lines(batch, offsets: np.ndarray,
+                  counters: Optional[SweepCounters]):
+    """Each row's elements in angle order and its lines in sweep order.
+
+    Returns (order, vv, rows, cols, valid), all with a leading trials axis:
+    order sorts the elements by angle (stably) and vv holds their
+    coefficients in that order; rows/cols give the (element, column) of
+    each line in ascending order of argument; valid is False where a line
+    sits at the same argument as the one before it, so the sector between
+    them has zero width.  With counters, row 0 is also ordered by the
+    counted reference sort, which must agree.
+    """
+    angles = batch.element_angles()
+    order = np.argsort(angles, axis=1, kind="stable")  # ties keep input order
+    vv = np.take_along_axis(batch.v, order, axis=1)
+    args = wrap_angles(np.take_along_axis(angles, order, axis=1)[:, :, None]
+                       + offsets)
+    rows, cols = _argsort_line_order(args)
+    if counters is not None and not np.array_equal(
+            _sorted_line_order(args[0], counters), (rows[0], cols[0])):
+        raise RuntimeError("line order differs from the reference sort")
+    sorted_args = args[np.arange(batch.trials)[:, None], rows, cols]
+    valid = np.ones(rows.shape, dtype=bool)
+    valid[:, 1:] = sorted_args[:, 1:] != sorted_args[:, :-1]
+    return order, vv, rows, cols, valid
+
+
+def _result(single: bool, config: np.ndarray, h_star: np.ndarray,
+               sector_index: Optional[np.ndarray] = None) -> SweepResult:
+    """A block result; row 0 as plain Python scalars for one realization."""
+    if not single:
+        return SweepResult(config=config, h_star=h_star,
+                           sector_index=sector_index)
+    return SweepResult(
+        config=config[0], h_star=complex(h_star[0]),
+        sector_index=None if sector_index is None else int(sector_index[0]))
+
+
+def sweep_optimize(real, phase_set: PhaseShiftSet, *,
                    instrument: bool = False) -> SweepResult:
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
@@ -308,13 +351,17 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
     sector's candidate channel is built from each element's starting
     choice at its first line (N vector additions); each subsequent sector
     costs two vector additions, so the candidate chain (one cumulative
-    sum) takes N + 2*N*L additions.  The configuration of the winning sector is
-    reconstructed from the last crossing of each element before it and
-    mapped back to the input element order.
+    sum) takes N + 2*N*L additions.  The configuration of the winning
+    sector is read off each element's last crossing before it and mapped
+    back to the input element order.  A RealizationBatch is solved as one
+    block, every row exactly as the single call would solve it.
 
     Args:
-        instrument: observe the sweep without changing its result.  The
-            counted reference sort (the rotation + min-heap merge,
+        real: a ChannelRealization, or a RealizationBatch for one result
+            per row.
+        instrument: observe the sweep without changing its result (one
+            realization only; a batch raises ValueError).  The counted
+            reference sort (the rotation + min-heap merge,
             O(N*L*log L) comparisons) runs beside the argsort, and the
             channel is recomputed from scratch every ceil(N/4) crossings;
             RuntimeError is raised if the two orders differ or if the
@@ -328,91 +375,91 @@ def sweep_optimize(real: ChannelRealization, phase_set: PhaseShiftSet, *,
         SweepResult with |h_star| maximal over all sectors; ties break to
         the lowest sector index.
     """
+    batch, single = as_batch(real)
+    if instrument and not single:
+        raise ValueError("instrument=True observes one realization, "
+                         "not a batch")
     counters = SweepCounters()
-    n = real.n
+    t, n = batch.trials, batch.n
     if n == 0:
-        return SweepResult(
-            config=np.zeros(0, dtype=int), h_star=real.h_d, sector_index=0,
-            candidates=np.array([abs(real.h_d)]) if instrument else None,
-            counters=counters if instrument else None,
-            cycle_h=real.h_d if instrument else None)
+        result = _result(single, np.zeros((t, 0), dtype=int), batch.h_d,
+                         np.zeros(t, dtype=int))
+        if instrument:
+            result.candidates = np.array([abs(real.h_d)])
+            result.counters = counters
+            result.cycle_h = real.h_d
+        return result
 
     phases = np.asarray(phase_set.phases)
-    angles = real.element_angles()
-    order = np.argsort(angles, kind="stable")  # ties keep input order
-    va = angles[order]
-    vv = real.v[order]
-
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
-    args = wrap_angles(va[:, None] + offsets[None, :])
-    rows, cols = _argsort_line_order(args)
     m = n * l
-    sorted_args = args[rows, cols]
+    order, vv, rows, cols, valid = _sorted_lines(
+        batch, offsets, counters if instrument else None)
+    trial = np.arange(t)[:, None]
 
-    # Contribution of every element under every choice (column 0: off),
-    # and the start/end contribution of every sorted line.
-    g_table = np.zeros((n, phases.size + 1), dtype=complex)
-    g_table[:, 1:] = vv[:, None] * np.exp(1j * phases)[None, :]
-    end_choice = col_end[cols]
-    g_start = g_table[rows, col_start[cols]]
-    g_end = g_table[rows, end_choice]
+    # Contribution of every element under every choice (column 0: off).
+    # The product is taken as a (T*N, 1) x (1, K) broadcast: numpy's complex
+    # multiply may round differently by operand layout, and this layout
+    # gives every row the bits of the one-realization product.
+    g_table = np.zeros((t, n, phases.size + 1), dtype=complex)
+    g_table[:, :, 1:] = (vv.reshape(-1, 1)
+                         * np.exp(1j * phases)[None, :]).reshape(t, n, -1)
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its
     # first line.  Reading it off the table keeps the chain consistent even
     # when that sector is narrower than the angle tolerance.
-    position = np.empty((n, l), dtype=int)
-    position[rows, cols] = np.arange(m)
-    cfg0 = col_start[position.argmin(axis=1)]
-    h0 = complex(real.h_d + g_table[np.arange(n), cfg0].sum())
+    position = np.empty((t, n, l), dtype=int)
+    position[trial, rows, cols] = np.arange(m)
+    cfg0 = col_start[position.argmin(axis=2)]
+    h0 = batch.h_d + g_table[trial, np.arange(n), cfg0].sum(axis=1)
 
-    # chain[j] is the candidate of sector j (chain[m]: back in sector 0).
-    # add.accumulate is a sequential left fold, so each entry is exactly
-    # chain[j] - g_start[j] + g_end[j].
-    steps = np.empty(2 * m + 1, dtype=complex)
-    steps[0] = h0
-    steps[1::2] = -g_start
-    steps[2::2] = g_end
-    chain = np.cumsum(steps)[::2]
+    # chain[:, j] is the candidate of sector j (chain[:, m]: back in sector
+    # 0).  Each line j takes its element's start contribution out and puts
+    # its end contribution in; add.accumulate is a sequential left fold, so
+    # each entry is exactly chain[:, j] - g_start[:, j] + g_end[:, j].
+    steps = np.empty((t, 2 * m + 1), dtype=complex)
+    steps[:, 0] = h0
+    np.negative(g_table[trial, rows, col_start[cols]], out=steps[:, 1::2])
+    steps[:, 2::2] = g_table[trial, rows, col_end[cols]]
+    chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     counters.vector_additions += n + 2 * m
 
     if instrument:
-        if not np.array_equal(_sorted_line_order(args, counters), (rows, cols)):
-            raise RuntimeError("line order differs from the reference sort")
         recheck = max(1, math.ceil(n / 4))
         # Drift is judged against the scale of the summed vectors; the
         # channel itself can pass arbitrarily close to zero mid-sweep.
-        drift_scale = abs(real.h_d) + float(np.abs(vv).sum())
-        cfg_run = cfg0.copy()
+        drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
+        cfg_run = cfg0[0].copy()
         done = 0
         for stop in range(recheck, m + 1, recheck):
-            _apply_crossings(cfg_run, rows[done:stop], end_choice[done:stop])
+            _apply_crossings(cfg_run, rows[0, done:stop],
+                             col_end[cols[0, done:stop]])
             done = stop
             counters.scratch_recomputes += 1
-            _check_drift(real.h_d, g_table, cfg_run, complex(chain[stop]),
-                         drift_scale)
+            _check_drift(real.h_d, g_table[0], cfg_run,
+                         complex(chain[0, stop]), drift_scale)
 
-    # Zero-width sectors (equal consecutive arguments) are crossed without
-    # being evaluated.
-    valid = np.ones(m, dtype=bool)
-    valid[1:] = sorted_args[1:] != sorted_args[:-1]
-    amp = np.abs(chain[:m])
+    # Zero-width sectors are crossed without being evaluated.
+    amp = np.abs(chain[:, :m])
     amp[~valid] = -math.inf
-    best = int(np.argmax(amp))  # first max: lowest sector index
+    best = amp.argmax(axis=1)  # first max: lowest sector index
 
-    cfg = cfg0.copy()
-    _apply_crossings(cfg, rows[:best], end_choice[:best])
-    config = np.empty(n, dtype=int)
-    config[order] = cfg
+    # Each element holds the ending choice of its last crossing before the
+    # winning sector, or its starting choice if it has not crossed yet.
+    crossed = position < best[:, None, None]
+    last = np.where(crossed, position, -1).argmax(axis=2)
+    cfg = np.where(crossed.any(axis=2), col_end[last], cfg0)
+    config = np.empty((t, n), dtype=int)
+    np.put_along_axis(config, order, cfg, axis=1)
 
-    if not instrument:
-        return SweepResult(config=config, h_star=complex(chain[best]),
-                           sector_index=best)
-    return SweepResult(
-        config=config, h_star=complex(chain[best]), sector_index=best,
-        candidates=np.where(valid, amp, math.nan), counters=counters,
-        cycle_h=complex(chain[m]))
+    result = _result(single, config, chain[np.arange(t), best], best)
+    if instrument:
+        result.candidates = np.where(valid[0], amp[0], math.nan)
+        result.counters = counters
+        result.cycle_h = complex(chain[0, m])
+    return result
 
 
 def _check_drift(h_d: complex, g_table: np.ndarray, cfg: np.ndarray,
@@ -454,7 +501,7 @@ def exhaustive_optimize(real: ChannelRealization, phase_set: PhaseShiftSet,
     return SweepResult(config=config, h_star=complex(h.ravel()[best]))
 
 
-def cpp_optimize(real: ChannelRealization, phase_set: PhaseShiftSet,
+def cpp_optimize(real, phase_set: PhaseShiftSet,
                  always_on: bool = False) -> SweepResult:
     """Closest-point-projection baseline: aim every element at the direct path.
 
@@ -462,24 +509,30 @@ def cpp_optimize(real: ChannelRealization, phase_set: PhaseShiftSet,
     the per-element rule there.  By default an element whose best
     candidate exceeds a pi/2 angle to the direct path is switched off;
     with always_on=True the minimum-angle phase is applied unconditionally
-    (the classic quantization baseline for uniform sets).
+    (the classic quantization baseline for uniform sets).  A
+    RealizationBatch is solved as one block, one result per row.
 
     Raises:
-        ValueError: if the direct path has zero amplitude (the projection
+        ValueError: if a direct path has zero amplitude (the projection
             direction is undefined; use sweep_optimize instead).
     """
-    if abs(real.h_d) == 0.0:
+    batch, single = as_batch(real)
+    if (batch.h_d == 0).any():
         raise ValueError(
             "zero direct path: projection direction undefined; use sweep_optimize")
-    theta = arg_mod_2pi(real.h_d)
-    if real.n == 0:
-        return SweepResult(config=np.zeros(0, dtype=int), h_star=real.h_d)
-    cfg = _config_for_direction(real.element_angles(),
+    theta = [arg_mod_2pi(h) for h in batch.h_d.tolist()]
+    cfg = _config_for_direction(batch.element_angles(),
                                 np.asarray(phase_set.phases), theta,
                                 always_on=always_on)
-    return SweepResult(config=cfg, h_star=overall_h(real, phase_set, cfg))
+    return _result(single, cfg, overall_h(batch, phase_set, cfg))
 
 
-def continuous_upper_bound(real: ChannelRealization) -> float:
-    """|h| when every path aligns perfectly with a continuous phase shift."""
-    return abs(real.h_d) + float(np.abs(real.v).sum())
+def continuous_upper_bound(real):
+    """|h| when every path aligns perfectly with a continuous phase shift.
+
+    A float for one realization, a (T,) array for a RealizationBatch.
+    """
+    batch, single = as_batch(real)
+    bound = (np.hypot(batch.h_d.real, batch.h_d.imag)
+             + np.abs(batch.v).sum(axis=1))
+    return float(bound[0]) if single else bound

@@ -60,9 +60,12 @@ def phase_sets(draw):
 
 
 @st.composite
-def instances(draw, max_n=10):
-    ps = draw(phase_sets())
-    n = draw(st.integers(1, max_n))
+def realizations(draw, n, zero_direct=None):
+    """n elements on grid or free angles, maybe repeated in pairs.
+
+    zero_direct forces the direct path to zero (True) or nonzero (False);
+    None draws it.
+    """
     angle = st.one_of(st.sampled_from(GRID), st.floats(0.0, TWO_PI,
                                                        exclude_max=True))
     angles = draw(st.lists(angle, min_size=n, max_size=n))
@@ -73,8 +76,32 @@ def instances(draw, max_n=10):
         st.just([1.0] * n),
         st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
     v = np.asarray(amps) * np.exp(1j * np.asarray(angles))
+    if zero_direct is None:
+        zero_direct = not draw(st.booleans())
     h_d = 0j
-    if draw(st.booleans()):
+    if not zero_direct:
         a = draw(st.sampled_from(GRID))
         h_d = draw(st.floats(0.01, 2.0)) * complex(math.cos(a), math.sin(a))
-    return ChannelRealization(h_d, v), ps
+    return ChannelRealization(h_d, v)
+
+
+@st.composite
+def instances(draw, max_n=10):
+    ps = draw(phase_sets())
+    n = draw(st.integers(1, max_n))
+    return draw(realizations(n)), ps
+
+
+@st.composite
+def batches(draw, max_n=10):
+    """(realizations, phase set): 1, 2 or 5 realizations of N = 0..max_n.
+
+    Either no row, one row or every row has a zero direct path.
+    """
+    ps = draw(phase_sets())
+    n = draw(st.integers(0, max_n))
+    t = draw(st.sampled_from((1, 2, 5)))
+    zeros = draw(st.sampled_from(("none", "one", "all")))
+    reals = [draw(realizations(n, zero_direct=(
+        zeros == "all" or (zeros == "one" and i == t - 1)))) for i in range(t)]
+    return reals, ps

@@ -202,6 +202,32 @@ def test_unconvertible_field_is_named(tmp_path, capsys):
     assert f"{spath}: budget.gain_tx_ris_db must be a number, got 'abc'" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_is_rejected(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "fig9", "--out", str(tmp_path),
+              "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("sweep", {"axis": "n_elements", "values": [2.7]},
+     "sweep.values[0] must be a non-negative integer, got 2.7"),
+    ("empty_ratio", "no", "empty_ratio must be true or false, got 'no'"),
+    ("solvers", [["sweep"]], "solvers[0] must be a string, got ['sweep']")])
+def test_mistyped_scenario_field_is_named(tmp_path, capsys, key, value,
+                                          message):
+    spath = tmp_path / "t.json"
+    spath.write_text(json.dumps({**scenario_doc(), key: value}))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ris-dps: error:")
+    assert f"{spath}: {message}" in err
+    assert not (tmp_path / "smoke.csv").exists()
+
+
 def test_module_entry_point(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 3,
                               (5, 0))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ris_dps import LinkBudget, PhaseShiftSet
+from ris_dps import LinkBudget, PhaseShiftSet, experiments
 from ris_dps.experiments import (Scenario, builtin_scenarios, get_builtin,
                                  regions_dump, run_scenario, write_meta_json,
                                  write_rows_csv)
@@ -56,6 +56,12 @@ class TestScenarioValidation:
     def test_exhaustive_cap_must_admit_a_point(self):
         with pytest.raises(ValueError, match="cap"):
             tiny_scenario(values=(30, 40), exhaustive_cap=3 ** 8).validate()
+
+    @pytest.mark.parametrize("value", [2.7, True, -1, "3", (2, 3)])
+    def test_element_counts_are_non_negative_integers(self, value):
+        with pytest.raises(ValueError, match=r"sweep.values\[1\] must be a "
+                                             "non-negative integer"):
+            tiny_scenario(values=(2, value)).validate()
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
@@ -115,6 +121,21 @@ def test_scenario_json_names_unconvertible_fields():
             Scenario.from_json({**doc, key: value})
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("empty_ratio", "no", "empty_ratio must be true or false, got 'no'"),
+    ("empty_ratio", 0, "empty_ratio must be true or false, got 0"),
+    ("solvers", [["sweep"]], r"solvers\[0\] must be a string, got \['sweep'\]"),
+    ("name", 7, "name must be a string, got 7"),
+    ("mode", None, "mode must be a string, got None"),
+    ("sweep", {"axis": 3, "values": [2]}, "sweep.axis must be a string"),
+    ("sweep", {"axis": "n_elements", "values": [2.7]},
+     r"sweep.values\[0\] must be a non-negative integer, got 2.7")])
+def test_scenario_json_checks_types(key, value, message):
+    doc = json.loads(json.dumps(tiny_scenario().to_json()))
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_json({**doc, key: value})
+
+
 @pytest.mark.parametrize("key,value", [
     ("seed", 1.9), ("n_elements", 4.7), ("trials", True), ("trials", 8.0),
     ("exhaustive_cap", "64"), ("seed", None)])
@@ -160,6 +181,36 @@ def test_deterministic_rows_and_csv():
 def test_jobs_do_not_change_results():
     s = tiny_scenario(values=(3,), trials=6)
     assert run_scenario(s, jobs=1) == run_scenario(s, jobs=2)
+
+
+def test_pool_is_capped_at_the_block_count(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor; starts no process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    s = tiny_scenario(values=(4,), trials=6)
+    serial = run_scenario(s, jobs=1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # N=4 and K+1=3: 12 lines a trial, 2 trials a block, 3 blocks
+    monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
+    assert run_scenario(s, jobs=8) == serial
+    assert run_scenario(s, jobs=2) == serial
+    assert made == [3, 2]
+    with pytest.raises(ValueError, match="jobs"):
+        run_scenario(s, jobs=0)
 
 
 def test_empty_ratio_column():
