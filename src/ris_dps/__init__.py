@@ -14,35 +14,31 @@ __version__ = "0.1.0"
 
 from .analysis import (EmptyRatioReport, EmptyRegions, circle_union_length,
                        empty_ratio_upper_bound_approx, empty_regions,
-                       measured_empty_ratio, omega_large_gap, omega_small_gap,
-                       write_regions_csv)
+                       measured_empty_ratio, write_regions_csv)
 from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                      RealizationBatch, f_vector, overall_h, realize_g,
-                      sample_realization)
-from .geometry import (ANGLE_EPS, TWO_PI, angle_between, arg_mod_2pi,
-                       circular_distance, unit_from_arg, wrap_angle)
+                      RealizationBatch, overall_h, sample_realization)
+from .geometry import (ANGLE_EPS, TWO_PI, arg_mod_2pi, circular_distance,
+                       unit_from_arg, wrap_angle)
 from .experiments import (ResultRow, Scenario, builtin_scenarios, get_builtin,
                           regions_dump, run_scenario, write_meta_json,
                           write_rows_csv)
 from .metrics import CapacityReport, capacity, performance_gain
 from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, LineTable, SweepCounters,
-                        SweepResult, config_given_direction,
-                        continuous_upper_bound, cpp_optimize,
+                        SweepResult, continuous_upper_bound, cpp_optimize,
                         exhaustive_optimize, separation_lines, sweep_optimize)
 
 __all__ = [
     "ANGLE_EPS", "TWO_PI", "OFF", "DEFAULT_EXHAUSTIVE_CAP", "__version__",
-    "angle_between", "arg_mod_2pi", "circular_distance", "unit_from_arg",
-    "wrap_angle",
+    "arg_mod_2pi", "circular_distance", "unit_from_arg", "wrap_angle",
     "ChannelRealization", "LinkBudget", "PhaseShiftSet", "RealizationBatch",
-    "f_vector", "overall_h", "realize_g", "sample_realization",
+    "overall_h", "sample_realization",
     "LineTable", "SweepCounters", "SweepResult",
-    "config_given_direction", "continuous_upper_bound", "cpp_optimize",
+    "continuous_upper_bound", "cpp_optimize",
     "exhaustive_optimize", "separation_lines", "sweep_optimize",
     "CapacityReport", "capacity", "performance_gain",
     "EmptyRatioReport", "EmptyRegions", "circle_union_length",
     "empty_ratio_upper_bound_approx", "empty_regions", "measured_empty_ratio",
-    "omega_large_gap", "omega_small_gap", "write_regions_csv",
+    "write_regions_csv",
     "ResultRow", "Scenario", "builtin_scenarios", "get_builtin",
     "regions_dump", "run_scenario", "write_meta_json", "write_rows_csv",
 ]

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .channel import OFF, ChannelRealization, PhaseShiftSet
-from .geometry import ANGLE_EPS, TWO_PI, wrap_angles
+from .geometry import TWO_PI, wrap_angles
 from .optimizer import LineTable, separation_lines
 
 
@@ -51,58 +51,14 @@ def _check_h_star(h_star_amp: float) -> None:
             f"h_star_amp must be positive and finite, got {h_star_amp!r}")
 
 
-def _arcsin_clamped(ratio: float) -> float:
-    # The width derivation assumes |h*| large; for tiny |h*| the ratio can
-    # pass 1, meaning the whole half-plane is excluded.
-    return math.asin(min(ratio, 1.0))
-
-
-def omega_small_gap(v_amp: float, phi_lo: float, phi_hi: float,
-                    h_star_amp: float) -> float:
-    """Empty-region half-width for a line between two applied phases.
-
-    The swap across the line changes the channel by a vector of length
-    2*|v_n|*|sin(gap/2)|, so the half-width is
-    arcsin(|v_n|*|sin(gap/2)| / |h*|), clamped at pi/2.
-
-    Args:
-        v_amp: |v_n| of the owning element.
-        phi_lo, phi_hi: the two phases, counterclockwise gap
-            (phi_hi - phi_lo) mod 2*pi at most pi.
-        h_star_amp: amplitude of the optimal channel.
-
-    Raises:
-        ValueError: if h_star_amp is not positive and finite, or the gap
-            exceeds pi.
-    """
-    _check_h_star(h_star_amp)
-    gap = (phi_hi - phi_lo) % TWO_PI
-    if gap > math.pi + ANGLE_EPS:
-        raise ValueError("phase gap exceeds pi; the off region applies there")
-    return _arcsin_clamped(v_amp * abs(math.sin(gap / 2.0)) / h_star_amp)
-
-
-def omega_large_gap(v_amp: float, h_star_amp: float) -> float:
-    """Empty-region half-width for a line bordering the off region.
-
-    The swap toggles the element, changing the channel by a vector of
-    length |v_n|: arcsin(|v_n| / (2*|h*|)), clamped at pi/2.  Applies to
-    both lines bracketing an off region.
-
-    Raises:
-        ValueError: if h_star_amp is not positive and finite.
-    """
-    _check_h_star(h_star_amp)
-    return _arcsin_clamped(v_amp / (2.0 * h_star_amp))
-
-
 def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
                   h_star_amp: float) -> EmptyRegions:
     """The empty region of every separation line of the realization.
 
-    Each width has the bits of omega_small_gap / omega_large_gap: the ratio
-    is formed in their order ((v * 0.5) / h equals v / (2h)), and the
-    arcsine stays math.asin, since np.arcsin can differ in the last bit.
+    Each width has the bits of the scalar omega_small_gap /
+    omega_large_gap in tests/reference.py: the ratio is formed in their
+    order ((v * 0.5) / h equals v / (2h)), and the arcsine stays
+    math.asin, since np.arcsin can differ in the last bit.
 
     Args:
         h_star_amp: amplitude of the optimal channel; pass the sweep

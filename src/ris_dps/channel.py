@@ -52,12 +52,6 @@ class PhaseShiftSet:
     def k(self) -> int:
         return len(self.phases)
 
-    def phase_of(self, index: int) -> float:
-        """Phase shift for a 1-based index."""
-        if not 1 <= index <= self.k:
-            raise IndexError(f"phase index {index} out of range 1..{self.k}")
-        return self.phases[index - 1]
-
     def cyclic_gaps(self) -> np.ndarray:
         """Counterclockwise gap after each phase; the last wraps past 2*pi.
 
@@ -116,6 +110,22 @@ class LinkBudget:
                 raise ValueError(f"{name} must be finite")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
+        # Each dB value, and the two hops together, must have a linear
+        # value that neither rounds to 0 nor overflows.
+        for name, db, per in (
+                ("gain_tx_ris_db", self.gain_tx_ris_db, 20.0),
+                ("gain_ris_rx_db", self.gain_ris_rx_db, 20.0),
+                ("gain_tx_ris_db + gain_ris_rx_db",
+                 self.gain_tx_ris_db + self.gain_ris_rx_db, 20.0),
+                ("gain_direct_db", self.gain_direct_db, 20.0),
+                ("snr_budget_db", self.snr_budget_db, 10.0)):
+            try:
+                linear = 10.0 ** (db / per)
+            except OverflowError:
+                linear = math.inf
+            if not 0.0 < linear < math.inf:
+                raise ValueError(f"{name} = {db!r} dB is out of range: "
+                                 f"10^(dB/{per:g}) is {linear!r}")
 
     @property
     def element_amplitude(self) -> float:
@@ -358,36 +368,13 @@ def _complex_from_json(doc, what: str) -> complex:
                    json_number(doc["im"], f"{what}.im"))
 
 
-def f_vector(v_n: complex, phase_set: PhaseShiftSet, i: int) -> complex:
-    """Candidate contribution of an element applying phase index i.
-
-    Rotates v_n counterclockwise by the i-th phase shift; the amplitude is
-    preserved.
-
-    Args:
-        v_n: concatenated channel coefficient of the element.
-        phase_set: available phase shifts.
-        i: 1-based phase index.
-
-    Raises:
-        IndexError: if i is outside 1..K.
-    """
-    return complex(v_n) * unit_from_arg(phase_set.phase_of(i))
-
-
-def realize_g(v_n: complex, phase_set: PhaseShiftSet, choice: int) -> complex:
-    """Contribution of one element under a choice: 0j if off, else f_vector."""
-    if choice == OFF:
-        return 0j
-    return f_vector(v_n, phase_set, choice)
-
-
 def overall_h(real, phase_set: PhaseShiftSet, config):
     """Overall channel: direct path plus every element's contribution.
 
-    Bit-identical to adding realize_g of each element in turn: the
-    products are formed in the same real arithmetic as Python's complex
-    multiply, and a cumulative sum adds them in element order.
+    Bit-identical to adding each element's scalar contribution in turn
+    (realize_g in tests/reference.py): the products are formed in the same
+    real arithmetic as Python's complex multiply, and a cumulative sum
+    adds them in element order.
 
     Args:
         real: a ChannelRealization, or a RealizationBatch (then config

@@ -75,6 +75,10 @@ class Scenario:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        for name in ("seed", "n_elements"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be a non-negative integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.mode not in ("curve", "regions"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "regions":
@@ -98,10 +102,13 @@ class Scenario:
                         or x < 0):
                     raise ValueError(f"sweep.values[{i}] must be a "
                                      f"non-negative integer, got {x!r}")
-        if self.axis in ("phase_gap", "phase_gap_pair"):
-            for x in self.values:
-                self._point(x)  # raises on an invalid gap combination
-        elif self.phases is None:
+        for i, x in enumerate(self.values):
+            try:
+                self._point(x)
+            except (TypeError, ValueError) as exc:  # a bad gap or budget
+                raise ValueError(f"sweep.values[{i}]: {exc}") from exc
+        if self.axis not in ("phase_gap", "phase_gap_pair") and (
+                self.phases is None):
             raise ValueError(f"axis {self.axis!r} needs an explicit phase set")
         if "exhaustive" in self.solvers:
             if not any(self._exhaustive_ok(x) for x in self.values):

@@ -2,8 +2,8 @@
 
 Channel coefficients are plain Python/numpy complex numbers; this module
 collects the angle utilities everything else is phrased in: arguments
-reduced to [0, 2*pi), the (unsigned, <= pi) angle between two vectors, and
-unit vectors from a direction.
+reduced to [0, 2*pi), the (unsigned, <= pi) distance between two
+directions, and unit vectors from a direction.
 """
 
 import math
@@ -46,19 +46,6 @@ def arg_mod_2pi(v: complex) -> float:
     if v.real == 0.0 and v.imag == 0.0:
         raise ValueError("argument of zero vector undefined")
     return wrap_angle(math.atan2(v.imag, v.real))
-
-
-def angle_between(a: complex, b: complex) -> float:
-    """Unsigned angle between two nonzero vectors, in [0, pi].
-
-    Of the two angles the vectors form, returns the one not larger
-    than pi; symmetric in its arguments.
-
-    Raises:
-        ValueError: if either vector has zero amplitude.
-    """
-    d = abs(arg_mod_2pi(a) - arg_mod_2pi(b))
-    return min(d, TWO_PI - d)
 
 
 def unit_from_arg(theta: float) -> complex:

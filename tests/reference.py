@@ -1,0 +1,135 @@
+"""Scalar references the array paths of ris_dps are pinned to.
+
+The library computes on whole arrays; these one-value-at-a-time forms
+state the same rules the way the paper does, and the tests compare the
+array results against them (bit for bit where the docstrings of overall_h
+and empty_regions say so):
+
+    phase_of, f_vector, realize_g     one element's contribution
+    angle_between                     the angle the per-element rule uses
+    config_given_direction            the per-element rule at a direction
+    omega_small_gap, omega_large_gap  one empty-region half-width
+"""
+
+import math
+
+import numpy as np
+
+from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
+                     PhaseShiftSet, arg_mod_2pi, unit_from_arg, wrap_angle)
+from ris_dps.analysis import _check_h_star
+from ris_dps.optimizer import _config_for_direction
+
+
+def phase_of(phase_set: PhaseShiftSet, index: int) -> float:
+    """Phase shift for a 1-based index."""
+    if not 1 <= index <= phase_set.k:
+        raise IndexError(f"phase index {index} out of range 1..{phase_set.k}")
+    return phase_set.phases[index - 1]
+
+
+def f_vector(v_n: complex, phase_set: PhaseShiftSet, i: int) -> complex:
+    """Candidate contribution of an element applying phase index i.
+
+    Rotates v_n counterclockwise by the i-th phase shift; the amplitude is
+    preserved.
+
+    Args:
+        v_n: concatenated channel coefficient of the element.
+        phase_set: available phase shifts.
+        i: 1-based phase index.
+
+    Raises:
+        IndexError: if i is outside 1..K.
+    """
+    return complex(v_n) * unit_from_arg(phase_of(phase_set, i))
+
+
+def realize_g(v_n: complex, phase_set: PhaseShiftSet, choice: int) -> complex:
+    """Contribution of one element under a choice: 0j if off, else f_vector."""
+    if choice == OFF:
+        return 0j
+    return f_vector(v_n, phase_set, choice)
+
+
+def angle_between(a: complex, b: complex) -> float:
+    """Unsigned angle between two nonzero vectors, in [0, pi].
+
+    Of the two angles the vectors form, returns the one not larger
+    than pi; symmetric in its arguments.
+
+    Raises:
+        ValueError: if either vector has zero amplitude.
+    """
+    d = abs(arg_mod_2pi(a) - arg_mod_2pi(b))
+    return min(d, TWO_PI - d)
+
+
+def config_given_direction(real: ChannelRealization, phase_set: PhaseShiftSet,
+                           theta: float) -> np.ndarray:
+    """Optimal per-element choices when the optimal channel's direction is known.
+
+    Independently for each element, picks the candidate vector with the
+    smallest angle to the direction; the element applies it if that angle
+    is below pi/2 and is switched off if the angle exceeds pi/2.  Within
+    +-ANGLE_EPS of pi/2 the element is kept on: the optimum provably never
+    sits exactly on the threshold, and preferring "on" keeps behavior
+    continuous with the interior-on region.  Ties among equally close
+    candidates resolve to the lowest phase index.
+
+    Args:
+        theta: assumed direction of the optimal channel, radians.
+
+    Returns:
+        int array of per-element choices (0 = off, i = phase index).
+    """
+    if real.n == 0:
+        return np.zeros(0, dtype=int)
+    return _config_for_direction(real.element_angles(),
+                                 np.asarray(phase_set.phases),
+                                 wrap_angle(float(theta)))
+
+
+def _arcsin_clamped(ratio: float) -> float:
+    # The width derivation assumes |h*| large; for tiny |h*| the ratio can
+    # pass 1, meaning the whole half-plane is excluded.
+    return math.asin(min(ratio, 1.0))
+
+
+def omega_small_gap(v_amp: float, phi_lo: float, phi_hi: float,
+                    h_star_amp: float) -> float:
+    """Empty-region half-width for a line between two applied phases.
+
+    The swap across the line changes the channel by a vector of length
+    2*|v_n|*|sin(gap/2)|, so the half-width is
+    arcsin(|v_n|*|sin(gap/2)| / |h*|), clamped at pi/2.
+
+    Args:
+        v_amp: |v_n| of the owning element.
+        phi_lo, phi_hi: the two phases, counterclockwise gap
+            (phi_hi - phi_lo) mod 2*pi at most pi.
+        h_star_amp: amplitude of the optimal channel.
+
+    Raises:
+        ValueError: if h_star_amp is not positive and finite, or the gap
+            exceeds pi.
+    """
+    _check_h_star(h_star_amp)
+    gap = (phi_hi - phi_lo) % TWO_PI
+    if gap > math.pi + ANGLE_EPS:
+        raise ValueError("phase gap exceeds pi; the off region applies there")
+    return _arcsin_clamped(v_amp * abs(math.sin(gap / 2.0)) / h_star_amp)
+
+
+def omega_large_gap(v_amp: float, h_star_amp: float) -> float:
+    """Empty-region half-width for a line bordering the off region.
+
+    The swap toggles the element, changing the channel by a vector of
+    length |v_n|: arcsin(|v_n| / (2*|h*|)), clamped at pi/2.  Applies to
+    both lines bracketing an off region.
+
+    Raises:
+        ValueError: if h_star_amp is not positive and finite.
+    """
+    _check_h_star(h_star_amp)
+    return _arcsin_clamped(v_amp / (2.0 * h_star_amp))

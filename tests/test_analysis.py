@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import GRID, instances, random_instance
+from reference import omega_large_gap, omega_small_gap
 from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
                      LineTable, PhaseShiftSet, arg_mod_2pi,
                      circle_union_length, circular_distance,
                      empty_ratio_upper_bound_approx,
-                     empty_regions, measured_empty_ratio, omega_large_gap,
-                     omega_small_gap, separation_lines, sweep_optimize,
-                     wrap_angle, write_regions_csv)
+                     empty_regions, measured_empty_ratio, separation_lines,
+                     sweep_optimize, wrap_angle, write_regions_csv)
 
 PI = math.pi
 TWO_PI = 2.0 * PI

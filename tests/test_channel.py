@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from reference import f_vector, phase_of, realize_g
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                     f_vector, overall_h, realize_g, sample_realization)
+                     overall_h, sample_realization)
 
 PI = math.pi
 
@@ -41,11 +42,11 @@ def test_phase_set_builders():
 
 def test_phase_of_bounds():
     ps = PhaseShiftSet((0.1, 0.2))
-    assert ps.phase_of(2) == 0.2
+    assert phase_of(ps, 2) == 0.2
     with pytest.raises(IndexError):
-        ps.phase_of(0)
+        phase_of(ps, 0)
     with pytest.raises(IndexError):
-        ps.phase_of(3)
+        phase_of(ps, 3)
 
 
 def test_f_vector_examples():
@@ -115,6 +116,31 @@ def test_link_budget_amplitudes():
         LinkBudget(0, 0, 0, 0, bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         LinkBudget(float("inf"), 0, 0, 0)
+
+
+@pytest.mark.parametrize("field,db,linear", [
+    ("gain_tx_ris_db", -7000.0, "0.0"),
+    ("gain_ris_rx_db", 7000.0, "inf"),
+    ("gain_direct_db", 7000.0, "inf"),
+    ("gain_direct_db", -7000.0, "0.0"),
+    ("snr_budget_db", 4000.0, "inf"),
+    ("snr_budget_db", -4000.0, "0.0")])
+def test_link_budget_rejects_db_beyond_the_float_range(field, db, linear):
+    # amplitude 10^(dB/20) for the gains, power 10^(dB/10) for the SNR
+    per = 10 if field == "snr_budget_db" else 20
+    values = {"gain_tx_ris_db": -80.0, "gain_ris_rx_db": -60.0,
+              "gain_direct_db": -140.0, "snr_budget_db": 100.0, field: db}
+    with pytest.raises(ValueError, match=rf"{field} = {db!r} dB is out of "
+                                         rf"range: 10\^\(dB/{per}\) is "
+                                         rf"{linear}"):
+        LinkBudget(**values)
+
+
+def test_link_budget_rejects_hops_whose_product_underflows():
+    # each hop alone is representable, their product is not
+    with pytest.raises(ValueError, match="gain_tx_ris_db \\+ gain_ris_rx_db"):
+        LinkBudget(-4000.0, -4000.0, 0.0, 0.0)
+    assert LinkBudget(-3000.0, -3000.0, 0.0, 0.0).element_amplitude > 0.0
 
 
 def test_sample_realization_contract():

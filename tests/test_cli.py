@@ -216,7 +216,9 @@ def test_jobs_below_one_is_rejected(tmp_path, capsys, jobs):
     ("sweep", {"axis": "n_elements", "values": [2.7]},
      "sweep.values[0] must be a non-negative integer, got 2.7"),
     ("empty_ratio", "no", "empty_ratio must be true or false, got 'no'"),
-    ("solvers", [["sweep"]], "solvers[0] must be a string, got ['sweep']")])
+    ("solvers", [["sweep"]], "solvers[0] must be a string, got ['sweep']"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("n_elements", -4, "n_elements must be a non-negative integer, got -4")])
 def test_mistyped_scenario_field_is_named(tmp_path, capsys, key, value,
                                           message):
     spath = tmp_path / "t.json"
@@ -226,6 +228,34 @@ def test_mistyped_scenario_field_is_named(tmp_path, capsys, key, value,
     assert err.startswith("ris-dps: error:")
     assert f"{spath}: {message}" in err
     assert not (tmp_path / "smoke.csv").exists()
+
+
+def test_negative_seed_option_is_named(tmp_path, capsys):
+    assert main(["run", "--scenario", "fig11", "--fast", "--seed", "-3",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ris-dps: error: seed must be a non-negative integer, got -3" in err
+    assert not (tmp_path / "fig11.csv").exists()
+
+
+def test_budget_overflow_is_an_error_not_a_traceback(realization_file,
+                                                     tmp_path, capsys):
+    doc = scenario_doc()
+    doc["budget"]["gain_direct_db"] = 7000.0
+    spath = tmp_path / "t.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ris-dps: error: {spath}: gain_direct_db = "
+                          "7000.0 dB is out of range")
+    assert not (tmp_path / "smoke.csv").exists()
+
+    assert main(["solve", "--input", str(realization_file), "--phases",
+                 "pi/6,5pi/6", "--solver", "sweep",
+                 "--snr-budget-db", "4000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ris-dps: error: snr_budget_db = 4000.0 dB is out "
+                          "of range")
 
 
 def test_module_entry_point(tmp_path):

@@ -63,6 +63,12 @@ class TestScenarioValidation:
                                              "non-negative integer"):
             tiny_scenario(values=(2, value)).validate()
 
+    def test_element_count_is_checked_off_its_axis(self):
+        with pytest.raises(ValueError, match="n_elements must be a "
+                                             "non-negative integer, got -4"):
+            tiny_scenario(axis="snr_budget_db", values=(90.0,),
+                          n_elements=-4).validate()
+
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
             tiny_scenario(axis="temperature").validate()
@@ -129,7 +135,15 @@ def test_scenario_json_names_unconvertible_fields():
     ("mode", None, "mode must be a string, got None"),
     ("sweep", {"axis": 3, "values": [2]}, "sweep.axis must be a string"),
     ("sweep", {"axis": "n_elements", "values": [2.7]},
-     r"sweep.values\[0\] must be a non-negative integer, got 2.7")])
+     r"sweep.values\[0\] must be a non-negative integer, got 2.7"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("n_elements", -4, "n_elements must be a non-negative integer, got -4"),
+    ("sweep", {"axis": "snr_budget_db", "values": [90.0, 4000.0]},
+     r"sweep.values\[1\]: snr_budget_db = 4000.0 dB is out of range"),
+    ("sweep", {"axis": "gain_direct_db", "values": [7000.0]},
+     r"sweep.values\[0\]: gain_direct_db = 7000.0 dB is out of range"),
+    ("sweep", {"axis": "gain_direct_db", "values": [0.0, -7000.0]},
+     r"sweep.values\[1\]: gain_direct_db = -7000.0 dB is out of range")])
 def test_scenario_json_checks_types(key, value, message):
     doc = json.loads(json.dumps(tiny_scenario().to_json()))
     with pytest.raises(ValueError, match=message):

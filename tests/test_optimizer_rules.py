@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from reference import config_given_direction
 from ris_dps import (OFF, ChannelRealization, PhaseShiftSet, SweepCounters,
-                     config_given_direction, separation_lines)
+                     separation_lines)
 from ris_dps.optimizer import _sorted_line_order
 
 PI = math.pi

@@ -1,0 +1,65 @@
+"""Every public name of ris_dps is something the system runs.
+
+A name counts as used when code reaches it from the CLI, a demo, the
+benchmark or the acceptance tests, directly or through library
+definitions that are themselves reached.  References are read from the
+syntax tree, so a docstring or comment that mentions a name does not
+count, and neither does a library function that only its own unused
+callers call.
+"""
+
+import ast
+from pathlib import Path
+
+import ris_dps
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "ris_dps"
+
+
+def _references(tree: ast.AST) -> set:
+    """Names read and attributes taken anywhere in the tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _definitions() -> dict:
+    """Top-level definitions of the library modules, by name."""
+    defs = {}
+    for path in LIBRARY.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, []).append(node)
+    return defs
+
+
+def test_every_public_name_is_used_by_what_runs():
+    entry_points = [LIBRARY / "cli.py", *ROOT.glob("demos/*.py"),
+                    *ROOT.glob("perfbench/**/*.py"),
+                    ROOT / "tests" / "test_acceptance.py"]
+    assert len(entry_points) > 4
+    used = set().union(*(_references(ast.parse(p.read_text()))
+                         for p in entry_points))
+    defs = _definitions()
+    todo = list(used)
+    while todo:
+        for node in defs.get(todo.pop(), ()):
+            new = _references(node) - used
+            used |= new
+            todo.extend(new)
+    assert [name for name in ris_dps.__all__ if name not in used] == []

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from reference import angle_between, config_given_direction, phase_of
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                     angle_between, config_given_direction,
                      continuous_upper_bound, cpp_optimize, exhaustive_optimize,
                      overall_h, sample_realization, separation_lines,
                      sweep_optimize, unit_from_arg)
@@ -173,7 +173,7 @@ def test_no_optimal_candidate_sits_near_right_angle():
         for n, c in enumerate(res.config):
             if c == OFF:
                 continue
-            f = real.v[n] * unit_from_arg(ps.phase_of(int(c)))
+            f = real.v[n] * unit_from_arg(phase_of(ps, int(c)))
             assert abs(angle_between(f, res.h_star) - PI / 2) > 1e-6
 
 
