@@ -74,7 +74,8 @@ def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
         else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
         for s, e in zip(lines.starting.tolist(), lines.ending.tolist())])
     ratio = np.minimum(np.abs(real.v)[:, None] * factors / h_star_amp, 1.0)
-    half_width = np.array([math.asin(r) for r in ratio.ravel().tolist()])
+    half_width = np.fromiter(map(math.asin, ratio.ravel().tolist()), float,
+                             ratio.size)
     return EmptyRegions(lines, half_width.reshape(ratio.shape))
 
 

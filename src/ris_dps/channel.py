@@ -8,8 +8,10 @@ as complex numbers.
 """
 
 import cmath
+import functools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
@@ -23,7 +25,7 @@ SCHEMA_VERSION = 1
 # Element choice encoding: 0 = element off, i >= 1 = phase index i applied.
 OFF = 0
 
-SeedLike = Union[int, Sequence[int]]
+SeedLike = Union[int, Sequence[int], Tuple[int, range]]
 
 
 @dataclass(frozen=True)
@@ -266,22 +268,6 @@ class RealizationBatch:
         """Arguments of the v, reduced to [0, 2*pi); shape (T, N)."""
         return wrap_angles(np.angle(self.v))
 
-    @classmethod
-    def stack(cls, reals: Sequence[ChannelRealization]) -> "RealizationBatch":
-        """One row per realization, in order.
-
-        Raises:
-            ValueError: for no realizations or unequal element counts.
-        """
-        if not reals:
-            raise ValueError("cannot stack an empty list of realizations")
-        counts = {r.n for r in reals}
-        if len(counts) > 1:
-            raise ValueError(f"cannot stack realizations of unequal size: "
-                             f"N in {sorted(counts)}")
-        return cls(np.array([r.h_d for r in reals], dtype=complex),
-                   np.stack([r.v for r in reals]))
-
 
 def as_batch(real) -> Tuple[RealizationBatch, bool]:
     """(batch, single): a realization as the one-row batch, a batch as is."""
@@ -409,18 +395,217 @@ def overall_h(real, phase_set: PhaseShiftSet, config):
     return complex(h[0]) if single else h
 
 
-def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike) -> ChannelRealization:
-    """Draw a random channel realization.
+def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike
+                       ) -> Union[ChannelRealization, RealizationBatch]:
+    """Draw a random channel realization, or a block of them.
 
     Every |v_n| equals the budget's element amplitude, with arguments
     i.i.d. uniform on [0, 2*pi); the direct path has the budget's direct
     amplitude and argument 0.  Deterministic given (budget, n, rng_seed);
     pass a (master_seed, trial_index) tuple to derive independent
     per-trial streams.
+
+    With rng_seed = (master_seed, trials) and trials a range, the result
+    is a RealizationBatch whose row i is bit-identical to
+    sample_realization(budget, n, (master_seed, trials[i])).  The block
+    replays NumPy's SeedSequence and PCG64 for all its trials at once.
+
+    Raises:
+        ValueError: for a negative n; for a block, for a negative seed or
+            a trial index outside 0..2**32 - 1.
     """
     if n < 0:
         raise ValueError("element count must be non-negative")
-    rng = np.random.default_rng(rng_seed)
-    angles = rng.uniform(0.0, TWO_PI, size=n)
+    block = (isinstance(rng_seed, tuple) and len(rng_seed) == 2
+             and isinstance(rng_seed[1], range))
+    if block:
+        angles = _uniform_angles(*rng_seed, n)
+    else:
+        angles = np.random.default_rng(rng_seed).uniform(0.0, TWO_PI, size=n)
     v = budget.element_amplitude * np.exp(1j * angles)
-    return ChannelRealization(complex(budget.direct_amplitude, 0.0), v)
+    h_d = complex(budget.direct_amplitude, 0.0)
+    if block:
+        return RealizationBatch(np.full(len(v), h_d), v)
+    return ChannelRealization(h_d, v)
+
+
+# --- the block sampler ----------------------------------------------------
+#
+# default_rng((seed, t)) seeds PCG64 from SeedSequence((seed, t)); the
+# helpers below replay both for a whole vector of trial indices t, in
+# uint32 (SeedSequence) and uint64 hi/lo pairs (the 128-bit PCG64 state).
+# Every op acts on arrays, which wrap modulo 2**32 or 2**64 silently.
+# The draws use PCG's XSL-RR output (O'Neill, "PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014), and every stream jumps straight to its n states by
+# the closed form of the LCG (F. B. Brown, "Random Number Generation with
+# Arbitrary Strides", 1994).
+
+_U32 = np.uint32
+_U64 = np.uint64
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_POOL = 4  # SeedSequence pool words
+# SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+# PCG64's LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def _hash_consts(init: int, mult: int, calls: int):
+    """(xor, mul) constants of `calls` successive hash steps, as (calls, 1).
+
+    Step k xors with init * mult**k and multiplies by init * mult**(k+1);
+    the constants do not depend on the hashed data.
+    """
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=_U32)[:, None]
+    h.flags.writeable = False
+    return h[:-1], h[1:]
+
+
+def _hash(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ (value >> _U32(16))
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _U32(16))
+
+
+@functools.lru_cache(maxsize=16)
+def _entropy_consts(words: int):
+    """mix_entropy's hash constants for an entropy of `words` uint32 words."""
+    calls = _POOL * _POOL + _POOL * max(0, words - _POOL)
+    return _hash_consts(_INIT_A, _MULT_A, calls)
+
+
+_STATE_XOR, _STATE_MUL = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_STATE_SRC = np.arange(2 * _POOL) % _POOL  # generate_state cycles the pool
+_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
+
+
+def _seed_words(seed) -> list:
+    """SeedSequence's uint32 words of a non-negative int, low word first."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or (
+            seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _trial_words(trials: range) -> np.ndarray:
+    """The trial indices as uint32; each must fit one SeedSequence word."""
+    if not trials:
+        return np.empty(0, dtype=_U32)
+    first, last = trials[0], trials[-1]
+    for t in (first, last):
+        if not 0 <= t <= _MASK32:
+            raise ValueError(f"trials must lie in 0..{_MASK32}, got index {t}")
+    step = trials.step if len(trials) > 1 else 1
+    return np.arange(first, last + (1 if step > 0 else -1), step,
+                     dtype=np.int64).astype(_U32)
+
+
+def _pcg_seeds(seed, trials: range):
+    """(a_hi, a_lo, inc_hi, inc_lo): each trial's PCG64 stream, as (T, 1).
+
+    inc is the stream's odd increment and a = initstate + inc, so that
+    PCG64's seeded state is a * M + inc and its j-th state (the one the
+    j-th draw outputs) is M**(j+1) * a + C_(j+1) * inc, with
+    C_j = sum of M**i over i < j.
+    """
+    seed_words = _seed_words(seed)
+    t = _trial_words(trials)
+    words = len(seed_words) + 1
+    entropy = np.empty((words, t.size), dtype=_U32)
+    entropy[:-1] = np.array(seed_words, dtype=_U32)[:, None]
+    entropy[-1] = t
+    xor, mul = _entropy_consts(words)
+    # SeedSequence.mix_entropy: hash the entropy into the pool, zeros past it
+    pool = np.zeros((_POOL, t.size), dtype=_U32)
+    pool[:min(words, _POOL)] = entropy[:_POOL]
+    pool = _hash(pool, xor[:_POOL], mul[:_POOL])
+    k = _POOL
+    for src in range(_POOL):  # every word into the three others
+        dst = _OTHERS[src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3],
+                                          mul[k:k + 3]))
+        k += 3
+    for src in range(_POOL, words):  # entropy beyond the pool, into each word
+        pool = _mix(pool, _hash(entropy[src], xor[k:k + _POOL],
+                                mul[k:k + _POOL]))
+        k += _POOL
+    # generate_state(4, uint64): eight hashed words, paired low word first
+    state = _hash(pool[_STATE_SRC], _STATE_XOR, _STATE_MUL).astype(_U64)
+    seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << _U64(32))
+    # pcg64_set_seed: the first word is the high half; inc = (seq << 1) | 1
+    inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+    inc_lo = (seq_lo << _U64(1)) | _U64(1)
+    a_hi, a_lo = _add128(seed_hi, seed_lo, inc_hi, inc_lo)
+    return a_hi[:, None], a_lo[:, None], inc_hi[:, None], inc_lo[:, None]
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _limbs(x):
+    return x & _U64(_MASK32), x >> _U64(32)
+
+
+def _mul128(x_hi, x_lo, k):
+    """x * K modulo 2**128, K a _jump_table entry: (hi, lo, lo limbs)."""
+    k_hi, k_lo, (k0, k1) = k
+    x0, x1 = _limbs(x_lo)
+    # the high word of x_lo * k_lo, from 32-bit limbs
+    p01, p10 = x0 * k1, x1 * k0
+    mid = ((x0 * k0) >> _U64(32)) + (p01 & _U64(_MASK32)) + (
+        p10 & _U64(_MASK32))
+    carry = x1 * k1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    return carry + x_lo * k_hi + x_hi * k_lo, x_lo * k_lo
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_table(n: int):
+    """M**j and C_j for j = 2..n+1, each as (hi, lo, lo limbs) of shape (n,)."""
+    m_pows, c_sums = [], []
+    m, c = _PCG_MULT, 1  # M**1 and C_1
+    for _ in range(n):
+        c = (c + m) & _MASK128
+        m = m * _PCG_MULT & _MASK128
+        m_pows.append(m)
+        c_sums.append(c)
+
+    def split(xs):  # read-only: the cache hands them to every caller
+        hi = np.array([x >> 64 for x in xs], dtype=_U64)
+        lo = np.array([x & _MASK64 for x in xs], dtype=_U64)
+        parts = (hi, lo, *_limbs(lo))
+        for part in parts:
+            part.flags.writeable = False
+        return parts[:2] + (parts[2:],)
+
+    return split(m_pows), split(c_sums)
+
+
+def _uniform_angles(seed, trials: range, n: int) -> np.ndarray:
+    """(T, n) angles; row i is default_rng((seed, trials[i])).uniform(0, 2*pi, n)."""
+    a_hi, a_lo, inc_hi, inc_lo = _pcg_seeds(seed, trials)
+    m, c = _jump_table(n)
+    hi, lo = _add128(*_mul128(a_hi, a_lo, m), *_mul128(inc_hi, inc_lo, c))
+    # PCG64's XSL-RR output: hi ^ lo rotated right by the top six bits
+    x, rot = hi ^ lo, hi >> _U64(58)
+    x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+    # random_uniform: low + (high - low) * next_double, with low = 0
+    return TWO_PI * ((x >> _U64(11)) * (1.0 / 9007199254740992.0))

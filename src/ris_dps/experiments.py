@@ -4,8 +4,10 @@ A Scenario fixes a link budget, a phase-shift set (or a gap-parameterized
 family), the solvers to compare, and a sweep axis; run_scenario samples
 `trials` seeded realizations per axis point, solves each with every
 requested solver, and aggregates spectral-efficiency statistics into
-ResultRows.  The trials of a point are solved in blocks (one
-RealizationBatch per block), bit-identical to solving them one at a time.
+ResultRows.  The trials of a point are sampled and solved in blocks: one
+sample_realization call draws a block's range of trials as a
+RealizationBatch, and one call of each solver solves it, bit-identical to
+sampling and solving the trials one at a time.
 Output is CSV plus a JSON metadata sidecar; the CSV is a pure function of
 (scenario, seed) so repeated runs are byte-identical.
 """
@@ -23,9 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import empty_regions, measured_empty_ratio
-from .channel import (LinkBudget, PhaseShiftSet, RealizationBatch,
+from .channel import (ChannelRealization, LinkBudget, PhaseShiftSet,
                       check_json_keys, check_schema, json_bool, json_int,
-                      json_list, json_numbers, json_str, sample_realization)
+                      json_list, json_number, json_numbers, json_str,
+                      sample_realization)
 from .metrics import performance_gain
 from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, continuous_upper_bound,
                         cpp_optimize, exhaustive_optimize, sweep_optimize)
@@ -96,16 +99,26 @@ class Scenario:
             raise ValueError(f"solvers must be a non-empty subset of {SOLVERS}")
         if self.empty_ratio and "sweep" not in self.solvers:
             raise ValueError("empty_ratio needs the sweep solver")
-        if self.axis == "n_elements":
-            for i, x in enumerate(self.values):
+        for i, x in enumerate(self.values):
+            what = f"sweep.values[{i}]"
+            if self.axis == "n_elements":
                 if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
                         or x < 0):
-                    raise ValueError(f"sweep.values[{i}] must be a "
-                                     f"non-negative integer, got {x!r}")
+                    raise ValueError(f"{what} must be a non-negative "
+                                     f"integer, got {x!r}")
+            elif self.axis == "phase_gap_pair":
+                if not isinstance(x, tuple) or len(x) != 2:
+                    raise ValueError(f"{what} must be a pair of numbers, "
+                                     f"got {x!r}")
+                for j, g in enumerate(x):
+                    json_number(g, f"{what}[{j}]")
+            else:
+                json_number(x, what)
         for i, x in enumerate(self.values):
             try:
-                self._point(x)
-            except (TypeError, ValueError) as exc:  # a bad gap or budget
+                budget, n, _ = self._point(x)
+                _check_capacity(budget, n)
+            except ValueError as exc:  # a bad gap or budget
                 raise ValueError(f"sweep.values[{i}]: {exc}") from exc
         if self.axis not in ("phase_gap", "phase_gap_pair") and (
                 self.phases is None):
@@ -188,6 +201,23 @@ class Scenario:
         return scenario
 
 
+def _check_capacity(budget: LinkBudget, n: int) -> None:
+    """Raise ValueError if a capacity at this budget and N can overflow.
+
+    run_scenario forms 10^(snr_budget_db/10) * |h|^2 for amplitudes |h| up
+    to |h_d| + N*|v|; that product must stay finite.
+    """
+    bound = budget.direct_amplitude + n * budget.element_amplitude
+    snr = 10.0 ** (budget.snr_budget_db / 10.0)
+    if not math.isfinite(snr * (bound * bound)):
+        raise ValueError(
+            f"the capacity overflows: 10^(snr_budget_db/10) * "
+            f"(|h_d| + N*|v|)^2 is not finite at snr_budget_db = "
+            f"{budget.snr_budget_db!r}, gain_direct_db = "
+            f"{budget.gain_direct_db!r}, gain_tx_ris_db + gain_ris_rx_db = "
+            f"{budget.gain_tx_ris_db + budget.gain_ris_rx_db!r} and N = {n}")
+
+
 @dataclass
 class ResultRow:
     """Aggregated statistics at one axis point.
@@ -210,13 +240,16 @@ def _solve_trial(budget: LinkBudget, n: int, phases: PhaseShiftSet,
                                          Optional[np.ndarray]]:
     """Amplitudes |h| per solver (and the empty ratios) for a block of trials.
 
-    Each trial is sampled from its own (seed, trial) stream; the block is
-    then solved by one call of each batched solver.  Exhaustive search and
-    the empty ratio run per trial.  The caller passes only solvers that fit
-    at this point; want_ratio needs "sweep" among them.
+    The block is sampled by one call, each row from its own (seed, trial)
+    stream, and solved by one call of each batched solver.  Exhaustive
+    search and the empty ratio run per trial, on the batch's rows.  The
+    caller passes only solvers that fit at this point; want_ratio needs
+    "sweep" among them.
     """
-    reals = [sample_realization(budget, n, (seed, t)) for t in trials]
-    batch = RealizationBatch.stack(reals)
+    batch = sample_realization(budget, n, (seed, trials))
+    if want_ratio or "exhaustive" in solvers:
+        reals = [ChannelRealization(h_d, v)
+                 for h_d, v in zip(batch.h_d, batch.v)]
     amps: Dict[str, np.ndarray] = {}
     for solver in solvers:
         if solver == "sweep":
@@ -275,7 +308,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
                          "use regions_dump for regions mode")
     rows = []
     cached_amps = None  # the channel does not depend on the SNR budget
-    for x in scenario.values:
+    for i, x in enumerate(scenario.values):
         budget, n, phases = scenario._point(x)
         solvers = tuple(s for s in scenario.solvers
                         if s != "exhaustive" or scenario._exhaustive_ok(x))
@@ -302,6 +335,11 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
             std_se[solver] = float(se.std())
         gain = None
         if mean_se.get("sweep") is not None and mean_se.get("cpp") is not None:
+            if mean_se["cpp"] <= 0.0:
+                raise ValueError(
+                    f"sweep.values[{i}] = {x!r}: every cpp capacity rounds "
+                    f"to 0 at snr_budget_db = {budget.snr_budget_db!r} dB, "
+                    f"so gain_pct is undefined")
             gain = performance_gain(mean_se["sweep"], mean_se["cpp"])
         ratio = None
         if scenario.empty_ratio:

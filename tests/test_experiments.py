@@ -143,7 +143,29 @@ def test_scenario_json_names_unconvertible_fields():
     ("sweep", {"axis": "gain_direct_db", "values": [7000.0]},
      r"sweep.values\[0\]: gain_direct_db = 7000.0 dB is out of range"),
     ("sweep", {"axis": "gain_direct_db", "values": [0.0, -7000.0]},
-     r"sweep.values\[1\]: gain_direct_db = -7000.0 dB is out of range")])
+     r"sweep.values\[1\]: gain_direct_db = -7000.0 dB is out of range"),
+    ("sweep", {"axis": "snr_budget_db", "values": ["90", True]},
+     r"sweep.values\[0\] must be a number, got '90'"),
+    ("sweep", {"axis": "snr_budget_db", "values": [90.0, True]},
+     r"sweep.values\[1\] must be a number, got True"),
+    ("sweep", {"axis": "gain_direct_db", "values": [None]},
+     r"sweep.values\[0\] must be a number, got None"),
+    ("sweep", {"axis": "phase_gap", "values": [1.0, "2.0"]},
+     r"sweep.values\[1\] must be a number, got '2.0'"),
+    ("sweep", {"axis": "phase_gap_pair", "values": [[1.0, False]]},
+     r"sweep.values\[0\]\[1\] must be a number, got False"),
+    ("sweep", {"axis": "phase_gap_pair", "values": [[1.0, 1.0, 1.0]]},
+     r"sweep.values\[0\] must be a pair of numbers, got \(1.0, 1.0, 1.0\)"),
+    ("sweep", {"axis": "phase_gap_pair", "values": [1.0]},
+     r"sweep.values\[0\] must be a pair of numbers, got 1.0"),
+    ("sweep", {"axis": "gain_direct_db", "values": [-140.0, 3100.0]},
+     r"sweep.values\[1\]: the capacity overflows: .* is not finite at "
+     r"snr_budget_db = 100.0, gain_direct_db = 3100.0,"),
+    ("budget", {"gain_tx_ris_db": 1500.0, "gain_ris_rx_db": 1600.0,
+                "gain_direct_db": -140.0, "snr_budget_db": 0.0,
+                "bandwidth_hz": 1.0},
+     r"sweep.values\[0\]: the capacity overflows: .*gain_tx_ris_db \+ "
+     r"gain_ris_rx_db = 3100.0 and N = 2")])
 def test_scenario_json_checks_types(key, value, message):
     doc = json.loads(json.dumps(tiny_scenario().to_json()))
     with pytest.raises(ValueError, match=message):
@@ -241,6 +263,15 @@ def test_snr_axis_reuses_realizations():
                       solvers=("sweep", "cpp"), n_elements=5)
     rows = run_scenario(s)
     assert rows[0].mean_se == rows[1].mean_se
+
+
+def test_capacity_underflow_names_the_point():
+    s = tiny_scenario(axis="snr_budget_db", values=(100.0, -300.0),
+                      solvers=("sweep", "cpp"))
+    with pytest.raises(ValueError, match=r"sweep.values\[1\] = -300.0: every "
+                                         r"cpp capacity rounds to 0 at "
+                                         r"snr_budget_db = -300.0 dB"):
+        run_scenario(s)
 
 
 def test_phase_gap_axis_builds_pair_sets():
