@@ -56,8 +56,8 @@ def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
     """The empty region of every separation line of the realization.
 
     Each width has the bits of the scalar omega_small_gap /
-    omega_large_gap in tests/reference.py: the ratio is formed in their
-    order ((v * 0.5) / h equals v / (2h)), and the arcsine stays
+    omega_large_gap in tests/scalar_reference.py: the ratio is formed in
+    their order ((v * 0.5) / h equals v / (2h)), and the arcsine stays
     math.asin, since np.arcsin can differ in the last bit.
 
     Args:

@@ -358,9 +358,9 @@ def overall_h(real, phase_set: PhaseShiftSet, config):
     """Overall channel: direct path plus every element's contribution.
 
     Bit-identical to adding each element's scalar contribution in turn
-    (realize_g in tests/reference.py): the products are formed in the same
-    real arithmetic as Python's complex multiply, and a cumulative sum
-    adds them in element order.
+    (realize_g in tests/scalar_reference.py): the products are formed in
+    the same real arithmetic as Python's complex multiply, and a
+    cumulative sum adds them in element order.
 
     Args:
         real: a ChannelRealization, or a RealizationBatch (then config

@@ -12,6 +12,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .analysis import empty_regions, write_regions_csv
@@ -58,27 +59,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@contextmanager
+def _naming(path: Optional[str]):
+    """A ValueError raised inside names the file `path`, if there is one."""
+    try:
+        yield
+    except ValueError as exc:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_json(path: str, parse):
     """parse() of a JSON file's document; a ValueError names the file."""
-    with open(path) as fh:
-        try:
-            return parse(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    with open(path) as fh, _naming(path):
+        return parse(json.load(fh))
 
 
 def _load_realization(path: str) -> ChannelRealization:
     return _read_json(path, ChannelRealization.from_json)
 
 
-def _resolve_scenarios(name_or_path: str) -> List[Scenario]:
-    if os.path.exists(name_or_path):
-        return [_read_json(name_or_path, Scenario.from_json)]
-    return get_builtin(name_or_path)
-
-
 def _cmd_run(args) -> int:
-    scenarios = _resolve_scenarios(args.scenario)
+    path = args.scenario if os.path.exists(args.scenario) else None
+    scenarios = ([_read_json(path, Scenario.from_json)] if path
+                 else get_builtin(args.scenario))
     os.makedirs(args.out, exist_ok=True)
     for scenario in scenarios:
         if args.seed is not None:
@@ -87,23 +92,24 @@ def _cmd_run(args) -> int:
             scenario.trials = min(scenario.trials, 100)
         if args.trials is not None:
             scenario.trials = args.trials
-        scenario.validate()
-        csv_path = os.path.join(args.out, f"{scenario.name}.csv")
-        meta_path = os.path.join(args.out, f"{scenario.name}.meta.json")
-        print(f"running {scenario.name} "
-              f"({scenario.trials} trials, seed {scenario.seed})",
-              file=sys.stderr)
-        if scenario.mode == "regions":
-            regions = regions_dump(scenario)
-            with open(csv_path, "w") as fh:
-                write_regions_csv(regions, fh)
-        else:
-            rows = run_scenario(scenario, jobs=args.jobs)
-            with open(csv_path, "w") as fh:
-                write_rows_csv(scenario, rows, fh)
-        with open(meta_path, "w") as fh:
-            write_meta_json(scenario, fh, jobs=args.jobs)
-        print(f"wrote {csv_path}", file=sys.stderr)
+        scenario.validate()  # the file passed at load; a fault is an option
+        with _naming(path):  # a preset has no file to name
+            csv_path = os.path.join(args.out, f"{scenario.name}.csv")
+            meta_path = os.path.join(args.out, f"{scenario.name}.meta.json")
+            print(f"running {scenario.name} "
+                  f"({scenario.trials} trials, seed {scenario.seed})",
+                  file=sys.stderr)
+            if scenario.mode == "regions":
+                regions = regions_dump(scenario)
+                with open(csv_path, "w") as fh:
+                    write_regions_csv(regions, fh)
+            else:
+                rows = run_scenario(scenario, jobs=args.jobs)
+                with open(csv_path, "w") as fh:
+                    write_rows_csv(scenario, rows, fh)
+            with open(meta_path, "w") as fh:
+                write_meta_json(scenario, fh, jobs=args.jobs)
+            print(f"wrote {csv_path}", file=sys.stderr)
     return 0
 
 

@@ -31,7 +31,8 @@ from .channel import (ChannelRealization, LinkBudget, PhaseShiftSet,
                       sample_realization)
 from .metrics import performance_gain
 from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, continuous_upper_bound,
-                        cpp_optimize, exhaustive_optimize, sweep_optimize)
+                        cpp_optimize, exhaustive_fits, exhaustive_optimize,
+                        sweep_optimize)
 
 SCHEMA_VERSION = 1
 
@@ -75,9 +76,17 @@ class Scenario:
     mode: str = "curve"
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
 
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+    def validate(self) -> List[tuple]:
+        """Check the scenario and return its plan, one point per axis value.
+
+        A point is (budget, n, phases, solvers): the link budget, element
+        count and phase set there, and the requested solvers that run
+        there (exhaustive only where (K+1)^N <= exhaustive_cap).  A
+        regions-mode scenario has no axis and returns [].
+        """
+        if not 1 <= self.trials <= 2 ** 32:  # the sampler's trial indices
+            raise ValueError(f"trials must be between 1 and 2**32, "
+                             f"got {self.trials!r}")
         for name in ("seed", "n_elements"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be a non-negative integer, "
@@ -89,7 +98,7 @@ class Scenario:
                 raise ValueError("regions mode needs an explicit phase set")
             if self.n_elements < 1:
                 raise ValueError("regions mode needs at least one element")
-            return
+            return []
         if self.axis not in AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
@@ -99,54 +108,43 @@ class Scenario:
             raise ValueError(f"solvers must be a non-empty subset of {SOLVERS}")
         if self.empty_ratio and "sweep" not in self.solvers:
             raise ValueError("empty_ratio needs the sweep solver")
+        gap_axis = self.axis in ("phase_gap", "phase_gap_pair")
+        if not gap_axis and self.phases is None:
+            raise ValueError(f"axis {self.axis!r} needs an explicit phase set")
+        plan = []
         for i, x in enumerate(self.values):
             what = f"sweep.values[{i}]"
+            budget, n, phases = self.budget, self.n_elements, self.phases
             if self.axis == "n_elements":
                 if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
                         or x < 0):
                     raise ValueError(f"{what} must be a non-negative "
                                      f"integer, got {x!r}")
+                n = int(x)
             elif self.axis == "phase_gap_pair":
                 if not isinstance(x, tuple) or len(x) != 2:
                     raise ValueError(f"{what} must be a pair of numbers, "
                                      f"got {x!r}")
-                for j, g in enumerate(x):
-                    json_number(g, f"{what}[{j}]")
+                coords = [json_number(g, f"{what}[{j}]")
+                          for j, g in enumerate(x)]
             else:
-                json_number(x, what)
-        for i, x in enumerate(self.values):
-            try:
-                budget, n, _ = self._point(x)
+                coords = [json_number(x, what)]
+            try:  # a bad gap or budget
+                if gap_axis:
+                    phases = PhaseShiftSet.from_gaps(coords)
+                elif self.axis != "n_elements":  # a LinkBudget field
+                    budget = replace(budget, **{self.axis: coords[0]})
                 _check_capacity(budget, n)
-            except ValueError as exc:  # a bad gap or budget
-                raise ValueError(f"sweep.values[{i}]: {exc}") from exc
-        if self.axis not in ("phase_gap", "phase_gap_pair") and (
-                self.phases is None):
-            raise ValueError(f"axis {self.axis!r} needs an explicit phase set")
-        if "exhaustive" in self.solvers:
-            if not any(self._exhaustive_ok(x) for x in self.values):
-                raise ValueError(
-                    "exhaustive requested but every point exceeds the cap")
-
-    def _point(self, x) -> Tuple[LinkBudget, int, PhaseShiftSet]:
-        """Budget, element count, and phase set at one axis point."""
-        budget, n, phases = self.budget, self.n_elements, self.phases
-        if self.axis == "n_elements":
-            n = int(x)
-        elif self.axis == "gain_direct_db":
-            budget = replace(budget, gain_direct_db=float(x))
-        elif self.axis == "snr_budget_db":
-            budget = replace(budget, snr_budget_db=float(x))
-        elif self.axis == "phase_gap":
-            phases = PhaseShiftSet((0.0, float(x)))
-        elif self.axis == "phase_gap_pair":
-            g1, g2 = (float(x[0]), float(x[1]))
-            phases = PhaseShiftSet((0.0, g1, g1 + g2))
-        return budget, n, phases
-
-    def _exhaustive_ok(self, x) -> bool:
-        _, n, phases = self._point(x)
-        return (phases.k + 1) ** n <= self.exhaustive_cap
+            except ValueError as exc:
+                raise ValueError(f"{what}: {exc}") from exc
+            plan.append((budget, n, phases, tuple(
+                s for s in self.solvers if s != "exhaustive"
+                or exhaustive_fits(phases.k, n, self.exhaustive_cap))))
+        if "exhaustive" in self.solvers and not any(
+                "exhaustive" in point[3] for point in plan):
+            raise ValueError(
+                "exhaustive requested but every point exceeds the cap")
+        return plan
 
     def to_json(self) -> dict:
         doc = {
@@ -234,20 +232,18 @@ class ResultRow:
     empty_ratio: Optional[float]
 
 
-def _solve_trial(budget: LinkBudget, n: int, phases: PhaseShiftSet,
-                 solvers: tuple, seed: int, cap: int, want_ratio: bool,
-                 trials: range) -> Tuple[Dict[str, np.ndarray],
-                                         Optional[np.ndarray]]:
+def _solve_trial(scenario: Scenario, point: tuple, trials: range
+                 ) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
     """Amplitudes |h| per solver (and the empty ratios) for a block of trials.
 
     The block is sampled by one call, each row from its own (seed, trial)
-    stream, and solved by one call of each batched solver.  Exhaustive
-    search and the empty ratio run per trial, on the batch's rows.  The
-    caller passes only solvers that fit at this point; want_ratio needs
-    "sweep" among them.
+    stream, and solved by one call of each batched solver the plan's point
+    runs.  Exhaustive search and the empty ratio run per trial, on the
+    batch's rows.
     """
-    batch = sample_realization(budget, n, (seed, trials))
-    if want_ratio or "exhaustive" in solvers:
+    budget, n, phases, solvers = point
+    batch = sample_realization(budget, n, (scenario.seed, trials))
+    if scenario.empty_ratio or "exhaustive" in solvers:
         reals = [ChannelRealization(h_d, v)
                  for h_d, v in zip(batch.h_d, batch.v)]
     amps: Dict[str, np.ndarray] = {}
@@ -261,32 +257,34 @@ def _solve_trial(budget: LinkBudget, n: int, phases: PhaseShiftSet,
                                         always_on=True).amplitude
         elif solver == "exhaustive":
             amps[solver] = np.array(
-                [exhaustive_optimize(r, phases, cap).amplitude for r in reals])
+                [exhaustive_optimize(r, phases, scenario.exhaustive_cap
+                                     ).amplitude for r in reals])
         elif solver == "continuous_ub":
             amps[solver] = continuous_upper_bound(batch)
     ratios = None
-    if want_ratio:
+    if scenario.empty_ratio:
         ratios = np.array([measured_empty_ratio(
             empty_regions(r, phases, float(a))).measured_ratio
             for r, a in zip(reals, amps["sweep"])])
     return amps, ratios
 
 
-def _point_trials(budget, n, phases, solvers, seed, trials, cap, want_ratio,
-                  jobs) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
+def _point_trials(scenario: Scenario, point: tuple, jobs: int
+                  ) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
+    _, n, phases, solvers = point
     # K+1 lines per element bounds L, so no block exceeds _BLOCK_LINES.
     size = max(1, _BLOCK_LINES // max(1, n * (phases.k + 1)))
-    blocks = [range(lo, min(lo + size, trials))
-              for lo in range(0, trials, size)]
-    worker = partial(_solve_trial, budget, n, phases, tuple(solvers), seed,
-                     cap, want_ratio)
+    blocks = [range(lo, min(lo + size, scenario.trials))
+              for lo in range(0, scenario.trials, size)]
+    worker = partial(_solve_trial, scenario, point)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
             results = list(pool.map(worker, blocks))
     else:
         results = [worker(b) for b in blocks]
     amps = {s: np.concatenate([r[0][s] for r in results]) for s in solvers}
-    ratios = np.concatenate([r[1] for r in results]) if want_ratio else None
+    ratios = (np.concatenate([r[1] for r in results])
+              if scenario.empty_ratio else None)
     return amps, ratios
 
 
@@ -298,37 +296,26 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     trials are cut into blocks of at most _BLOCK_LINES separation lines,
     each solved as one batch; `jobs` > 1 spreads the blocks over that many
     worker processes (at most one per block), so the result is independent
-    of `jobs`.
+    of `jobs`.  The channel does not depend on the SNR budget, so an
+    snr_budget_db axis solves its first point only.
     """
-    scenario.validate()
+    plan = scenario.validate()
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if scenario.mode != "curve":
         raise ValueError("run_scenario handles curve scenarios; "
                          "use regions_dump for regions mode")
     rows = []
-    cached_amps = None  # the channel does not depend on the SNR budget
-    for i, x in enumerate(scenario.values):
-        budget, n, phases = scenario._point(x)
-        solvers = tuple(s for s in scenario.solvers
-                        if s != "exhaustive" or scenario._exhaustive_ok(x))
-        if scenario.axis == "snr_budget_db" and cached_amps is not None:
-            amps, ratios = cached_amps
-        else:
-            amps, ratios = _point_trials(
-                budget, n, phases, solvers, scenario.seed,
-                scenario.trials, scenario.exhaustive_cap,
-                scenario.empty_ratio, jobs)
-            if scenario.axis == "snr_budget_db":
-                cached_amps = (amps, ratios)
-
+    for i, (x, point) in enumerate(zip(scenario.values, plan)):
+        if i == 0 or scenario.axis != "snr_budget_db":
+            amps, ratios = _point_trials(scenario, point, jobs)
+        budget = point[0]
         snr_scale = 10.0 ** (budget.snr_budget_db / 10.0)
         mean_se: Dict[str, Optional[float]] = {}
         std_se: Dict[str, Optional[float]] = {}
         for solver in scenario.solvers:
             if solver not in amps:  # exhaustive over its cap at this point
-                mean_se[solver] = None
-                std_se[solver] = None
+                mean_se[solver] = std_se[solver] = None
                 continue
             se = np.log2(1.0 + snr_scale * amps[solver] ** 2)
             mean_se[solver] = float(se.mean())

@@ -441,6 +441,14 @@ def _check_drift(h_d: complex, g_table: np.ndarray, cfg: np.ndarray,
             f"incremental channel drifted: {h_incremental} vs {fresh}")
 
 
+def exhaustive_fits(k: int, n: int, cap: int) -> bool:
+    """Whether (K+1)**N <= cap, for K >= 1, without forming a huge power.
+
+    (K+1)**N >= 2**N > cap once N reaches cap.bit_length().
+    """
+    return n < cap.bit_length() and (k + 1) ** n <= cap
+
+
 def exhaustive_optimize(real: ChannelRealization, phase_set: PhaseShiftSet,
                         max_configs: int = DEFAULT_EXHAUSTIVE_CAP) -> SweepResult:
     """Brute force over all (K+1)**N configurations.
@@ -452,10 +460,9 @@ def exhaustive_optimize(real: ChannelRealization, phase_set: PhaseShiftSet,
         ValueError: if (K+1)**N exceeds max_configs.
     """
     n, k = real.n, phase_set.k
-    total = (k + 1) ** n
-    if total > max_configs:
+    if not exhaustive_fits(k, n, max_configs):
         raise ValueError(
-            f"(K+1)^N = {total} exceeds the exhaustive cap {max_configs}")
+            f"(K+1)^N = {k + 1}^{n} exceeds the exhaustive cap {max_configs}")
     if n == 0:
         return SweepResult(config=np.zeros(0, dtype=int), h_star=real.h_d)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import GRID, instances, random_instance
-from reference import omega_large_gap, omega_small_gap
+from scalar_reference import omega_large_gap, omega_small_gap
 from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
                      LineTable, PhaseShiftSet, arg_mod_2pi,
                      circle_union_length, circular_distance,

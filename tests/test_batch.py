@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import batches
-from reference import stack
+from scalar_reference import stack
 from ris_dps import (ChannelRealization, LinkBudget, PhaseShiftSet,
                      RealizationBatch, continuous_upper_bound, cpp_optimize,
                      empty_regions, exhaustive_optimize, measured_empty_ratio,
@@ -142,10 +142,8 @@ def _amplitudes(real, phases, solvers, cap):
 def _per_trial_rows(scenario):
     """What run_scenario must return, one trial and one solver at a time."""
     rows = []
-    for x in scenario.values:
-        budget, n, phases = scenario._point(x)
-        solvers = [s for s in scenario.solvers
-                   if s != "exhaustive" or scenario._exhaustive_ok(x)]
+    for x, (budget, n, phases, solvers) in zip(scenario.values,
+                                               scenario.validate()):
         amps = {s: [] for s in solvers}
         ratios = []
         for trial in range(scenario.trials):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import f_vector, phase_of, realize_g
+from scalar_reference import f_vector, phase_of, realize_g
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      overall_h, sample_realization)
 

@@ -218,7 +218,9 @@ def test_jobs_below_one_is_rejected(tmp_path, capsys, jobs):
     ("empty_ratio", "no", "empty_ratio must be true or false, got 'no'"),
     ("solvers", [["sweep"]], "solvers[0] must be a string, got ['sweep']"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
-    ("n_elements", -4, "n_elements must be a non-negative integer, got -4")])
+    ("n_elements", -4, "n_elements must be a non-negative integer, got -4"),
+    ("trials", 2 ** 32 + 1,
+     "trials must be between 1 and 2**32, got 4294967297")])
 def test_mistyped_scenario_field_is_named(tmp_path, capsys, key, value,
                                           message):
     spath = tmp_path / "t.json"
@@ -236,6 +238,39 @@ def test_negative_seed_option_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ris-dps: error: seed must be a non-negative integer, got -3" in err
     assert not (tmp_path / "fig11.csv").exists()
+
+
+def test_trials_option_is_checked_like_the_field(tmp_path, capsys):
+    assert main(["run", "--scenario", "fig11", "--trials", "4294967297",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("ris-dps: error: trials must be between 1 and 2**32, "
+                   "got 4294967297\n")
+    assert not (tmp_path / "fig11.csv").exists()
+
+
+def test_run_time_error_names_the_scenario_file_once(tmp_path, capsys):
+    doc = {**scenario_doc(), "sweep": {"axis": "snr_budget_db",
+                                       "values": [-300.0]}}
+    spath = tmp_path / "low.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert (f"\nris-dps: error: {spath}: sweep.values[0] = -300.0: every "
+            "cpp capacity rounds to 0") in err
+    assert err.count(str(spath)) == 1
+    # a load error is named by the reader; the runner adds no second name
+    spath.write_text(json.dumps({**doc, "trials": 0}))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ris-dps: error: {spath}: trials must be")
+    assert err.count(str(spath)) == 1
+    # a bad option is not the file's fault
+    spath.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path),
+                 "--trials", "0"]) == 1
+    assert capsys.readouterr().err == ("ris-dps: error: trials must be "
+                                       "between 1 and 2**32, got 0\n")
 
 
 def test_budget_overflow_is_an_error_not_a_traceback(realization_file,

@@ -30,6 +30,11 @@ class TestScenarioValidation:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             tiny_scenario(trials=0).validate()
+        # trial indices run to 2**32 - 1, the sampler's limit
+        tiny_scenario(trials=2 ** 32).validate()
+        with pytest.raises(ValueError, match="trials must be between 1 and "
+                                             r"2\*\*32, got 4294967297"):
+            tiny_scenario(trials=2 ** 32 + 1).validate()
 
     def test_bad_solver(self):
         with pytest.raises(ValueError, match="solvers"):
@@ -165,7 +170,9 @@ def test_scenario_json_names_unconvertible_fields():
                 "gain_direct_db": -140.0, "snr_budget_db": 0.0,
                 "bandwidth_hz": 1.0},
      r"sweep.values\[0\]: the capacity overflows: .*gain_tx_ris_db \+ "
-     r"gain_ris_rx_db = 3100.0 and N = 2")])
+     r"gain_ris_rx_db = 3100.0 and N = 2"),
+    ("trials", 2 ** 32 + 1,
+     r"trials must be between 1 and 2\*\*32, got 4294967297")])
 def test_scenario_json_checks_types(key, value, message):
     doc = json.loads(json.dumps(tiny_scenario().to_json()))
     with pytest.raises(ValueError, match=message):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import angle_between
+from scalar_reference import angle_between
 from ris_dps import TWO_PI, arg_mod_2pi, unit_from_arg, wrap_angle
 
 nonzero_vectors = st.builds(

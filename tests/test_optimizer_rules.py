@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from reference import config_given_direction
+from scalar_reference import config_given_direction
 from ris_dps import (OFF, ChannelRealization, PhaseShiftSet, SweepCounters,
                      separation_lines)
 from ris_dps.optimizer import _sorted_line_order

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from reference import angle_between, config_given_direction, phase_of
+from scalar_reference import angle_between, config_given_direction, phase_of
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      continuous_upper_bound, cpp_optimize, exhaustive_optimize,
                      overall_h, sample_realization, separation_lines,
                      sweep_optimize, unit_from_arg)
+from ris_dps.optimizer import DEFAULT_EXHAUSTIVE_CAP, exhaustive_fits
 
 PI = math.pi
 
@@ -227,6 +228,22 @@ class TestExhaustive:
         real = ChannelRealization(1 + 0j, np.exp(1j * np.arange(10)))
         with pytest.raises(ValueError, match="cap"):
             exhaustive_optimize(real, PhaseShiftSet.uniform(3), max_configs=100)
+
+    def test_fits_equals_the_power_test(self):
+        for k, n, cap in itertools.product(range(1, 5), range(0, 14),
+                                           (-1, 0, 1, 2, 3, 80, 81, 2 ** 24)):
+            assert exhaustive_fits(k, n, cap) == ((k + 1) ** n <= cap)
+
+    def test_fits_answers_a_huge_n_at_once(self):
+        assert not exhaustive_fits(1, 10 ** 9, DEFAULT_EXHAUSTIVE_CAP)
+        assert exhaustive_fits(1, 24, DEFAULT_EXHAUSTIVE_CAP)
+
+    def test_cap_message_gives_the_power_not_its_digits(self):
+        real = ChannelRealization(1 + 0j, np.exp(1j * np.arange(10 ** 4)))
+        with pytest.raises(ValueError, match=r"^\(K\+1\)\^N = 3\^10000 "
+                                             "exceeds the exhaustive cap "
+                                             "16777216$"):
+            exhaustive_optimize(real, PhaseShiftSet((0.0, PI)))
 
 
 class TestCpp:
