@@ -12,8 +12,7 @@ import functools
 import json
 import math
 import numbers
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -106,10 +105,9 @@ class LinkBudget:
     bandwidth_hz: float = 1.0
 
     def __post_init__(self):
-        for name in ("gain_tx_ris_db", "gain_ris_rx_db", "gain_direct_db",
-                     "snr_budget_db", "bandwidth_hz"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for field in fields(self):
+            if not np.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
         # Each dB value, and the two hops together, must have a linear
@@ -140,18 +138,11 @@ class LinkBudget:
         return 10.0 ** (self.gain_direct_db / 20.0)
 
     def to_json(self) -> dict:
-        return {
-            "gain_tx_ris_db": self.gain_tx_ris_db,
-            "gain_ris_rx_db": self.gain_ris_rx_db,
-            "gain_direct_db": self.gain_direct_db,
-            "snr_budget_db": self.snr_budget_db,
-            "bandwidth_hz": self.bandwidth_hz,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinkBudget":
-        keys = ("gain_tx_ris_db", "gain_ris_rx_db", "gain_direct_db",
-                "snr_budget_db", "bandwidth_hz")
+        keys = [field.name for field in fields(cls)]
         check_json_keys(doc, "budget", keys)
         return cls(**{k: json_number(doc[k], f"budget.{k}") for k in keys})
 
@@ -159,34 +150,37 @@ class LinkBudget:
 class ChannelRealization:
     """One draw of the channel: direct path plus per-element coefficients.
 
-    Elements with zero amplitude contribute nothing and have no argument,
-    so they are dropped at construction (with a warning) rather than
-    carried along.  Non-finite values are rejected with ValueError.
+    Every element must have a finite, nonzero coefficient (a zero one has
+    no argument), and the amplitude bound |h_d| + sum |v_n|, which every
+    candidate |h| lies below, must be finite; otherwise ValueError.
     """
 
     def __init__(self, h_d: complex, v: Sequence[complex]):
         h_d = complex(h_d)
         if not cmath.isfinite(h_d):
             raise ValueError(f"direct path h_d must be finite, got {h_d}")
-        v = np.asarray(v, dtype=complex)
+        v = np.array(v, dtype=complex)  # a private copy, frozen below
         if v.ndim == 0:
             v = v.reshape(1)
         amp = np.abs(v)  # NaN or infinite for a NaN or infinite part
-        finite = np.isfinite(amp)
-        if not finite.all():
-            bad = np.flatnonzero(~finite)
+        with np.errstate(over="ignore"):
+            bound = math.hypot(h_d.real, h_d.imag) + float(amp.sum())
+        if not math.isfinite(bound):  # a non-finite element, or an overflow
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError(
+                    f"element coefficients must be finite: {bad.size} "
+                    f"non-finite, the first at index {int(bad[0])} "
+                    f"({v[bad[0]]})")
+            raise ValueError(f"the amplitude bound |h_d| + sum |v_n| must be "
+                             f"finite, got {bound}")
+        if not amp.all():
+            zero = np.flatnonzero(amp == 0.0)
             raise ValueError(
-                f"element coefficients must be finite: {bad.size} non-finite, "
-                f"the first at index {int(bad[0])} ({v[bad[0]]})")
-        nonzero = amp > 0.0
-        self.n_dropped = int(v.size - np.count_nonzero(nonzero))
-        if self.n_dropped:
-            warnings.warn(
-                f"dropped {self.n_dropped} zero-amplitude element(s) from realization",
-                stacklevel=2,
-            )
+                f"element coefficients must be nonzero: {zero.size} zero, "
+                f"the first at index {int(zero[0])}")
         self.h_d = h_d
-        self.v = v[nonzero]
+        self.v = v
         self.v.flags.writeable = False
 
     @property

@@ -7,7 +7,8 @@ requested solver, and aggregates spectral-efficiency statistics into
 ResultRows.  The trials of a point are sampled and solved in blocks: one
 sample_realization call draws a block's range of trials as a
 RealizationBatch, and one call of each solver solves it, bit-identical to
-sampling and solving the trials one at a time.
+sampling and solving the trials one at a time.  The blocks of every point
+form one task list, mapped in this process or over one worker pool.
 Output is CSV plus a JSON metadata sidecar; the CSV is a pure function of
 (scenario, seed) so repeated runs are byte-identical.
 """
@@ -20,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -147,7 +148,7 @@ class Scenario:
         return plan
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "budget": self.budget.to_json(),
@@ -163,7 +164,6 @@ class Scenario:
             "mode": self.mode,
             "exhaustive_cap": self.exhaustive_cap,
         }
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "Scenario":
@@ -233,8 +233,8 @@ class ResultRow:
 
 
 def _solve_trial(scenario: Scenario, point: tuple, trials: range
-                 ) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
-    """Amplitudes |h| per solver (and the empty ratios) for a block of trials.
+                 ) -> Dict[str, np.ndarray]:
+    """Columns for a block of trials: |h| per solver, and "empty_ratio".
 
     The block is sampled by one call, each row from its own (seed, trial)
     stream, and solved by one call of each batched solver the plan's point
@@ -246,46 +246,26 @@ def _solve_trial(scenario: Scenario, point: tuple, trials: range
     if scenario.empty_ratio or "exhaustive" in solvers:
         reals = [ChannelRealization(h_d, v)
                  for h_d, v in zip(batch.h_d, batch.v)]
-    amps: Dict[str, np.ndarray] = {}
+    cols: Dict[str, np.ndarray] = {}
     for solver in solvers:
         if solver == "sweep":
-            amps[solver] = sweep_optimize(batch, phases).amplitude
+            cols[solver] = sweep_optimize(batch, phases).amplitude
         elif solver == "cpp":
-            amps[solver] = cpp_optimize(batch, phases).amplitude
+            cols[solver] = cpp_optimize(batch, phases).amplitude
         elif solver == "cpp_always_on":
-            amps[solver] = cpp_optimize(batch, phases,
+            cols[solver] = cpp_optimize(batch, phases,
                                         always_on=True).amplitude
         elif solver == "exhaustive":
-            amps[solver] = np.array(
+            cols[solver] = np.array(
                 [exhaustive_optimize(r, phases, scenario.exhaustive_cap
                                      ).amplitude for r in reals])
         elif solver == "continuous_ub":
-            amps[solver] = continuous_upper_bound(batch)
-    ratios = None
+            cols[solver] = continuous_upper_bound(batch)
     if scenario.empty_ratio:
-        ratios = np.array([measured_empty_ratio(
+        cols["empty_ratio"] = np.array([measured_empty_ratio(
             empty_regions(r, phases, float(a))).measured_ratio
-            for r, a in zip(reals, amps["sweep"])])
-    return amps, ratios
-
-
-def _point_trials(scenario: Scenario, point: tuple, jobs: int
-                  ) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
-    _, n, phases, solvers = point
-    # K+1 lines per element bounds L, so no block exceeds _BLOCK_LINES.
-    size = max(1, _BLOCK_LINES // max(1, n * (phases.k + 1)))
-    blocks = [range(lo, min(lo + size, scenario.trials))
-              for lo in range(0, scenario.trials, size)]
-    worker = partial(_solve_trial, scenario, point)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-            results = list(pool.map(worker, blocks))
-    else:
-        results = [worker(b) for b in blocks]
-    amps = {s: np.concatenate([r[0][s] for r in results]) for s in solvers}
-    ratios = (np.concatenate([r[1] for r in results])
-              if scenario.empty_ratio else None)
-    return amps, ratios
+            for r, a in zip(reals, cols["sweep"])])
+    return cols
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
@@ -294,10 +274,11 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     Trials are deterministic per (scenario seed, trial index), shared
     across axis points, and aggregated in trial order.  Each point's
     trials are cut into blocks of at most _BLOCK_LINES separation lines,
-    each solved as one batch; `jobs` > 1 spreads the blocks over that many
-    worker processes (at most one per block), so the result is independent
-    of `jobs`.  The channel does not depend on the SNR budget, so an
-    snr_budget_db axis solves its first point only.
+    each solved as one batch.  The blocks of the whole run are mapped in
+    order, in this process or, at `jobs` > 1, over one pool of at most
+    `jobs` workers, so the result is independent of `jobs`.  The channel
+    does not depend on the SNR budget, so an snr_budget_db axis solves
+    its first point only.
     """
     plan = scenario.validate()
     if jobs < 1:
@@ -305,19 +286,34 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     if scenario.mode != "curve":
         raise ValueError("run_scenario handles curve scenarios; "
                          "use regions_dump for regions mode")
+    solved = plan[:1] if scenario.axis == "snr_budget_db" else plan
+    tasks = []  # (point index, point, block of trials), in point order
+    for i, point in enumerate(solved):
+        # K+1 lines per element bounds L, so no block exceeds _BLOCK_LINES.
+        size = max(1, _BLOCK_LINES // max(1, point[1] * (point[2].k + 1)))
+        tasks += [(i, point, range(lo, min(lo + size, scenario.trials)))
+                  for lo in range(0, scenario.trials, size)]
+    _, points, blocks = zip(*tasks)
+    worker = partial(_solve_trial, scenario)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(worker, points, blocks))
+    else:
+        results = list(map(worker, points, blocks))
+    parts = [[r for (j, _, _), r in zip(tasks, results) if j == i]
+             for i in range(len(solved))]
     rows = []
-    for i, (x, point) in enumerate(zip(scenario.values, plan)):
-        if i == 0 or scenario.axis != "snr_budget_db":
-            amps, ratios = _point_trials(scenario, point, jobs)
-        budget = point[0]
+    for i, (x, (budget, *_)) in enumerate(zip(scenario.values, plan)):
+        part = parts[min(i, len(parts) - 1)]  # an snr axis reuses point 0
+        cols = {k: np.concatenate([r[k] for r in part]) for k in part[0]}
         snr_scale = 10.0 ** (budget.snr_budget_db / 10.0)
         mean_se: Dict[str, Optional[float]] = {}
         std_se: Dict[str, Optional[float]] = {}
         for solver in scenario.solvers:
-            if solver not in amps:  # exhaustive over its cap at this point
+            if solver not in cols:  # exhaustive over its cap at this point
                 mean_se[solver] = std_se[solver] = None
                 continue
-            se = np.log2(1.0 + snr_scale * amps[solver] ** 2)
+            se = np.log2(1.0 + snr_scale * cols[solver] ** 2)
             mean_se[solver] = float(se.mean())
             std_se[solver] = float(se.std())
         gain = None
@@ -330,7 +326,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
             gain = performance_gain(mean_se["sweep"], mean_se["cpp"])
         ratio = None
         if scenario.empty_ratio:
-            ratio = float(np.mean(ratios))
+            ratio = float(np.mean(cols["empty_ratio"]))
         rows.append(ResultRow(
             x=x if isinstance(x, tuple) else (x,),
             mean_se=mean_se, std_se=std_se, gain_pct=gain, empty_ratio=ratio))

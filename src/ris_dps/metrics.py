@@ -25,8 +25,18 @@ def capacity(h: Union[complex, float], budget: LinkBudget) -> CapacityReport:
     Args:
         h: overall channel coefficient (or its amplitude).
         budget: supplies the SNR budget P/(B*N0) and bandwidth.
+
+    Raises:
+        ValueError: if the SNR overflows.
     """
-    snr = 10.0 ** (budget.snr_budget_db / 10.0) * abs(h) ** 2
+    try:
+        snr = 10.0 ** (budget.snr_budget_db / 10.0) * abs(h) ** 2
+    except OverflowError:
+        snr = math.inf
+    if math.isinf(snr):  # |h| by hypot: abs() raises past the float range
+        raise ValueError(f"the SNR 10^(snr_budget_db/10) * |h|^2 overflows at "
+                         f"snr_budget_db = {budget.snr_budget_db!r} and "
+                         f"|h| = {math.hypot(h.real, h.imag)!r}")
     se = math.log2(1.0 + snr)
     return CapacityReport(snr_linear=snr, spectral_efficiency=se,
                           capacity_bps=budget.bandwidth_hz * se)

@@ -168,11 +168,23 @@ def test_sample_realization_deterministic():
     assert not np.array_equal(a.v, c.v)
 
 
-def test_zero_amplitude_elements_dropped():
-    with pytest.warns(UserWarning, match="dropped 1"):
-        real = ChannelRealization(1 + 0j, [1 + 1j, 0j, 2 - 1j])
-    assert real.n == 2
-    assert real.n_dropped == 1
+def test_zero_amplitude_element_rejected():
+    # dropping it would renumber the elements after it
+    with pytest.raises(ValueError, match="nonzero: 2 zero, the first at "
+                                         "index 1"):
+        ChannelRealization(1 + 0j, [1 + 1j, 0j, 2 - 1j, 0j])
+    doc = ChannelRealization(1 + 0j, [1 + 1j, 1j]).to_json()
+    doc["v"][0] = {"re": 0.0, "im": -0.0}
+    with pytest.raises(ValueError, match="index 0"):
+        ChannelRealization.from_json(doc)
+
+
+def test_elements_are_a_private_read_only_copy():
+    v = np.array([1 + 1j, 2 - 1j])
+    real = ChannelRealization(1 + 0j, v)
+    assert v.flags.writeable and not real.v.flags.writeable
+    v[0] = 5.0
+    assert real.v[0] == 1 + 1j
 
 
 def test_phase_set_rejects_nan():
@@ -191,6 +203,14 @@ def test_infinite_element_rejected():
     # it used to reach sweep_optimize and come back as h_star = nan+nanj
     with pytest.raises(ValueError, match="finite"):
         ChannelRealization(1, [1 + 0j, complex(0.0, math.inf)])
+    # finite parts whose amplitude bound overflows: |h| could reach inf
+    with pytest.raises(ValueError, match=r"bound \|h_d\| \+ sum \|v_n\| "
+                                         "must be finite, got inf"):
+        ChannelRealization(1e308, [1e308, 1e308])
+    for h_d, v in ((complex(1.5e308, 1.5e308), [1.0]),
+                   (1.0, [1.0, complex(1.5e308, 1.5e308)])):
+        with pytest.raises(ValueError, match="bound"):
+            ChannelRealization(h_d, v)
 
 
 def test_nan_direct_path_rejected():

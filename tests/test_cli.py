@@ -293,6 +293,53 @@ def test_budget_overflow_is_an_error_not_a_traceback(realization_file,
                           "of range")
 
 
+def _realization_doc(h_d, v):
+    return {"schema_version": 1, "h_d": {"re": h_d, "im": 0.0},
+            "v": [{"re": x, "im": 0.0} for x in v]}
+
+
+def test_unusable_realization_names_the_file(tmp_path, capsys):
+    # a zero element would be dropped and the rest renumbered; a bound of
+    # inf would come back as "amplitude": Infinity, which is not JSON
+    cases = [([1.0, 0.0, 2.0], 1.0, "element coefficients must be nonzero: "
+              "1 zero, the first at index 1"),
+             ([1e308, 1e308], 1e308, "the amplitude bound |h_d| + sum |v_n| "
+              "must be finite, got inf")]
+    path = tmp_path / "real.json"
+    for v, h_d, message in cases:
+        path.write_text(json.dumps(_realization_doc(h_d, v)))
+        for cmd in (["solve", "--solver", "sweep"], ["regions"]):
+            assert main(cmd + ["--input", str(path),
+                               "--phases", "pi/6,5pi/6"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ris-dps: error: {path}: {message}\n"
+
+
+def test_capacity_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(_realization_doc(1e200, [1e200])))
+    args = ["solve", "--input", str(path), "--phases", "pi/6,5pi/6",
+            "--solver", "sweep"]
+    assert main(args) == 0
+    amplitude = json.loads(capsys.readouterr().out)["amplitude"]
+    assert 1e200 < amplitude < 2e200
+    assert main(args + ["--snr-budget-db", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"ris-dps: error: the SNR 10^(snr_budget_db/10) * |h|^2 "
+                   f"overflows at snr_budget_db = 0.0 and |h| = "
+                   f"{amplitude!r}\n")
+
+
+def test_run_jobs_do_not_change_csv_bytes(tmp_path):
+    for jobs in ("1", "2"):
+        assert main(["run", "--scenario", "fig15", "--fast", "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+    for name in ("fig15_k2.csv", "fig15_k3.csv"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+
+
 def test_module_entry_point(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 3,
                               (5, 0))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from functools import partial
 
 import pytest
 
@@ -221,32 +222,42 @@ def test_deterministic_rows_and_csv():
     assert bufs[0] == bufs[1]
 
 
-def test_jobs_do_not_change_results():
+def test_jobs_do_not_change_results(monkeypatch):
     s = tiny_scenario(values=(3,), trials=6)
     assert run_scenario(s, jobs=1) == run_scenario(s, jobs=2)
+    # several blocks a point, across points: an snr_budget_db axis solves
+    # point 0 only, and 3**5 is over the exhaustive cap at N = 5
+    monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
+    snr = tiny_scenario(axis="snr_budget_db", values=(100.0, 110.0, 90.0),
+                        trials=7)
+    capped = tiny_scenario(values=(2, 5, 4), trials=7, exhaustive_cap=3 ** 4)
+    for s in (snr, capped):
+        assert run_scenario(s, jobs=1) == run_scenario(s, jobs=2)
+    assert run_scenario(capped)[1].mean_se["exhaustive"] is None
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor; starts no process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *items):
+        return map(fn, *items)
 
 
 def test_pool_is_capped_at_the_block_count(monkeypatch):
     made = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor; starts no process."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
     s = tiny_scenario(values=(4,), trials=6)
     serial = run_scenario(s, jobs=1)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        partial(RecordingPool, made))
     # N=4 and K+1=3: 12 lines a trial, 2 trials a block, 3 blocks
     monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
     assert run_scenario(s, jobs=8) == serial
@@ -254,6 +265,21 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
     assert made == [3, 2]
     with pytest.raises(ValueError, match="jobs"):
         run_scenario(s, jobs=0)
+
+
+def test_one_pool_serves_every_point_of_a_run(monkeypatch):
+    made = []
+    s = tiny_scenario(values=(2, 3, 4), trials=4)
+    serial = run_scenario(s, jobs=1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        partial(RecordingPool, made))
+    # K+1=3 lines an element and 24 lines a block: 4, 2 and 2 trials a
+    # block at N = 2, 3, 4, so 1 + 2 + 2 = 5 blocks in the run
+    monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
+    assert run_scenario(s, jobs=1) == serial
+    assert made == []
+    assert run_scenario(s, jobs=8) == serial
+    assert made == [5]
 
 
 def test_empty_ratio_column():

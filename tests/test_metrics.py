@@ -55,3 +55,17 @@ def test_performance_gain():
         performance_gain(1.0, 0.0)
     with pytest.raises(ValueError):
         performance_gain(1.0, -2.0)
+
+
+def test_capacity_overflow_is_a_value_error():
+    # 10^(0/10) * (2e200)^2 leaves the float range: an OverflowError in
+    # the power, an infinite SNR in the product
+    with pytest.raises(ValueError, match=r"snr_budget_db = 0.0 and \|h\| = "
+                                         r"2e\+200"):
+        capacity(2e200 - 0j, LinkBudget(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"snr_budget_db = 300.0 and \|h\| = "
+                                         r"1e\+150"):
+        capacity(1e150, LinkBudget(0.0, 0.0, 0.0, 300.0))
+    huge = complex(1.5e308, 1.5e308)  # abs() itself overflows
+    with pytest.raises(ValueError, match=r"\|h\| = inf"):
+        capacity(huge, BUDGET)

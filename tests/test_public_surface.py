@@ -5,7 +5,8 @@ benchmark or the acceptance tests, directly or through library
 definitions that are themselves reached.  References are read from the
 syntax tree, so a docstring or comment that mentions a name does not
 count, and neither does a library function that only its own unused
-callers call.
+callers call.  Every name a library module imports is likewise read in
+that module or exported through its __all__.
 """
 
 import ast
@@ -63,3 +64,31 @@ def test_every_public_name_is_used_by_what_runs():
             used |= new
             todo.extend(new)
     assert [name for name in ris_dps.__all__ if name not in used] == []
+
+
+def _imported(tree: ast.AST) -> list:
+    """(line, name) of every name an import statement binds."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.asname or a.name.split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(node.lineno, a.asname or a.name) for a in node.names]
+    return found
+
+
+def test_every_library_import_is_used():
+    dead = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets
+                         if isinstance(t, ast.Name)] == ["__all__"]):
+                read |= set(ast.literal_eval(node.value))
+        dead += [f"{path.name}:{line}: {name}"
+                 for line, name in _imported(tree) if name not in read]
+    assert dead == []
