@@ -9,15 +9,19 @@ candidate channel for each sector follows from the previous one by a
 single subtract/add, so one pass over the sorted lines evaluates every
 sector.
 
-The sweep is one array program over the N x L line table: one stable
-argsort orders the lines, a cumulative sum forms the candidate chain, and
-the winning configuration is read off the last crossing of each element.
-Every solver runs on a (T, N) block of realizations (a RealizationBatch)
-with the same kernel; a single ChannelRealization is the one-row block.
-The rotation + min-heap merge (O(N*L*log L) comparisons) stays as the
-counted reference sort: ``sweep_optimize(..., instrument=True)`` runs it
-beside the argsort, not instead of it, and checks that both give the same
-order, so the result never depends on the switch.
+The sweep is one array program over the N x L line table: one argsort
+orders the lines, a cumulative sum forms the candidate chain, and the
+winning configuration is read off the last crossing of each element.
+Both sorts (elements by angle, lines by argument) give the order of a
+stable argsort: NumPy's default (SIMD) argsort sorts every row, and only
+a row with two equal values, where the orders can differ, is sorted again
+stably.  Every solver runs on a (T, N) block of realizations (a
+RealizationBatch) with the same kernel; a single ChannelRealization is
+the one-row block.  The rotation + min-heap merge (O(N*L*log L)
+comparisons) stays as the counted reference sort:
+``sweep_optimize(..., instrument=True)`` runs it beside the argsort, not
+instead of it, and checks that both give the same order, so the result
+never depends on the switch.
 """
 
 import heapq
@@ -92,6 +96,15 @@ class SweepResult:
         return np.hypot(self.h_star.real, self.h_star.imag)
 
     def to_json(self, budget: Optional[LinkBudget] = None) -> dict:
+        """One realization's result as a JSON-ready dict.
+
+        Raises:
+            ValueError: for a batch result (one row per realization).
+        """
+        if np.ndim(self.h_star):
+            raise ValueError(
+                "to_json serializes one realization's result; this one "
+                f"holds a batch of {np.size(self.h_star)} rows")
         doc = {
             "schema_version": 1,
             "config": [int(c) for c in self.config],
@@ -253,18 +266,37 @@ def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
     return np.where(smallest < HALF_PI + ANGLE_EPS, best + 1, OFF)
 
 
+def _argsort_rows(a: np.ndarray):
+    """np.argsort(a, axis=-1, kind="stable") and a sorted along that axis.
+
+    On a row without two equal values the ascending order is unique, so
+    NumPy's default argsort (a SIMD sort, several times faster than the
+    stable one) returns the stable indices.  Only rows where two sorted
+    neighbours compare equal (-0.0 == 0.0 counts) are sorted again with
+    kind="stable".  Returns (indices, sorted values), the same arrays as
+    the stable argsort and its gather.
+    """
+    idx = np.argsort(a, axis=-1)
+    srt = np.take_along_axis(a, idx, axis=-1)
+    tied = (srt[..., 1:] == srt[..., :-1]).any(axis=-1)
+    if tied.any():
+        redo = np.argsort(a[tied], axis=-1, kind="stable")
+        idx[tied] = redo
+        srt[tied] = np.take_along_axis(a[tied], redo, axis=-1)
+    return idx, srt
+
+
 def _argsort_line_order(args: np.ndarray):
     """Order each (N, L) argument matrix ascending, ties by (row, column).
 
-    One stable argsort of the row-major flattened matrix: row-major order
-    makes the flat index break ties by (row, column), exactly the rule of
-    the rotation + heap merge in _sorted_line_order.  args may carry
-    leading batch axes.  Returns (rows, cols) index arrays of length N*L
-    along the last axis.
+    A stable argsort of the row-major flattened matrix (by _argsort_rows):
+    row-major order makes the flat index break ties by (row, column),
+    exactly the rule of the rotation + heap merge in _sorted_line_order.
+    args may carry leading batch axes.  Returns (flat, sorted_args), both
+    of length N*L along the last axis: flat = row * L + column of each
+    line in sweep order, and the arguments in that order.
     """
-    flat = np.argsort(args.reshape(*args.shape[:-2], -1), axis=-1,
-                      kind="stable")
-    return np.divmod(flat, args.shape[-1])
+    return _argsort_rows(args.reshape(*args.shape[:-2], -1))
 
 
 def _config_before(position: np.ndarray, stop, col_end: np.ndarray,
@@ -285,27 +317,28 @@ def _sorted_lines(batch, offsets: np.ndarray,
                   counters: Optional[SweepCounters]):
     """Each row's elements in angle order and its lines in sweep order.
 
-    Returns (order, vv, rows, cols, valid), all with a leading trials axis:
+    Both sorts go through _argsort_rows, so they give a stable argsort's
+    order and hand back the sorted values the sweep needs anyway.  Returns
+    (order, vv, flat, rows, cols, valid), all with a leading trials axis:
     order sorts the elements by angle (stably) and vv holds their
     coefficients in that order; rows/cols give the (element, column) of
-    each line in ascending order of argument; valid is False where a line
+    each line in ascending order of argument, and flat = rows * L + cols
+    its index in the row-major line table; valid is False where a line
     sits at the same argument as the one before it, so the sector between
     them has zero width.  With counters, row 0 is also ordered by the
     counted reference sort, which must agree.
     """
-    angles = batch.element_angles()
-    order = np.argsort(angles, axis=1, kind="stable")  # ties keep input order
+    order, angles = _argsort_rows(batch.element_angles())
     vv = np.take_along_axis(batch.v, order, axis=1)
-    args = wrap_angles(np.take_along_axis(angles, order, axis=1)[:, :, None]
-                       + offsets)
-    rows, cols = _argsort_line_order(args)
+    args = wrap_angles(angles[:, :, None] + offsets)
+    flat, sorted_args = _argsort_line_order(args)
+    rows, cols = np.divmod(flat, offsets.size)
     if counters is not None and not np.array_equal(
             _sorted_line_order(args[0], counters), (rows[0], cols[0])):
         raise RuntimeError("line order differs from the reference sort")
-    sorted_args = args[np.arange(batch.trials)[:, None], rows, cols]
-    valid = np.ones(rows.shape, dtype=bool)
+    valid = np.ones(flat.shape, dtype=bool)
     valid[:, 1:] = sorted_args[:, 1:] != sorted_args[:, :-1]
-    return order, vv, rows, cols, valid
+    return order, vv, flat, rows, cols, valid
 
 
 def _result(single: bool, config: np.ndarray, h_star: np.ndarray,
@@ -324,13 +357,16 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
     Elements are sorted by angle once and the lines are put in ascending
-    order by one stable argsort of the N x L line table.  The first
-    sector's candidate channel is built from each element's starting
+    order by one argsort of the N x L line table.  Both sorts give a
+    stable argsort's order: the default (SIMD) argsort sorts every row,
+    and only a row with two equal values is sorted again stably.  The
+    first sector's candidate channel is built from each element's starting
     choice at its first line (N vector additions); each subsequent sector
-    costs two vector additions, so the candidate chain (one cumulative
-    sum) takes N + 2*N*L additions.  The configuration of the winning
-    sector is read off each element's last crossing before it and mapped
-    back to the input element order.  A RealizationBatch is solved as one
+    costs two vector additions, gathered by flat index from the
+    element-by-choice table, so the candidate chain (one cumulative sum)
+    takes N + 2*N*L additions.  The configuration of the winning sector is
+    read off each element's last crossing before it and mapped back to
+    the input element order.  A RealizationBatch is solved as one
     block, every row exactly as the single call would solve it.
 
     Args:
@@ -371,7 +407,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     m = n * l
-    order, vv, rows, cols, valid = _sorted_lines(
+    order, vv, flat, rows, cols, valid = _sorted_lines(
         batch, offsets, counters if instrument else None)
     trial = np.arange(t)[:, None]
 
@@ -388,7 +424,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # first line.  Reading it off the table keeps the chain consistent even
     # when that sector is narrower than the angle tolerance.
     position = np.empty((t, n, l), dtype=int)
-    position[trial, rows, cols] = np.arange(m)
+    np.put_along_axis(position.reshape(t, m), flat, np.arange(m), axis=1)
     cfg0 = col_start[position.argmin(axis=2)]
     h0 = batch.h_d + g_table[trial, np.arange(n), cfg0].sum(axis=1)
 
@@ -396,10 +432,19 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # 0).  Each line j takes its element's start contribution out and puts
     # its end contribution in; add.accumulate is a sequential left fold, so
     # each entry is exactly chain[:, j] - g_start[:, j] + g_end[:, j].
+    # Both gathers index the flat g_table, where entry (trial, row, choice)
+    # sits at (trial * N + row) * (K + 1) + choice.  One index array serves
+    # both, rewritten in place: each fresh (T, N*L) temporary costs page
+    # faults at N = 10^4.
+    g_flat = g_table.ravel()
+    line_base = (trial * n + rows) * (phases.size + 1)
     steps = np.empty((t, 2 * m + 1), dtype=complex)
     steps[:, 0] = h0
-    np.negative(g_table[trial, rows, col_start[cols]], out=steps[:, 1::2])
-    steps[:, 2::2] = g_table[trial, rows, col_end[cols]]
+    index = col_start[cols]
+    index += line_base
+    np.negative(np.take(g_flat, index), out=steps[:, 1::2])
+    np.add(col_end[cols], line_base, out=index)
+    steps[:, 2::2] = np.take(g_flat, index)
     chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     counters.vector_additions += n + 2 * m
 

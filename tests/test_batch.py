@@ -74,6 +74,33 @@ def test_batch_rows_equal_single_calls(inst):
             assert _bits(cpp.h_star[t]) == _bits(one.h_star)
 
 
+def test_rows_with_coinciding_elements_equal_single_calls():
+    # Coinciding elements tie in the element sort and give coinciding lines
+    # (zero-width sectors), so their rows take the stable re-sort; the
+    # other rows are tie-free and keep the default argsort's order.
+    rng = np.random.default_rng(23)
+    angles = rng.uniform(0.0, 2 * PI, (4, 6))
+    angles[2, [1, 4]] = angles[2, 0]
+    amps = rng.uniform(0.2, 2.0, (4, 6))
+    v = amps * np.exp(1j * angles)
+    tied = v.copy()
+    tied[:, 3] = tied[:, 5] * 0.5
+    for ps in (PhaseShiftSet((PI / 6, 5 * PI / 6)),
+               PhaseShiftSet((0.0, 2 * PI / 3, 4 * PI / 3))):
+        for h_d, block in ((np.full(4, 0.3 + 0.2j), v), (np.zeros(4), tied)):
+            reals = [ChannelRealization(h, row) for h, row in zip(h_d, block)]
+            _same_sweep_rows(sweep_optimize(RealizationBatch(h_d, block), ps),
+                             reals, ps)
+        for real in (ChannelRealization(0.3 + 0.2j, v[2]),
+                     ChannelRealization(0j, tied[0])):
+            plain = sweep_optimize(real, ps)
+            counted = sweep_optimize(real, ps, instrument=True)
+            assert np.isnan(counted.candidates).any()  # zero-width sectors
+            assert np.array_equal(counted.config, plain.config)
+            assert _bits(counted.h_star) == _bits(plain.h_star)
+            assert counted.sector_index == plain.sector_index
+
+
 def test_one_realization_gives_scalar_fields():
     real = ChannelRealization(0.3 + 0.1j, np.exp(1j * np.array([0.2, 4.0])))
     ps = PhaseShiftSet((0.0, PI / 2))

@@ -7,7 +7,8 @@ import pytest
 from conftest import random_instance
 from scalar_reference import angle_between, config_given_direction, phase_of
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                     continuous_upper_bound, cpp_optimize, exhaustive_optimize,
+                     RealizationBatch, continuous_upper_bound, cpp_optimize,
+                     exhaustive_optimize,
                      overall_h, sample_realization, separation_lines,
                      sweep_optimize, unit_from_arg)
 from ris_dps.optimizer import DEFAULT_EXHAUSTIVE_CAP, exhaustive_fits
@@ -318,6 +319,16 @@ def test_result_serialization():
     doc = res.to_json(budget)
     assert doc["capacity_bps"] == pytest.approx(2 * doc["spectral_efficiency"])
     assert doc["snr_linear"] > 0
+
+
+def test_batch_result_does_not_serialize():
+    real = ChannelRealization(0.5 + 0j, [1j, 2 + 0j])
+    batch = RealizationBatch(np.full(3, real.h_d), np.tile(real.v, (3, 1)))
+    ps = PhaseShiftSet((0.0, PI))
+    with pytest.raises(ValueError, match="one realization"):
+        sweep_optimize(batch, ps).to_json()
+    assert sweep_optimize(real, ps).to_json()["config"] == list(
+        sweep_optimize(batch, ps).config[0])
 
 
 def test_sampled_realizations_solve_end_to_end():

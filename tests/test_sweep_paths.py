@@ -1,11 +1,13 @@
 """The array sweep against its counted reference, on adversarial instances.
 
-The sweep orders the separation lines with one stable argsort; the
-instrumented sweep also runs the rotation + min-heap merge beside it and
-raises if the two orders differ.  These properties pin the two to the same
-order, and the instrumented sweep to the plain sweep's result, including on
-ties, zero-width sectors, gaps of exactly pi, K = 1, N = 1 and a zero
-direct path.
+The sweep orders the elements and the separation lines with a row sorter
+that gives a stable argsort's order: NumPy's default argsort on every row,
+then a stable argsort again on the rows with a tie.  The instrumented sweep
+also runs the rotation + min-heap merge beside it and raises if the two
+orders differ.  These properties pin the row sorter to the stable argsort,
+the line order to the heap merge, and the instrumented sweep to the plain
+sweep's result, including on ties, zero-width sectors, gaps of exactly pi,
+K = 1, N = 1 and a zero direct path.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ris_dps.optimizer as optimizer
 from conftest import instances
@@ -36,10 +39,39 @@ def _angle_sorted(real):
 def test_argsort_order_matches_heap_merge(inst):
     real, ps = inst
     args = separation_lines(_angle_sorted(real), ps).args
-    rows, cols = optimizer._argsort_line_order(args)
+    flat, _ = optimizer._argsort_line_order(args)
+    rows, cols = np.divmod(flat, args.shape[1])
     ref_rows, ref_cols = optimizer._sorted_line_order(args, None)
     np.testing.assert_array_equal(rows, ref_rows)
     np.testing.assert_array_equal(cols, ref_cols)
+
+
+@st.composite
+def _sort_batches(draw):
+    """(T, n) rows: some from a 3-4 value pool with 0.0 and -0.0, so ties
+    are common, some of distinct values."""
+    pool = [0.0, -0.0] + draw(st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=2))
+    n = draw(st.integers(1, 8))
+    row = st.one_of(
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+        st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=n,
+                 max_size=n, unique=True))
+    return np.array(draw(st.lists(row, min_size=1, max_size=5)), dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sort_batches())
+@example(np.array([[0.0], [-0.0]]))
+@example(np.array([[1.0, -0.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0],
+                   [0.0, -0.0, 2.0, -1.0]]))
+def test_row_sorter_matches_stable_argsort(a):
+    for rows in (a, a[0]):
+        idx, srt = optimizer._argsort_rows(rows)
+        ref = np.argsort(rows, axis=-1, kind="stable")
+        np.testing.assert_array_equal(idx, ref)
+        # bytes, so that a -0.0 where the stable sort has 0.0 fails
+        assert srt.tobytes() == np.take_along_axis(rows, ref, -1).tobytes()
 
 
 def _assert_same(a, b):
