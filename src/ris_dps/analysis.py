@@ -15,7 +15,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import OFF, ChannelRealization, PhaseShiftSet
+from .channel import OFF, PhaseShiftSet
 from .geometry import TWO_PI, wrap_angles
 from .optimizer import LineTable, separation_lines
 
@@ -25,7 +25,7 @@ class EmptyRegions:
     """Arcs around every separation line that cannot contain arg(h*).
 
     The arc around line (n, c) is centered on lines.args[n, c] and has
-    half-width half_width[n, c].
+    half-width half_width[n, c]: both (N, L), or (T, N, L) for a batch.
     """
 
     lines: LineTable
@@ -34,25 +34,26 @@ class EmptyRegions:
 
 @dataclass(frozen=True)
 class EmptyRatioReport:
-    """Coverage of the circle by the empty-region union.
+    """Coverage of the circle by the empty-region union; (T,) for a batch.
 
     sum_ratio_ub is the summed-width upper bound (may exceed 1);
     overlap_fraction is the share of the summed width lost to overlap.
     """
 
-    measured_ratio: float
-    sum_ratio_ub: float
-    overlap_fraction: float
+    measured_ratio: Union[float, np.ndarray]
+    sum_ratio_ub: Union[float, np.ndarray]
+    overlap_fraction: Union[float, np.ndarray]
 
 
-def _check_h_star(h_star_amp: float) -> None:
-    if not 0.0 < h_star_amp < math.inf:
-        raise ValueError(
-            f"h_star_amp must be positive and finite, got {h_star_amp!r}")
+def _check_h_star(h_star_amp) -> None:
+    h = np.asarray(h_star_amp, dtype=float)
+    bad = h[~((h > 0.0) & (h < math.inf))]  # NaN fails both
+    if bad.size:
+        raise ValueError(f"h_star_amp must be positive and finite, "
+                         f"got {float(bad[0])!r}")
 
 
-def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
-                  h_star_amp: float) -> EmptyRegions:
+def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     """The empty region of every separation line of the realization.
 
     Each width has the bits of the scalar omega_small_gap /
@@ -61,11 +62,12 @@ def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
     math.asin, since np.arcsin can differ in the last bit.
 
     Args:
-        h_star_amp: amplitude of the optimal channel; pass the sweep
-            optimum, or the continuous upper bound for the conservative
-            (narrowest-region) variant.
+        h_star_amp: amplitude of the optimal channel, (T,) for a
+            RealizationBatch; pass the sweep optimum, or the continuous
+            upper bound for the conservative (narrowest-region) variant.
     """
-    _check_h_star(h_star_amp)
+    h_star = np.broadcast_to(h_star_amp, np.shape(real.h_d))[..., None, None]
+    _check_h_star(h_star)
     lines = separation_lines(real, phase_set)
     phases = phase_set.phases
     # Per column: |sin(gap/2)| between two phases, 0.5 at the off region.
@@ -73,7 +75,7 @@ def empty_regions(real: ChannelRealization, phase_set: PhaseShiftSet,
         0.5 if OFF in (s, e)
         else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
         for s, e in zip(lines.starting.tolist(), lines.ending.tolist())])
-    ratio = np.minimum(np.abs(real.v)[:, None] * factors / h_star_amp, 1.0)
+    ratio = np.minimum(np.abs(real.v)[..., None] * factors / h_star, 1.0)
     half_width = np.fromiter(map(math.asin, ratio.ravel().tolist()), float,
                              ratio.size)
     return EmptyRegions(lines, half_width.reshape(ratio.shape))
@@ -117,15 +119,16 @@ def circle_union_length(arcs: Union[np.ndarray,
 
 def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap."""
-    centers = regions.lines.args.ravel()
-    widths = regions.half_width.ravel()
-    union = circle_union_length(
-        np.stack([centers - widths, centers + widths], axis=1))
-    summed = 2.0 * _running_total(widths)
-    overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
-    return EmptyRatioReport(measured_ratio=union / TWO_PI,
-                            sum_ratio_ub=summed / TWO_PI,
-                            overlap_fraction=overlap)
+    trials = regions.half_width.shape[:-2]
+    widths = regions.half_width.reshape(math.prod(trials), -1)
+    fields = []
+    for centers, row in zip(regions.lines.args.reshape(widths.shape), widths):
+        union = circle_union_length(
+            np.stack([centers - row, centers + row], axis=1))
+        summed = 2.0 * _running_total(row)
+        overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
+        fields.append((union / TWO_PI, summed / TWO_PI, overlap))
+    return EmptyRatioReport(*(np.array(fields).T if trials else fields[0]))
 
 
 def empty_ratio_upper_bound_approx(k: int) -> float:
@@ -143,9 +146,12 @@ def write_regions_csv(regions: EmptyRegions, fh) -> None:
     """Dump regions as CSV rows (center_rad, half_width_rad, element, kind).
 
     kind is "off_boundary" for a line bordering the off region, else
-    "between_phases"; rows go by element, then column.
+    "between_phases"; rows go by element, then column.  One realization's
+    regions only: a batch's raise ValueError.
     """
     lines = regions.lines
+    if lines.args.ndim != 2:
+        raise ValueError("write_regions_csv writes one realization's regions")
     kinds = ["off_boundary" if OFF in (s, e) else "between_phases"
              for s, e in zip(lines.starting.tolist(), lines.ending.tolist())]
     writer = csv.writer(fh, lineterminator="\n")

@@ -7,7 +7,6 @@ channel is the direct path plus the per-element contributions, all carried
 as complex numbers.
 """
 
-import cmath
 import functools
 import json
 import math
@@ -150,38 +149,16 @@ class LinkBudget:
 class ChannelRealization:
     """One draw of the channel: direct path plus per-element coefficients.
 
-    Every element must have a finite, nonzero coefficient (a zero one has
-    no argument), and the amplitude bound |h_d| + sum |v_n|, which every
-    candidate |h| lies below, must be finite; otherwise ValueError.
+    Kept as the one-row RealizationBatch, which checks the values; h_d is
+    a complex and v a read-only view of the row.
     """
 
     def __init__(self, h_d: complex, v: Sequence[complex]):
-        h_d = complex(h_d)
-        if not cmath.isfinite(h_d):
-            raise ValueError(f"direct path h_d must be finite, got {h_d}")
-        v = np.array(v, dtype=complex)  # a private copy, frozen below
-        if v.ndim == 0:
-            v = v.reshape(1)
-        amp = np.abs(v)  # NaN or infinite for a NaN or infinite part
-        with np.errstate(over="ignore"):
-            bound = math.hypot(h_d.real, h_d.imag) + float(amp.sum())
-        if not math.isfinite(bound):  # a non-finite element, or an overflow
-            bad = np.flatnonzero(~np.isfinite(v))
-            if bad.size:
-                raise ValueError(
-                    f"element coefficients must be finite: {bad.size} "
-                    f"non-finite, the first at index {int(bad[0])} "
-                    f"({v[bad[0]]})")
-            raise ValueError(f"the amplitude bound |h_d| + sum |v_n| must be "
-                             f"finite, got {bound}")
-        if not amp.all():
-            zero = np.flatnonzero(amp == 0.0)
-            raise ValueError(
-                f"element coefficients must be nonzero: {zero.size} zero, "
-                f"the first at index {int(zero[0])}")
-        self.h_d = h_d
-        self.v = v
-        self.v.flags.writeable = False
+        self._batch = RealizationBatch(
+            np.array([complex(h_d)]),
+            np.atleast_1d(np.asarray(v, dtype=complex))[None])
+        self.h_d = complex(self._batch.h_d[0])
+        self.v = self._batch.v[0]
 
     @property
     def n(self) -> int:
@@ -222,13 +199,16 @@ class RealizationBatch:
     """T realizations of N elements each, solved as one block.
 
     Row t is one realization: direct path h_d[t], elements v[t].  Both
-    arrays are read-only copies.  The solvers and overall_h take a batch
-    wherever they take a ChannelRealization and return their fields with
-    a leading trials axis; each row equals the single call bit for bit.
+    arrays are read-only copies.  The solvers, overall_h and the analysis
+    take a batch wherever they take a ChannelRealization and return their
+    fields with a leading trials axis; each row equals the single call bit
+    for bit.  A fault raises ValueError, naming the row when T > 1.
 
     Attributes:
-        h_d: (T,) direct paths.
-        v: (T, N) element coefficients, finite and nonzero.
+        h_d: (T,) direct paths, finite.
+        v: (T, N) element coefficients, finite and nonzero (a zero one has
+            no argument); each row's bound |h_d| + sum |v_n|, above every
+            candidate |h|, is finite.
     """
 
     h_d: np.ndarray
@@ -240,10 +220,27 @@ class RealizationBatch:
         if h_d.ndim != 1 or v.ndim != 2 or v.shape[0] != h_d.size:
             raise ValueError(f"need h_d of shape (T,) and v of shape (T, N), "
                              f"got {h_d.shape} and {v.shape}")
-        if not (np.isfinite(h_d).all() and np.isfinite(v).all()):
-            raise ValueError("batch channels must be finite")
-        if not v.all():
-            raise ValueError("batch elements must have nonzero amplitude")
+        with np.errstate(over="ignore"):
+            amp = np.abs(v)  # NaN or infinite for a NaN or infinite part
+            bound = np.hypot(h_d.real, h_d.imag) + amp.sum(axis=1)
+        if not (np.isfinite(bound).all() and amp.min(initial=np.inf) > 0.0):
+            t = int(np.flatnonzero(~np.isfinite(bound) | ~amp.all(axis=1))[0])
+            row = f"row {t}: " if h_d.size > 1 else ""
+            if not np.isfinite(h_d[t]):
+                raise ValueError(f"{row}direct path h_d must be finite, "
+                                 f"got {complex(h_d[t])}")
+            bad = np.flatnonzero(~np.isfinite(v[t]))
+            if bad.size:
+                raise ValueError(
+                    f"{row}element coefficients must be finite: {bad.size} "
+                    f"non-finite, the first at index {int(bad[0])} "
+                    f"({v[t, bad[0]]})")
+            if not np.isfinite(bound[t]):  # finite parts, an overflowing sum
+                raise ValueError(f"{row}the amplitude bound |h_d| + sum "
+                                 f"|v_n| must be finite, got {bound[t]}")
+            zero = np.flatnonzero(amp[t] == 0.0)
+            raise ValueError(f"{row}element coefficients must be nonzero: "
+                             f"{zero.size} zero, the first at index {zero[0]}")
         h_d.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "h_d", h_d)
@@ -264,10 +261,10 @@ class RealizationBatch:
 
 
 def as_batch(real) -> Tuple[RealizationBatch, bool]:
-    """(batch, single): a realization as the one-row batch, a batch as is."""
+    """(batch, single): a realization's one-row batch, a batch as is."""
     if isinstance(real, RealizationBatch):
         return real, False
-    return RealizationBatch(np.array([real.h_d]), real.v[None, :]), True
+    return real._batch, True
 
 
 def check_schema(doc, what: str, version: int = SCHEMA_VERSION) -> None:

@@ -6,11 +6,11 @@ family), the solvers to compare, and a sweep axis; run_scenario samples
 requested solver, and aggregates spectral-efficiency statistics into
 ResultRows.  The trials of a point are sampled and solved in blocks: one
 sample_realization call draws a block's range of trials as a
-RealizationBatch, and one call of each solver solves it, bit-identical to
-sampling and solving the trials one at a time.  The blocks of every point
-form one task list, mapped in this process or over one worker pool.
-Output is CSV plus a JSON metadata sidecar; the CSV is a pure function of
-(scenario, seed) so repeated runs are byte-identical.
+RealizationBatch, and one call of each solver and of the empty ratio takes
+it, bit-identical to sampling and solving the trials one at a time.  The
+blocks of every point form one task list, mapped in this process or over
+one worker pool.  Output is CSV plus a JSON metadata sidecar; the CSV is a
+pure function of (scenario, seed) so repeated runs are byte-identical.
 """
 
 import json
@@ -26,10 +26,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .analysis import empty_regions, measured_empty_ratio
-from .channel import (ChannelRealization, LinkBudget, PhaseShiftSet,
-                      check_json_keys, check_schema, json_bool, json_int,
-                      json_list, json_number, json_numbers, json_str,
-                      sample_realization)
+from .channel import (LinkBudget, PhaseShiftSet, check_json_keys,
+                      check_schema, json_bool, json_int, json_list,
+                      json_number, json_numbers, json_str, sample_realization)
 from .metrics import performance_gain
 from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, continuous_upper_bound,
                         cpp_optimize, exhaustive_fits, exhaustive_optimize,
@@ -237,15 +236,12 @@ def _solve_trial(scenario: Scenario, point: tuple, trials: range
     """Columns for a block of trials: |h| per solver, and "empty_ratio".
 
     The block is sampled by one call, each row from its own (seed, trial)
-    stream, and solved by one call of each batched solver the plan's point
-    runs.  Exhaustive search and the empty ratio run per trial, on the
-    batch's rows.
+    stream, and solved by one call of each solver the plan's point runs;
+    one call of empty_regions and measured_empty_ratio gives the empty
+    ratio of every row.  Each column has shape (T,).
     """
     budget, n, phases, solvers = point
     batch = sample_realization(budget, n, (scenario.seed, trials))
-    if scenario.empty_ratio or "exhaustive" in solvers:
-        reals = [ChannelRealization(h_d, v)
-                 for h_d, v in zip(batch.h_d, batch.v)]
     cols: Dict[str, np.ndarray] = {}
     for solver in solvers:
         if solver == "sweep":
@@ -256,15 +252,13 @@ def _solve_trial(scenario: Scenario, point: tuple, trials: range
             cols[solver] = cpp_optimize(batch, phases,
                                         always_on=True).amplitude
         elif solver == "exhaustive":
-            cols[solver] = np.array(
-                [exhaustive_optimize(r, phases, scenario.exhaustive_cap
-                                     ).amplitude for r in reals])
+            cols[solver] = exhaustive_optimize(
+                batch, phases, scenario.exhaustive_cap).amplitude
         elif solver == "continuous_ub":
             cols[solver] = continuous_upper_bound(batch)
     if scenario.empty_ratio:
-        cols["empty_ratio"] = np.array([measured_empty_ratio(
-            empty_regions(r, phases, float(a))).measured_ratio
-            for r, a in zip(reals, cols["sweep"])])
+        cols["empty_ratio"] = measured_empty_ratio(
+            empty_regions(batch, phases, cols["sweep"])).measured_ratio
     return cols
 
 

@@ -31,8 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
-                      as_batch, overall_h)
+from .channel import OFF, LinkBudget, PhaseShiftSet, as_batch, overall_h
 from .geometry import ANGLE_EPS, TWO_PI, arg_mod_2pi, wrap_angles
 
 HALF_PI = math.pi / 2.0
@@ -43,14 +42,15 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 24
 
 @dataclass(frozen=True)
 class LineTable:
-    """All N*L separation lines of a realization, as arrays.
+    """All N*L separation lines of a realization, or of a batch, as arrays.
 
     Line (n, c) is the direction at which element n's optimal choice
     changes from starting[c] to ending[c] as the direction of the optimal
     channel rotates counterclockwise across it.
 
     Attributes:
-        args: (N, L) line directions in [0, 2*pi), rows in element order.
+        args: (N, L) line directions in [0, 2*pi), rows in element order;
+            (T, N, L) for a RealizationBatch.
         starting: (L,) each column's choice just before its line.
         ending: (L,) each column's choice just past its line.
     """
@@ -159,18 +159,17 @@ def _column_templates(phase_set: PhaseShiftSet):
             np.asarray(ending, dtype=int))
 
 
-def separation_lines(real: ChannelRealization,
-                     phase_set: PhaseShiftSet) -> LineTable:
+def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
     """All separation lines, one row per element, L columns.
 
     L is K when every cyclic phase gap is at most pi and K+1 when one gap
     exceeds pi; it is identical across elements because the gaps depend
-    only on the shared phase set.
+    only on the shared phase set.  A RealizationBatch gives (T, N, L) args.
     """
     if real.n < 1:
         raise ValueError("need at least one element")
     offsets, starting, ending = _column_templates(phase_set)
-    args = wrap_angles(real.element_angles()[:, None] + offsets[None, :])
+    args = wrap_angles(real.element_angles()[..., None] + offsets)
     return LineTable(args, starting, ending)
 
 
@@ -494,34 +493,36 @@ def exhaustive_fits(k: int, n: int, cap: int) -> bool:
     return n < cap.bit_length() and (k + 1) ** n <= cap
 
 
-def exhaustive_optimize(real: ChannelRealization, phase_set: PhaseShiftSet,
+def exhaustive_optimize(real, phase_set: PhaseShiftSet,
                         max_configs: int = DEFAULT_EXHAUSTIVE_CAP) -> SweepResult:
     """Brute force over all (K+1)**N configurations.
 
     Ties in |h| break to the lexicographically smallest configuration
-    (off before phase 1 before phase 2 ...).
+    (off before phase 1 before phase 2 ...), row by row for a batch.
 
     Raises:
         ValueError: if (K+1)**N exceeds max_configs.
     """
-    n, k = real.n, phase_set.k
+    batch, single = as_batch(real)
+    n, k = batch.n, phase_set.k
     if not exhaustive_fits(k, n, max_configs):
         raise ValueError(
             f"(K+1)^N = {k + 1}^{n} exceeds the exhaustive cap {max_configs}")
-    if n == 0:
-        return SweepResult(config=np.zeros(0, dtype=int), h_star=real.h_d)
-
-    phases = np.asarray(phase_set.phases)
-    f_table = real.v[:, None] * np.exp(1j * phases)[None, :]
-    choices = np.concatenate([np.zeros((n, 1), dtype=complex), f_table], axis=1)
-    h = np.asarray(real.h_d, dtype=complex)
-    for idx in range(n):
-        shape = (1,) * idx + (k + 1,) + (1,) * (n - 1 - idx)
-        h = h + choices[idx].reshape(shape)
-    power = (h.real ** 2 + h.imag ** 2).ravel()
-    best = int(np.argmax(power))  # first max: lexicographically smallest
-    config = np.array(np.unravel_index(best, (k + 1,) * n), dtype=int)
-    return SweepResult(config=config, h_star=complex(h.ravel()[best]))
+    units = np.exp(1j * np.asarray(phase_set.phases))[None, :]
+    config = np.zeros((batch.trials, n), dtype=int)
+    h_star = np.empty_like(batch.h_d)
+    for t in range(batch.trials):  # a block table would hold T*(K+1)**N
+        choices = np.concatenate([np.zeros((n, 1), dtype=complex),
+                                  batch.v[t][:, None] * units], axis=1)
+        h = np.asarray(batch.h_d[t])
+        for idx in range(n):
+            shape = (1,) * idx + (k + 1,) + (1,) * (n - 1 - idx)
+            h = h + choices[idx].reshape(shape)
+        power = (h.real ** 2 + h.imag ** 2).ravel()
+        best = int(np.argmax(power))  # first max: lexicographically smallest
+        config[t] = np.unravel_index(best, (k + 1,) * n)
+        h_star[t] = h.ravel()[best]
+    return _result(single, config, h_star)
 
 
 def cpp_optimize(real, phase_set: PhaseShiftSet,

@@ -1,12 +1,15 @@
 """Batched trials: every row of a block equals the one-realization call.
 
-The solvers take a RealizationBatch and solve all its rows as one array
-program; a ChannelRealization is the one-row case.  These tests pin each
-batched row to the single call bit for bit, on ties, zero-width sectors,
-gaps of exactly pi, K = 1, N = 1, N = 0 and zero direct paths, and pin
+The solvers, exhaustive search included, and the empty-region analysis
+take a RealizationBatch and handle all its rows in one call; a
+ChannelRealization is the one-row case, and the batch checks the values
+of both.  These tests pin each batched row to the single call bit for
+bit, on ties, zero-width sectors, gaps of exactly pi, K = 1, N = 1,
+N = 0 and zero direct paths, pin the batch's error messages, and pin
 run_scenario to a plain per-trial loop kept in this file.
 """
 
+import io
 import math
 
 import numpy as np
@@ -19,9 +22,10 @@ from ris_dps import (ChannelRealization, LinkBudget, PhaseShiftSet,
                      RealizationBatch, continuous_upper_bound, cpp_optimize,
                      empty_regions, exhaustive_optimize, measured_empty_ratio,
                      overall_h, performance_gain, sample_realization,
-                     sweep_optimize)
+                     sweep_optimize, write_regions_csv)
 from ris_dps import experiments
 from ris_dps.experiments import ResultRow, Scenario, run_scenario
+from ris_dps.optimizer import exhaustive_fits
 
 PI = math.pi
 
@@ -62,6 +66,7 @@ def test_batch_rows_equal_single_calls(inst):
         # the one-realization formula; np.abs(h_d) may differ in the last bit
         reference = abs(real.h_d) + float(np.abs(real.v).sum())
         assert _bits(bound[t]) == _bits(reference)
+    _same_exhaustive_and_empty_rows(reals, ps, swept.amplitude)
     if any(real.h_d == 0 for real in reals):
         with pytest.raises(ValueError, match="zero direct path"):
             cpp_optimize(batch, ps)
@@ -72,6 +77,34 @@ def test_batch_rows_equal_single_calls(inst):
             one = cpp_optimize(real, ps, always_on=always_on)
             assert np.array_equal(cpp.config[t], one.config)
             assert _bits(cpp.h_star[t]) == _bits(one.h_star)
+
+
+def _same_exhaustive_and_empty_rows(reals, ps, amplitudes, cap=2 ** 12):
+    if exhaustive_fits(ps.k, reals[0].n, cap):
+        found = exhaustive_optimize(stack(reals), ps, cap)
+        for t, real in enumerate(reals):
+            one = exhaustive_optimize(real, ps, cap)
+            assert np.array_equal(found.config[t], one.config)
+            assert _bits(found.h_star[t]) == _bits(one.h_star)
+            assert _bits(found.amplitude[t]) == _bits(one.amplitude)
+    # an optimum of 0 has no empty regions, and N = 0 no lines
+    rows = [t for t, a in enumerate(amplitudes) if a > 0.0]
+    if not rows or reals[0].n == 0:
+        return
+    regions = empty_regions(stack([reals[t] for t in rows]), ps,
+                            amplitudes[rows])
+    report = measured_empty_ratio(regions)
+    for i, t in enumerate(rows):
+        one = empty_regions(reals[t], ps, float(amplitudes[t]))
+        assert _bits(regions.lines.args[i]) == _bits(one.lines.args)
+        assert np.array_equal(regions.lines.starting, one.lines.starting)
+        assert np.array_equal(regions.lines.ending, one.lines.ending)
+        assert _bits(regions.half_width[i]) == _bits(one.half_width)
+        single = measured_empty_ratio(one)
+        for field in ("measured_ratio", "sum_ratio_ub", "overlap_fraction"):
+            assert type(getattr(single, field)) is float
+            assert _bits(getattr(report, field)[i]) == _bits(
+                getattr(single, field))
 
 
 def test_rows_with_coinciding_elements_equal_single_calls():
@@ -134,6 +167,42 @@ def test_batch_is_read_only_and_checked():
         RealizationBatch(np.ones(1), np.array([[1, np.nan]]))
     with pytest.raises(ValueError, match="nonzero"):
         RealizationBatch(np.ones(1), np.array([[1, 0]]))
+    # one row: the messages of ChannelRealization, byte for byte
+    with pytest.raises(ValueError) as one_row:
+        RealizationBatch(np.array([1e308 + 0j]), np.array([[1e308 + 0j] * 2]))
+    assert str(one_row.value) == ("the amplitude bound |h_d| + sum |v_n| "
+                                  "must be finite, got inf")
+    # several rows: the first faulty row is named
+    v = np.ones((3, 4), dtype=complex)
+    for bad, message in ((0j, "row 2: element coefficients must be nonzero: "
+                               "1 zero, the first at index 1"),
+                         (complex(np.nan, 0.0), "row 2: element coefficients "
+                          "must be finite: 1 non-finite, the first at index "
+                          "1 ((nan+0j))")):
+        v[2, 1] = bad
+        with pytest.raises(ValueError) as rows:
+            RealizationBatch(np.ones(3), v)
+        assert str(rows.value) == message
+    with pytest.raises(ValueError, match=r"^row 1: direct path h_d must be "
+                                         r"finite, got \(inf\+0j\)$"):
+        RealizationBatch(np.array([1.0, np.inf]), np.ones((2, 1)))
+
+
+def test_batch_regions_take_one_amplitude_per_row():
+    batch = stack([ChannelRealization(1, [1j, 2]),
+                   ChannelRealization(0.5, [1, 1j])])
+    ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
+    regions = empty_regions(batch, ps, np.array([3.0, 2.0]))
+    assert regions.half_width.shape == regions.lines.args.shape == (2, 2, 3)
+    assert measured_empty_ratio(regions).measured_ratio.shape == (2,)
+    with pytest.raises(ValueError, match="positive and finite, got 0.0"):
+        empty_regions(batch, ps, np.array([3.0, 0.0]))
+    with pytest.raises(ValueError):  # one amplitude per row
+        empty_regions(batch, ps, np.ones(3))
+    with pytest.raises(ValueError):  # and one for one realization
+        empty_regions(ChannelRealization(1, [1j, 2]), ps, np.ones(2))
+    with pytest.raises(ValueError, match="one realization's regions"):
+        write_regions_csv(regions, io.StringIO())
 
 
 def test_instrument_rejects_a_batch():
