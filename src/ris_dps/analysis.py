@@ -119,8 +119,8 @@ def circle_union_length(arcs: Union[np.ndarray,
 
 def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap."""
-    trials = regions.half_width.shape[:-2]
-    widths = regions.half_width.reshape(math.prod(trials), -1)
+    *trials, n, l = regions.half_width.shape
+    widths = regions.half_width.reshape(math.prod(trials), n * l)
     fields = []
     for centers, row in zip(regions.lines.args.reshape(widths.shape), widths):
         union = circle_union_length(
@@ -128,7 +128,8 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
         summed = 2.0 * _running_total(row)
         overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
         fields.append((union / TWO_PI, summed / TWO_PI, overlap))
-    return EmptyRatioReport(*(np.array(fields).T if trials else fields[0]))
+    return EmptyRatioReport(*(np.reshape(fields, (-1, 3)).T if trials
+                              else fields[0]))
 
 
 def empty_ratio_upper_bound_approx(k: int) -> float:

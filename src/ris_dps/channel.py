@@ -166,7 +166,7 @@ class ChannelRealization:
 
     def element_angles(self) -> np.ndarray:
         """Arguments of the v_n, reduced to [0, 2*pi)."""
-        return wrap_angles(np.angle(self.v))
+        return self._batch.element_angles()[0]
 
     def to_json(self) -> dict:
         return {

@@ -256,7 +256,9 @@ def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
     """Per-element choices toward theta; angles (..., N), theta (...)."""
     theta = np.asarray(theta)[..., None, None]
     # angle between each candidate vector and the direction; (..., N, K)
-    x = (element_angles[..., None] + phases - theta) % TWO_PI
+    x = wrap_angles(element_angles[..., None] + phases - theta)
+    # A float modulo can return exactly 2*pi, which the wrap maps to 0;
+    # both give an angle of +0.0, so ang keeps the modulo's bits.
     ang = np.minimum(x, TWO_PI - x)
     best = np.argmin(ang, axis=-1)  # first occurrence: lowest phase index
     if always_on:
@@ -295,7 +297,8 @@ def _argsort_line_order(args: np.ndarray):
     of length N*L along the last axis: flat = row * L + column of each
     line in sweep order, and the arguments in that order.
     """
-    return _argsort_rows(args.reshape(*args.shape[:-2], -1))
+    *lead, n, l = args.shape
+    return _argsort_rows(args.reshape(*lead, n * l))
 
 
 def _config_before(position: np.ndarray, stop, col_end: np.ndarray,
@@ -415,8 +418,8 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # multiply may round differently by operand layout, and this layout
     # gives every row the bits of the one-realization product.
     g_table = np.zeros((t, n, phases.size + 1), dtype=complex)
-    g_table[:, :, 1:] = (vv.reshape(-1, 1)
-                         * np.exp(1j * phases)[None, :]).reshape(t, n, -1)
+    g_table[:, :, 1:] = (vv.reshape(-1, 1) * np.exp(1j * phases)[None, :]
+                         ).reshape(t, n, phases.size)
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its

@@ -205,6 +205,25 @@ def test_batch_regions_take_one_amplitude_per_row():
         write_regions_csv(regions, io.StringIO())
 
 
+def test_zero_trials_give_empty_fields():
+    n = 3
+    batch = sample_realization(LinkBudget(0.0, 0.0, 0.0, 100.0), n,
+                               (7, range(0)))
+    assert (batch.trials, batch.n) == (0, n)
+    ps = PhaseShiftSet((0.0, PI / 3, 2 * PI / 3))  # a gap above pi: L = 4
+    for result in (sweep_optimize(batch, ps), cpp_optimize(batch, ps),
+                   exhaustive_optimize(batch, ps)):
+        assert result.config.shape == (0, n)
+        assert result.h_star.shape == result.amplitude.shape == (0,)
+    assert sweep_optimize(batch, ps).sector_index.shape == (0,)
+    assert continuous_upper_bound(batch).shape == (0,)
+    regions = empty_regions(batch, ps, np.ones(0))
+    assert regions.half_width.shape == regions.lines.args.shape == (0, n, 4)
+    report = measured_empty_ratio(regions)
+    for field in ("measured_ratio", "sum_ratio_ub", "overlap_fraction"):
+        assert getattr(report, field).shape == (0,)
+
+
 def test_instrument_rejects_a_batch():
     real = ChannelRealization(1, [1j, 2])
     batch = stack([real, real])

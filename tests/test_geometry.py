@@ -1,10 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scalar_reference import angle_between
-from ris_dps import TWO_PI, arg_mod_2pi, unit_from_arg, wrap_angle
+from ris_dps import (PhaseShiftSet, TWO_PI, arg_mod_2pi, unit_from_arg,
+                     wrap_angle)
+from ris_dps import geometry
+from ris_dps.geometry import wrap_angles
+from ris_dps.optimizer import _column_templates
 
 nonzero_vectors = st.builds(
     complex,
@@ -50,6 +55,59 @@ def test_wrap_angle_edges():
     assert wrap_angle(TWO_PI) == 0.0
     assert wrap_angle(-1e-20) < TWO_PI
     assert wrap_angle(-0.1) == pytest.approx(TWO_PI - 0.1)
+
+
+def _modulo_wrap(theta):
+    """The float-modulo wrap: theta % 2*pi, a result of 2*pi mapped to 0."""
+    t = theta % TWO_PI
+    t[t >= TWO_PI] = 0.0
+    return t
+
+
+def _assert_wraps_like_the_modulo(theta):
+    theta = np.array(theta, dtype=float)
+    before = theta.copy()
+    wrapped = wrap_angles(theta)
+    assert np.array_equal(wrapped.view(np.uint64),
+                          _modulo_wrap(theta).view(np.uint64))
+    assert np.array_equal(theta.view(np.uint64), before.view(np.uint64))
+
+
+@given(st.lists(st.floats(-TWO_PI, 3 * TWO_PI, exclude_min=True,
+                          exclude_max=True), max_size=40))
+@example([-0.0, 0.0])
+@example([5e-324, -5e-324])
+@example([-1e-17, -1e-14, 1e-14])
+@example([np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 7.0)])
+@example([np.nextafter(2 * TWO_PI, 0.0), 2 * TWO_PI,
+          np.nextafter(2 * TWO_PI, 13.0)])
+@example([np.nextafter(-TWO_PI, 0.0), np.nextafter(3 * TWO_PI, 0.0),
+          -TWO_PI + 1e-14, TWO_PI - 1e-14, 2 * TWO_PI + 1e-14])
+def test_wrap_angles_equals_the_modulo_in_its_fast_domain(theta):
+    _assert_wraps_like_the_modulo(theta)
+
+
+@pytest.mark.parametrize("theta", [
+    [-7.0, 1.0], [3 * TWO_PI, 0.5], [1e6, -1e6, 2.0], [-TWO_PI, 0.1],
+    [0.3, math.nan, 4.0], [-1e300, 5e-324, -0.0], [math.inf, 1.0]])
+def test_wrap_angles_falls_back_to_the_modulo_out_of_range(monkeypatch,
+                                                           theta):
+    # Shifts that would corrupt any fast-path result: a match shows the
+    # fallback ran.
+    monkeypatch.setattr(geometry, "_SHIFTS", np.full(4, math.nan))
+    with np.errstate(invalid="ignore"):  # inf % 2*pi is NaN
+        _assert_wraps_like_the_modulo(theta)
+
+
+def test_line_arguments_stay_in_the_fast_domain():
+    # The largest column offset: K = 1 (one gap of 2*pi, above pi) with
+    # its phase just below 2*pi puts the off-region's closing line at
+    # phase + 1.5*pi.  Added to an element angle just below 2*pi, it stays
+    # below the fast domain's upper end, 6*pi.
+    below = np.nextafter(TWO_PI, 0.0)
+    offsets, _, _ = _column_templates(PhaseShiftSet((below,)))
+    assert offsets.max() <= 3.5 * math.pi
+    assert below + offsets.max() < 3 * TWO_PI
 
 
 @given(nonzero_vectors, nonzero_vectors)
