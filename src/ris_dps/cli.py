@@ -116,14 +116,15 @@ def _cmd_run(args) -> int:
 def _cmd_solve(args) -> int:
     real = _load_realization(args.input)
     phases = parse_phases(args.phases)
-    if args.solver == "sweep":
-        result = sweep_optimize(real, phases)
-    elif args.solver == "cpp":
-        result = cpp_optimize(real, phases)
-    elif args.solver == "cpp_always_on":
-        result = cpp_optimize(real, phases, always_on=True)
-    else:
-        result = exhaustive_optimize(real, phases)
+    with _naming(args.input):
+        if args.solver == "sweep":
+            result = sweep_optimize(real, phases)
+        elif args.solver == "cpp":
+            result = cpp_optimize(real, phases)
+        elif args.solver == "cpp_always_on":
+            result = cpp_optimize(real, phases, always_on=True)
+        else:
+            result = exhaustive_optimize(real, phases)
     budget = None
     if args.snr_budget_db is not None:
         budget = LinkBudget(0.0, 0.0, 0.0, args.snr_budget_db,
@@ -142,11 +143,12 @@ def _cmd_solve(args) -> int:
 def _cmd_regions(args) -> int:
     real = _load_realization(args.input)
     phases = parse_phases(args.phases)
-    if args.use_upper_bound:
-        h_amp = continuous_upper_bound(real)
-    else:
-        h_amp = sweep_optimize(real, phases).amplitude
-    regions = empty_regions(real, phases, h_amp)
+    with _naming(args.input):
+        if args.use_upper_bound:
+            h_amp = continuous_upper_bound(real)
+        else:
+            h_amp = sweep_optimize(real, phases).amplitude
+        regions = empty_regions(real, phases, h_amp)
     if args.out:
         with open(args.out, "w") as fh:
             write_regions_csv(regions, fh)

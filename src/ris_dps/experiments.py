@@ -91,6 +91,10 @@ class Scenario:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be a non-negative integer, "
                                  f"got {getattr(self, name)!r}")
+        # (K+1)^N complex sums per exhaustive table: 2**24 is ~270 MB
+        if not 1 <= self.exhaustive_cap <= DEFAULT_EXHAUSTIVE_CAP:
+            raise ValueError(f"exhaustive_cap must be between 1 and 2**24, "
+                             f"got {self.exhaustive_cap!r}")
         if self.mode not in ("curve", "regions"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "regions":
@@ -129,6 +133,10 @@ class Scenario:
                           for j, g in enumerate(x)]
             else:
                 coords = [json_number(x, what)]
+            if self.empty_ratio and n == 0:  # a ratio of no lines
+                field = what if self.axis == "n_elements" else "n_elements"
+                raise ValueError(f"{field} must be at least 1 with "
+                                 "empty_ratio on, got 0")
             try:  # a bad gap or budget
                 if gap_axis:
                     phases = PhaseShiftSet.from_gaps(coords)

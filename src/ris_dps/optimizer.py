@@ -17,14 +17,12 @@ stable argsort: NumPy's default (SIMD) argsort sorts every row, and only
 a row with two equal values, where the orders can differ, is sorted again
 stably.  Every solver runs on a (T, N) block of realizations (a
 RealizationBatch) with the same kernel; a single ChannelRealization is
-the one-row block.  The rotation + min-heap merge (O(N*L*log L)
-comparisons) stays as the counted reference sort:
-``sweep_optimize(..., instrument=True)`` runs it beside the argsort, not
-instead of it, and checks that both give the same order, so the result
-never depends on the switch.
+the one-row block.  The line argsort gives the order of the paper's
+column rotation and min-heap merge (O(N*L*log L) comparisons), ties by
+element and then column.  ``sweep_optimize(..., instrument=True)``
+observes that one kernel, so the result never depends on the switch.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -65,8 +63,6 @@ class SweepCounters:
     """Operation counts recorded by an instrumented sweep."""
 
     vector_additions: int = 0
-    heap_comparisons: int = 0
-    rotation_comparisons: int = 0
     scratch_recomputes: int = 0
 
 
@@ -173,84 +169,6 @@ def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
     return LineTable(args, starting, ending)
 
 
-class _CountingKey:
-    """Heap key that counts how many times the heap compares it."""
-
-    __slots__ = ("key", "counters")
-
-    def __init__(self, key, counters):
-        self.key = key
-        self.counters = counters
-
-    def __lt__(self, other):
-        self.counters.heap_comparisons += 1
-        return self.key < other.key
-
-
-def _column_rotation(col: np.ndarray) -> np.ndarray:
-    """Row order that rotates a single-break cyclic column into sorted order.
-
-    Rows past the break whose argument wrapped onto the first row's (a
-    rounding tie at the seam) follow the equal rows before the break, so
-    equal arguments stay in row order.
-
-    Raises ValueError if the column has more than one cyclic descent,
-    which means the matrix rows were not sorted by element angle.
-    """
-    desc = np.nonzero(np.diff(col) < 0)[0]
-    if desc.size > 1 or (desc.size == 1 and col[-1] > col[0]):
-        raise ValueError(
-            "separation-line rows are not sorted by element angle")
-    n = col.size
-    if not desc.size:
-        return np.arange(n)
-    start = int(desc[0]) + 1
-    tied_tail = n - int(np.searchsorted(col[start:], col[0])) - start
-    tied_head = int(np.searchsorted(col[:start], col[0], side="right"))
-    return np.concatenate([np.arange(start, n - tied_tail),
-                           np.arange(0, tied_head),
-                           np.arange(n - tied_tail, n),
-                           np.arange(tied_head, start)])
-
-
-def _sorted_line_order(args: np.ndarray, counters: Optional[SweepCounters]):
-    """Order the N x L argument matrix ascending, ties by (row, column).
-
-    Each column is rotated into sorted order around its single break
-    (O(N) per column), then the L sorted runs are merged with a min-heap.
-    The rows must be in element-angle order, as sweep_optimize puts them;
-    a column more than one rotation away from sorted raises ValueError.
-    Returns (rows, cols) index arrays of length N*L.
-    """
-    n, l = args.shape
-    col_orders = [_column_rotation(args[:, c]) for c in range(l)]
-    if counters is not None:
-        # N-1 in-column comparisons plus the wraparound check, per column.
-        counters.rotation_comparisons += n * l
-
-    arglist = args.tolist()
-    pos = [0] * l
-
-    def entry(c: int):
-        r = int(col_orders[c][pos[c]])
-        key = (arglist[r][c], r, c)
-        return _CountingKey(key, counters) if counters is not None else key
-
-    heap = [entry(c) for c in range(l)]
-    heapq.heapify(heap)
-    rows = np.empty(n * l, dtype=int)
-    cols = np.empty(n * l, dtype=int)
-    for out in range(n * l):
-        item = heapq.heappop(heap)
-        _, r, c = item.key if counters is not None else item
-        rows[out] = r
-        cols[out] = c
-        pos[c] += 1
-        if pos[c] < n:
-            heapq.heappush(heap, entry(c))
-    return rows, cols
-
-
 def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
                           theta, always_on: bool = False) -> np.ndarray:
     """Per-element choices toward theta; angles (..., N), theta (...)."""
@@ -292,7 +210,7 @@ def _argsort_line_order(args: np.ndarray):
 
     A stable argsort of the row-major flattened matrix (by _argsort_rows):
     row-major order makes the flat index break ties by (row, column),
-    exactly the rule of the rotation + heap merge in _sorted_line_order.
+    exactly the rule of the paper's rotation + heap merge.
     args may carry leading batch axes.  Returns (flat, sorted_args), both
     of length N*L along the last axis: flat = row * L + column of each
     line in sweep order, and the arguments in that order.
@@ -315,8 +233,7 @@ def _config_before(position: np.ndarray, stop, col_end: np.ndarray,
     return np.where(crossed.any(axis=-1), col_end[last], cfg0)
 
 
-def _sorted_lines(batch, offsets: np.ndarray,
-                  counters: Optional[SweepCounters]):
+def _sorted_lines(batch, offsets: np.ndarray):
     """Each row's elements in angle order and its lines in sweep order.
 
     Both sorts go through _argsort_rows, so they give a stable argsort's
@@ -327,17 +244,13 @@ def _sorted_lines(batch, offsets: np.ndarray,
     each line in ascending order of argument, and flat = rows * L + cols
     its index in the row-major line table; valid is False where a line
     sits at the same argument as the one before it, so the sector between
-    them has zero width.  With counters, row 0 is also ordered by the
-    counted reference sort, which must agree.
+    them has zero width.
     """
     order, angles = _argsort_rows(batch.element_angles())
     vv = np.take_along_axis(batch.v, order, axis=1)
     args = wrap_angles(angles[:, :, None] + offsets)
     flat, sorted_args = _argsort_line_order(args)
     rows, cols = np.divmod(flat, offsets.size)
-    if counters is not None and not np.array_equal(
-            _sorted_line_order(args[0], counters), (rows[0], cols[0])):
-        raise RuntimeError("line order differs from the reference sort")
     valid = np.ones(flat.shape, dtype=bool)
     valid[:, 1:] = sorted_args[:, 1:] != sorted_args[:, :-1]
     return order, vv, flat, rows, cols, valid
@@ -375,16 +288,15 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
         real: a ChannelRealization, or a RealizationBatch for one result
             per row.
         instrument: observe the sweep without changing its result (one
-            realization only; a batch raises ValueError).  The counted
-            reference sort (the rotation + min-heap merge,
-            O(N*L*log L) comparisons) runs beside the argsort, and the
-            channel is recomputed from scratch every ceil(N/4) crossings;
-            RuntimeError is raised if the two orders differ or if the
-            incremental channel has drifted by more than 1e-9 relative to
-            the summed vector scale (the channel itself can pass through
-            zero mid-sweep).  The operation counters, the per-sector |h|
-            diagnostics and the full-cycle channel (which must agree with
-            the starting one up to float drift) are attached.
+            realization only; a batch raises ValueError).  The channel
+            is recomputed from scratch every ceil(N/4) crossings, and
+            RuntimeError is raised if the incremental channel has drifted
+            by more than 1e-9 relative to the summed vector scale (the
+            channel itself can pass through zero mid-sweep).  The
+            operation counters (vector additions and scratch recomputes),
+            the per-sector |h| diagnostics and the full-cycle channel
+            (which must agree with the starting one up to float drift) are
+            attached.
 
     Returns:
         SweepResult with |h_star| maximal over all sectors; ties break to
@@ -409,8 +321,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     m = n * l
-    order, vv, flat, rows, cols, valid = _sorted_lines(
-        batch, offsets, counters if instrument else None)
+    order, vv, flat, rows, cols, valid = _sorted_lines(batch, offsets)
     trial = np.arange(t)[:, None]
 
     # Contribution of every element under every choice (column 0: off).

@@ -38,6 +38,30 @@ def child_env() -> dict:
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
+def coinciding_blocks():
+    """Two (4, 6) element blocks whose rows hold ties.
+
+    In the first, row 2 has three coinciding elements; the other rows are
+    tie-free.  In the second, a copy, element 3 of every row lies on
+    element 5's ray at half its amplitude.  Coinciding elements tie in the
+    element sort and give coinciding lines (zero-width sectors).
+    """
+    rng = np.random.default_rng(23)
+    angles = rng.uniform(0.0, TWO_PI, (4, 6))
+    angles[2, [1, 4]] = angles[2, 0]
+    amps = rng.uniform(0.2, 2.0, (4, 6))
+    v = amps * np.exp(1j * angles)
+    tied = v.copy()
+    tied[:, 3] = tied[:, 5] * 0.5
+    return v, tied
+
+
+#: The phase sets coinciding_blocks is solved with: one gap above pi, and
+#: a uniform set.
+COINCIDING_SETS = (PhaseShiftSet((PI / 6, 5 * PI / 6)),
+                   PhaseShiftSet((0.0, 2 * PI / 3, 4 * PI / 3)))
+
+
 GRID = [i * TWO_PI / 24 for i in range(24)]
 
 FIXED_SETS = (

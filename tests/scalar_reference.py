@@ -10,17 +10,22 @@ and empty_regions say so):
     config_given_direction            the per-element rule at a direction
     omega_small_gap, omega_large_gap  one empty-region half-width
     stack                             realizations as the rows of a batch
+    sorted_line_order                 the paper's counted line sort
+    sweep_line_args                   the line table in the sweep's row order
 """
 
+import heapq
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
                      PhaseShiftSet, RealizationBatch, arg_mod_2pi,
-                     unit_from_arg, wrap_angle)
+                     separation_lines, unit_from_arg, wrap_angle)
 from ris_dps.analysis import _check_h_star
-from ris_dps.optimizer import _config_for_direction
+from ris_dps.optimizer import _argsort_rows, _config_for_direction
 
 
 def phase_of(phase_set: PhaseShiftSet, index: int) -> float:
@@ -151,3 +156,104 @@ def stack(reals) -> RealizationBatch:
                          f"N in {sorted(counts)}")
     return RealizationBatch(np.array([r.h_d for r in reals], dtype=complex),
                             np.stack([r.v for r in reals]))
+
+
+@dataclass
+class SortComparisons:
+    """Comparisons made by sorted_line_order."""
+
+    heap: int = 0
+    rotation: int = 0
+
+
+class _CountingKey:
+    """Heap key that counts how many times the heap compares it."""
+
+    __slots__ = ("key", "counts")
+
+    def __init__(self, key, counts: SortComparisons):
+        self.key = key
+        self.counts = counts
+
+    def __lt__(self, other):
+        self.counts.heap += 1
+        return self.key < other.key
+
+
+def column_rotation(col: np.ndarray) -> np.ndarray:
+    """Row order that rotates a single-break cyclic column into sorted order.
+
+    Rows past the break whose argument wrapped onto the first row's (a
+    rounding tie at the seam) follow the equal rows before the break, so
+    equal arguments stay in row order.
+
+    Raises ValueError if the column has more than one cyclic descent,
+    which means the matrix rows were not sorted by element angle.
+    """
+    desc = np.nonzero(np.diff(col) < 0)[0]
+    if desc.size > 1 or (desc.size == 1 and col[-1] > col[0]):
+        raise ValueError(
+            "separation-line rows are not sorted by element angle")
+    n = col.size
+    if not desc.size:
+        return np.arange(n)
+    start = int(desc[0]) + 1
+    tied_tail = n - int(np.searchsorted(col[start:], col[0])) - start
+    tied_head = int(np.searchsorted(col[:start], col[0], side="right"))
+    return np.concatenate([np.arange(start, n - tied_tail),
+                           np.arange(0, tied_head),
+                           np.arange(n - tied_tail, n),
+                           np.arange(tied_head, start)])
+
+
+def sorted_line_order(args: np.ndarray,
+                      counts: Optional[SortComparisons] = None):
+    """Order the N x L argument matrix ascending, ties by (row, column).
+
+    The paper's line sort: each column is rotated into sorted order
+    around its single break (O(N) per column), then the L sorted runs are
+    merged with a min-heap (O(N*L*log L) comparisons).  The rows must be
+    in element-angle order (see sweep_line_args); a column more than one
+    rotation away from sorted raises ValueError.  With counts, the heap's
+    comparisons and the N*L in-column checks are added to it.  Returns
+    (rows, cols) index arrays of length N*L.
+    """
+    n, l = args.shape
+    col_orders = [column_rotation(args[:, c]) for c in range(l)]
+    if counts is not None:
+        # N-1 in-column comparisons plus the wraparound check, per column.
+        counts.rotation += n * l
+
+    arglist = args.tolist()
+    pos = [0] * l
+
+    def entry(c: int):
+        r = int(col_orders[c][pos[c]])
+        key = (arglist[r][c], r, c)
+        return _CountingKey(key, counts) if counts is not None else key
+
+    heap = [entry(c) for c in range(l)]
+    heapq.heapify(heap)
+    rows = np.empty(n * l, dtype=int)
+    cols = np.empty(n * l, dtype=int)
+    for out in range(n * l):
+        item = heapq.heappop(heap)
+        _, r, c = item.key if counts is not None else item
+        rows[out] = r
+        cols[out] = c
+        pos[c] += 1
+        if pos[c] < n:
+            heapq.heappush(heap, entry(c))
+    return rows, cols
+
+
+def sweep_line_args(real: ChannelRealization,
+                    phase_set: PhaseShiftSet) -> np.ndarray:
+    """The (N, L) line arguments with the elements in the sweep's order.
+
+    The elements are ordered by the sweep's own sorter (a stable argsort
+    of their angles), so these are the arguments sweep_optimize sorts.
+    """
+    order, _ = _argsort_rows(real.element_angles())
+    return separation_lines(ChannelRealization(real.h_d, real.v[order]),
+                            phase_set).args

@@ -13,6 +13,8 @@ import time
 import numpy as np
 
 from conftest import random_instance
+from scalar_reference import (SortComparisons, sorted_line_order,
+                              sweep_line_args)
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      arg_mod_2pi, circular_distance,
                      empty_ratio_upper_bound_approx, empty_regions,
@@ -183,8 +185,9 @@ def test_uniform_set_keeps_every_element_on():
 
 def test_operation_budget():
     # the candidate chain costs exactly N + 2*N*L vector additions; the
-    # line sort is a rotation plus a min-heap merge with O(N*L*log L)
-    # comparisons, scaling linearly in N
+    # line sort, whose order the sweep's argsort gives, is a rotation plus
+    # a min-heap merge with O(N*L*log L) comparisons, scaling linearly in
+    # N: counted by the reference sort on the sweep's element order
     rng = np.random.default_rng(20_007)
     details = []
     ok = True
@@ -198,9 +201,11 @@ def test_operation_budget():
             l = separation_lines(real, ps).args.shape[1]
             adds = res.counters.vector_additions
             ok &= adds == n + 2 * n * l
-            heap = res.counters.heap_comparisons
+            counts = SortComparisons()
+            sorted_line_order(sweep_line_args(real, ps), counts)
+            heap = counts.heap
             ok &= heap <= 3.0 * n * l * max(1.0, math.log2(l))
-            ok &= res.counters.rotation_comparisons == n * l
+            ok &= counts.rotation == n * l
             comps[n] = heap
         # linear in N: growing 10x the elements grows comparisons ~10x
         ok &= comps[1000] <= 12 * comps[100]

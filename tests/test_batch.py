@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import batches
+from conftest import COINCIDING_SETS, batches, coinciding_blocks
 from scalar_reference import stack
 from ris_dps import (ChannelRealization, LinkBudget, PhaseShiftSet,
                      RealizationBatch, continuous_upper_bound, cpp_optimize,
@@ -111,15 +111,8 @@ def test_rows_with_coinciding_elements_equal_single_calls():
     # Coinciding elements tie in the element sort and give coinciding lines
     # (zero-width sectors), so their rows take the stable re-sort; the
     # other rows are tie-free and keep the default argsort's order.
-    rng = np.random.default_rng(23)
-    angles = rng.uniform(0.0, 2 * PI, (4, 6))
-    angles[2, [1, 4]] = angles[2, 0]
-    amps = rng.uniform(0.2, 2.0, (4, 6))
-    v = amps * np.exp(1j * angles)
-    tied = v.copy()
-    tied[:, 3] = tied[:, 5] * 0.5
-    for ps in (PhaseShiftSet((PI / 6, 5 * PI / 6)),
-               PhaseShiftSet((0.0, 2 * PI / 3, 4 * PI / 3))):
+    v, tied = coinciding_blocks()
+    for ps in COINCIDING_SETS:
         for h_d, block in ((np.full(4, 0.3 + 0.2j), v), (np.zeros(4), tied)):
             reals = [ChannelRealization(h, row) for h, row in zip(h_d, block)]
             _same_sweep_rows(sweep_optimize(RealizationBatch(h_d, block), ps),

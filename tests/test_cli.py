@@ -316,6 +316,34 @@ def test_unusable_realization_names_the_file(tmp_path, capsys):
             assert captured.err == f"ris-dps: error: {path}: {message}\n"
 
 
+def test_solve_and_regions_errors_name_the_input(tmp_path, capsys):
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(_realization_doc(0.0, [1.0, -2.0])))
+    assert main(["solve", "--input", str(path), "--phases", "pi/6,5pi/6",
+                 "--solver", "cpp"]) == 1
+    assert capsys.readouterr().err == (
+        f"ris-dps: error: {path}: zero direct path: projection direction "
+        "undefined; use sweep_optimize\n")
+    path.write_text(json.dumps(_realization_doc(1.0, [])))
+    for bound in ([], ["--use-upper-bound"]):
+        assert main(["regions", "--input", str(path),
+                     "--phases", "pi/6,5pi/6"] + bound) == 1
+        assert capsys.readouterr().err == (
+            f"ris-dps: error: {path}: need at least one element\n")
+
+
+def test_empty_ratio_of_no_elements_is_rejected_at_load(tmp_path, capsys):
+    doc = {**scenario_doc(), "solvers": ["sweep"], "empty_ratio": True,
+           "sweep": {"axis": "n_elements", "values": [2, 0]}}
+    spath = tmp_path / "z.json"
+    spath.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(spath), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"ris-dps: error: {spath}: sweep.values[1] must be at least 1 with "
+        "empty_ratio on, got 0\n")
+    assert not (tmp_path / "smoke.csv").exists()
+
+
 def test_capacity_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
     path = tmp_path / "real.json"
     path.write_text(json.dumps(_realization_doc(1e200, [1e200])))

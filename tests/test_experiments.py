@@ -173,11 +173,31 @@ def test_scenario_json_names_unconvertible_fields():
      r"sweep.values\[0\]: the capacity overflows: .*gain_tx_ris_db \+ "
      r"gain_ris_rx_db = 3100.0 and N = 2"),
     ("trials", 2 ** 32 + 1,
-     r"trials must be between 1 and 2\*\*32, got 4294967297")])
+     r"trials must be between 1 and 2\*\*32, got 4294967297"),
+    ("exhaustive_cap", 0,
+     r"exhaustive_cap must be between 1 and 2\*\*24, got 0"),
+    ("exhaustive_cap", 4 ** 20,
+     r"exhaustive_cap must be between 1 and 2\*\*24, got 1099511627776")])
 def test_scenario_json_checks_types(key, value, message):
     doc = json.loads(json.dumps(tiny_scenario().to_json()))
     with pytest.raises(ValueError, match=message):
         Scenario.from_json({**doc, key: value})
+
+
+def test_scenario_json_rejects_an_empty_ratio_of_no_elements():
+    doc = {**json.loads(json.dumps(tiny_scenario().to_json())),
+           "solvers": ["sweep"], "empty_ratio": True}
+    with pytest.raises(ValueError, match=r"^sweep.values\[1\] must be at "
+                                         "least 1 with empty_ratio on, got 0$"):
+        Scenario.from_json({**doc, "sweep": {"axis": "n_elements",
+                                             "values": [3, 0]}})
+    with pytest.raises(ValueError, match="^n_elements must be at least 1 "
+                                         "with empty_ratio on, got 0$"):
+        Scenario.from_json({**doc, "n_elements": 0, "sweep": {
+            "axis": "snr_budget_db", "values": [90.0]}})
+    # without the ratio, N = 0 is a valid point
+    Scenario.from_json({**doc, "empty_ratio": False,
+                        "sweep": {"axis": "n_elements", "values": [0]}})
 
 
 @pytest.mark.parametrize("key,value", [

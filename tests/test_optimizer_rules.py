@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from scalar_reference import config_given_direction
-from ris_dps import (OFF, ChannelRealization, PhaseShiftSet, SweepCounters,
-                     separation_lines)
-from ris_dps.optimizer import _sorted_line_order
+from scalar_reference import (SortComparisons, config_given_direction,
+                              sorted_line_order)
+from ris_dps import OFF, ChannelRealization, PhaseShiftSet, separation_lines
 
 PI = math.pi
 
@@ -100,13 +99,13 @@ class TestSeparationLines:
             separation_lines(ChannelRealization(1 + 0j, []), PhaseShiftSet((0.0,)))
 
 
-def sorted_args(columns, counters=None):
+def sorted_args(columns, counts=None):
     """Run the reference sort on an N x L matrix given column by column.
 
     Returns the (argument, row, column) of every line in sorted order.
     """
     args = np.array(columns, dtype=float).T
-    rows, cols = _sorted_line_order(args, counters)
+    rows, cols = sorted_line_order(args, counts)
     return [(args[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
@@ -154,7 +153,7 @@ class TestSortSeparationLines:
         va = np.sort(rng.uniform(0, 2 * PI, 64))
         offsets = rng.uniform(0, 2 * PI, 3)
         args = (va[:, None] + offsets[None, :]) % (2 * PI)
-        counters = SweepCounters()
-        assert sorted_args(args.T) == sorted_args(args.T, counters)
-        assert counters.heap_comparisons > 0
-        assert counters.rotation_comparisons == 64 * 3
+        counts = SortComparisons()
+        assert sorted_args(args.T) == sorted_args(args.T, counts)
+        assert counts.heap > 0
+        assert counts.rotation == 64 * 3

@@ -2,12 +2,12 @@
 
 The sweep orders the elements and the separation lines with a row sorter
 that gives a stable argsort's order: NumPy's default argsort on every row,
-then a stable argsort again on the rows with a tie.  The instrumented sweep
-also runs the rotation + min-heap merge beside it and raises if the two
-orders differ.  These properties pin the row sorter to the stable argsort,
-the line order to the heap merge, and the instrumented sweep to the plain
-sweep's result, including on ties, zero-width sectors, gaps of exactly pi,
-K = 1, N = 1 and a zero direct path.
+then a stable argsort again on the rows with a tie.  These properties pin
+the row sorter to the stable argsort, the line order to the paper's
+rotation + min-heap merge (tests/scalar_reference.py) on the sweep's own
+element order, and the instrumented sweep to the plain sweep's result,
+including on ties, zero-width sectors, gaps of exactly pi, K = 1, N = 1
+and a zero direct path.
 """
 
 import math
@@ -18,30 +18,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ris_dps.optimizer as optimizer
-from conftest import instances
+from conftest import COINCIDING_SETS, coinciding_blocks, instances
+from scalar_reference import sorted_line_order, sweep_line_args
 from ris_dps import (ChannelRealization, PhaseShiftSet, exhaustive_optimize,
-                     separation_lines, sweep_optimize)
+                     sweep_optimize)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
-
-
-def _angle_sorted(real):
-    """The realization with its elements in angle order (the sorter's input)."""
-    order = np.argsort(real.element_angles(), kind="stable")
-    return ChannelRealization(real.h_d, real.v[order])
+_V, _TIED = coinciding_blocks()
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances(max_n=16))
+@given(st.one_of(instances(), instances(max_n=16)))
 @example((ChannelRealization(0j, [1 + 0j]), PhaseShiftSet((0.0,))))
 @example((ChannelRealization(1 + 0j, [1j, 1j, -1j]), PhaseShiftSet((0.0, PI))))
+@example((ChannelRealization(0.5j, [1 + 1j, 1 + 1j]), PhaseShiftSet((0.0, PI))))
+@example((ChannelRealization(0j, [1j, 1j, np.exp(0.3j)]),
+          PhaseShiftSet((0.0, PI))))
+@example((ChannelRealization(0.3 + 0.2j, _V[2]), COINCIDING_SETS[0]))
+@example((ChannelRealization(0.3 + 0.2j, _V[2]), COINCIDING_SETS[1]))
+@example((ChannelRealization(0j, _TIED[0]), COINCIDING_SETS[0]))
+@example((ChannelRealization(0j, _TIED[0]), COINCIDING_SETS[1]))
 def test_argsort_order_matches_heap_merge(inst):
     real, ps = inst
-    args = separation_lines(_angle_sorted(real), ps).args
+    args = sweep_line_args(real, ps)
     flat, _ = optimizer._argsort_line_order(args)
     rows, cols = np.divmod(flat, args.shape[1])
-    ref_rows, ref_cols = optimizer._sorted_line_order(args, None)
+    ref_rows, ref_cols = sorted_line_order(args)
     np.testing.assert_array_equal(rows, ref_rows)
     np.testing.assert_array_equal(cols, ref_cols)
 
@@ -130,18 +133,3 @@ def test_verify_raises_on_drift(monkeypatch):
     with pytest.raises(RuntimeError, match="drifted"):
         sweep_optimize(real, ps, instrument=True)
     assert len(calls) == 2
-
-
-def test_instrument_raises_on_line_order_mismatch(monkeypatch):
-    real = ChannelRealization(0.3 + 0j, np.exp(1j * np.array([0.2, 1.9, 4.4])))
-    ps = PhaseShiftSet((0.0, PI / 2))
-    original = optimizer._sorted_line_order
-
-    def swapped(args, counters):
-        rows, cols = original(args, counters)
-        return np.roll(rows, 1), cols  # 3 elements: the order moves
-
-    monkeypatch.setattr(optimizer, "_sorted_line_order", swapped)
-    with pytest.raises(RuntimeError, match="reference sort"):
-        sweep_optimize(real, ps, instrument=True)
-    sweep_optimize(real, ps)  # the plain sweep never runs the reference
