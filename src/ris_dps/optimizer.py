@@ -9,18 +9,20 @@ candidate channel for each sector follows from the previous one by a
 single subtract/add, so one pass over the sorted lines evaluates every
 sector.
 
-The sweep is one array program over the N x L line table: one argsort
-orders the lines, a cumulative sum forms the candidate chain, and the
-winning configuration is read off the last crossing of each element.
-Both sorts (elements by angle, lines by argument) give the order of a
-stable argsort: NumPy's default (SIMD) argsort sorts every row, and only
-a row with two equal values, where the orders can differ, is sorted again
-stably.  Every solver runs on a (T, N) block of realizations (a
-RealizationBatch) with the same kernel; a single ChannelRealization is
-the one-row block.  The line argsort gives the order of the paper's
-column rotation and min-heap merge (O(N*L*log L) comparisons), ties by
-element and then column.  ``sweep_optimize(..., instrument=True)``
-observes that one kernel, so the result never depends on the switch.
+The sweep is one array program over the N x L line table: one sort
+orders the lines, a cumulative sum of contributions gathered by line
+index forms the candidate chain, and the winning configuration is read
+off the line arguments, as each element's last line below the winning
+line's argument.  Both sorts (elements by angle, lines by argument) give
+the order of a stable argsort: one value sort of keys that carry each
+value's index in their low bits, and a stable argsort of the rare row
+that comes out unsorted.  Every solver runs on a (T, N) block of
+realizations (a RealizationBatch) with the same kernel; a single
+ChannelRealization is the one-row block.  The line sort gives the order
+of the paper's column rotation and min-heap merge (O(N*L*log L)
+comparisons), ties by element and then column.
+``sweep_optimize(..., instrument=True)`` observes that one kernel, so the
+result never depends on the switch.
 """
 
 import math
@@ -188,20 +190,31 @@ def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
 def _argsort_rows(a: np.ndarray):
     """np.argsort(a, axis=-1, kind="stable") and a sorted along that axis.
 
-    On a row without two equal values the ascending order is unique, so
-    NumPy's default argsort (a SIMD sort, several times faster than the
-    stable one) returns the stable indices.  Only rows where two sorted
-    neighbours compare equal (-0.0 == 0.0 counts) are sorted again with
-    kind="stable".  Returns (indices, sorted values), the same arrays as
+    Each value's IEEE bits (after adding +0.0, which turns -0.0 into +0.0)
+    order the non-negative floats as unsigned integers do.  The low
+    ceil(log2 k) bits of each key, k the row length, are replaced by the
+    value's column, so one value sort of the keys (NumPy's SIMD sort)
+    carries the indices along, and equal values come out in index order.
+    A row whose values, gathered in that order, are not non-decreasing
+    (keys that differed only in the replaced bits, or negative values) is
+    put right by a stable argsort of the gathered values, which are
+    nearly sorted.  Returns (indices, sorted values), the same arrays as
     the stable argsort and its gather.
     """
-    idx = np.argsort(a, axis=-1)
+    bits = max(a.shape[-1] - 1, 0).bit_length()
+    mask = np.uint64((1 << bits) - 1)
+    keys = (a + 0.0).view(np.uint64)
+    keys &= ~mask
+    keys |= np.arange(a.shape[-1], dtype=np.uint64)
+    keys.sort(axis=-1)
+    keys &= mask
+    idx = keys.view(np.intp)
     srt = np.take_along_axis(a, idx, axis=-1)
-    tied = (srt[..., 1:] == srt[..., :-1]).any(axis=-1)
-    if tied.any():
-        redo = np.argsort(a[tied], axis=-1, kind="stable")
-        idx[tied] = redo
-        srt[tied] = np.take_along_axis(a[tied], redo, axis=-1)
+    bad = (srt[..., 1:] < srt[..., :-1]).any(axis=-1)
+    if bad.any():
+        fix = np.argsort(srt[bad], axis=-1, kind="stable")
+        idx[bad] = np.take_along_axis(idx[bad], fix, axis=-1)
+        srt[bad] = np.take_along_axis(srt[bad], fix, axis=-1)
     return idx, srt
 
 
@@ -219,41 +232,45 @@ def _argsort_line_order(args: np.ndarray):
     return _argsort_rows(args.reshape(*lead, n * l))
 
 
-def _config_before(position: np.ndarray, stop, col_end: np.ndarray,
-                   cfg0: np.ndarray) -> np.ndarray:
-    """Each element's choice in sector `stop`, just before line `stop`.
+def _config_before(args: np.ndarray, crossed: np.ndarray,
+                   col_end: np.ndarray, cfg0: np.ndarray) -> np.ndarray:
+    """Each element's choice once the lines marked in `crossed` are behind.
 
-    Every element holds the ending choice of its last crossing before line
-    `stop` in sweep order, or its starting choice cfg0 if it has not
-    crossed yet.  position (..., N, L) gives each line's place in sweep
-    order; stop is a scalar or has the leading shape of cfg0 (..., N).
+    crossed (..., N, L) must mark a prefix of the sweep order, the lines
+    before some point in ascending (argument, flat index) order.  Every
+    element then holds the ending choice of its crossed line of largest
+    (argument, column), which it crossed last, or its starting choice
+    cfg0 (..., N) if it has crossed none.
     """
-    crossed = position < np.asarray(stop)[..., None, None]
-    last = np.where(crossed, position, -1).argmax(axis=-1)
-    return np.where(crossed.any(axis=-1), col_end[last], cfg0)
+    cfg = cfg0.copy()
+    latest = np.full(cfg0.shape, -1.0)
+    for c in range(args.shape[-1]):
+        # >=: of two equal arguments, the higher column is crossed later
+        later = crossed[..., c] & (args[..., c] >= latest)
+        np.copyto(latest, args[..., c], where=later)
+        np.copyto(cfg, col_end[c], where=later)
+    return cfg
 
 
 def _sorted_lines(batch, offsets: np.ndarray):
     """Each row's elements in angle order and its lines in sweep order.
 
     Both sorts go through _argsort_rows, so they give a stable argsort's
-    order and hand back the sorted values the sweep needs anyway.  Returns
-    (order, vv, flat, rows, cols, valid), all with a leading trials axis:
-    order sorts the elements by angle (stably) and vv holds their
-    coefficients in that order; rows/cols give the (element, column) of
-    each line in ascending order of argument, and flat = rows * L + cols
-    its index in the row-major line table; valid is False where a line
-    sits at the same argument as the one before it, so the sector between
-    them has zero width.
+    order.  Returns (order, vv, args, flat, valid), all with a leading
+    trials axis: order sorts the elements by angle (stably) and vv holds
+    their coefficients in that order; args (T, N, L) is the line table
+    with its rows in that order; flat gives the row-major index
+    (element * L + column) of each line in ascending order of argument;
+    valid is False where a line sits at the same argument as the one
+    before it, so the sector between them has zero width.
     """
     order, angles = _argsort_rows(batch.element_angles())
     vv = np.take_along_axis(batch.v, order, axis=1)
     args = wrap_angles(angles[:, :, None] + offsets)
     flat, sorted_args = _argsort_line_order(args)
-    rows, cols = np.divmod(flat, offsets.size)
     valid = np.ones(flat.shape, dtype=bool)
-    valid[:, 1:] = sorted_args[:, 1:] != sorted_args[:, :-1]
-    return order, vv, flat, rows, cols, valid
+    np.not_equal(sorted_args[:, 1:], sorted_args[:, :-1], out=valid[:, 1:])
+    return order, vv, args, flat, valid
 
 
 def _result(single: bool, config: np.ndarray, h_star: np.ndarray,
@@ -272,17 +289,18 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
     Elements are sorted by angle once and the lines are put in ascending
-    order by one argsort of the N x L line table.  Both sorts give a
-    stable argsort's order: the default (SIMD) argsort sorts every row,
-    and only a row with two equal values is sorted again stably.  The
-    first sector's candidate channel is built from each element's starting
-    choice at its first line (N vector additions); each subsequent sector
-    costs two vector additions, gathered by flat index from the
-    element-by-choice table, so the candidate chain (one cumulative sum)
-    takes N + 2*N*L additions.  The configuration of the winning sector is
-    read off each element's last crossing before it and mapped back to
-    the input element order.  A RealizationBatch is solved as one
-    block, every row exactly as the single call would solve it.
+    order by one sort of the N x L line table; both sorts give a stable
+    argsort's order (see _argsort_rows).  The first sector's candidate
+    channel is built from each element's starting choice at its first
+    line (N vector additions); each subsequent sector costs two vector
+    additions, gathered by line index from the (N, L) tables of every
+    line's starting and ending contribution, so the candidate chain (one
+    cumulative sum) takes N + 2*N*L additions.  In the winning sector,
+    each element holds the ending choice of its last line of smaller
+    argument than the winning line, or its starting choice if it has
+    none; that configuration is mapped back to the input element order.
+    A RealizationBatch is solved as one block, every row exactly as the
+    single call would solve it.
 
     Args:
         real: a ChannelRealization, or a RealizationBatch for one result
@@ -317,47 +335,44 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
             result.cycle_h = real.h_d
         return result
 
-    phases = np.asarray(phase_set.phases)
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     m = n * l
-    order, vv, flat, rows, cols, valid = _sorted_lines(batch, offsets)
+    order, vv, args, flat, valid = _sorted_lines(batch, offsets)
     trial = np.arange(t)[:, None]
 
-    # Contribution of every element under every choice (column 0: off).
-    # The product is taken as a (T*N, 1) x (1, K) broadcast: numpy's complex
-    # multiply may round differently by operand layout, and this layout
-    # gives every row the bits of the one-realization product.
-    g_table = np.zeros((t, n, phases.size + 1), dtype=complex)
-    g_table[:, :, 1:] = (vv.reshape(-1, 1) * np.exp(1j * phases)[None, :]
-                         ).reshape(t, n, phases.size)
+    # Contribution of every element under each line's starting and ending
+    # choice, (T, N, L), from units[choice] (0 for off).  The product is
+    # taken as a (T*N, 1) x (1, L) broadcast: numpy's complex multiply may
+    # round differently by operand layout, and this layout gives every row
+    # the bits of the one-realization product.  An off choice contributes
+    # exactly +0.0, which a product with 0j need not give.
+    units = np.zeros(phase_set.k + 1, dtype=complex)
+    units[1:] = np.exp(1j * np.asarray(phase_set.phases))
+    g_start, g_end = ((vv.reshape(-1, 1) * units[cols]).reshape(t, n, l)
+                      for cols in (col_start, col_end))
+    g_start[:, :, col_start == OFF] = 0.0
+    g_end[:, :, col_end == OFF] = 0.0
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its
-    # first line.  Reading it off the table keeps the chain consistent even
-    # when that sector is narrower than the angle tolerance.
-    position = np.empty((t, n, l), dtype=int)
-    np.put_along_axis(position.reshape(t, m), flat, np.arange(m), axis=1)
-    cfg0 = col_start[position.argmin(axis=2)]
-    h0 = batch.h_d + g_table[trial, np.arange(n), cfg0].sum(axis=1)
+    # first line, the one of least (argument, column).  Reading it off the
+    # table keeps the chain consistent even when that sector is narrower
+    # than the angle tolerance.
+    first = args.argmin(axis=2)
+    cfg0 = col_start[first]
+    h0 = batch.h_d + g_start[trial, np.arange(n), first].sum(axis=1)
 
     # chain[:, j] is the candidate of sector j (chain[:, m]: back in sector
     # 0).  Each line j takes its element's start contribution out and puts
     # its end contribution in; add.accumulate is a sequential left fold, so
     # each entry is exactly chain[:, j] - g_start[:, j] + g_end[:, j].
-    # Both gathers index the flat g_table, where entry (trial, row, choice)
-    # sits at (trial * N + row) * (K + 1) + choice.  One index array serves
-    # both, rewritten in place: each fresh (T, N*L) temporary costs page
-    # faults at N = 10^4.
-    g_flat = g_table.ravel()
-    line_base = (trial * n + rows) * (phases.size + 1)
+    # From here on flat indexes the flattened (T, N, L) tables.
+    flat += trial * m
     steps = np.empty((t, 2 * m + 1), dtype=complex)
     steps[:, 0] = h0
-    index = col_start[cols]
-    index += line_base
-    np.negative(np.take(g_flat, index), out=steps[:, 1::2])
-    np.add(col_end[cols], line_base, out=index)
-    steps[:, 2::2] = np.take(g_flat, index)
+    np.negative(g_start.take(flat), out=steps[:, 1::2])
+    steps[:, 2::2] = g_end.take(flat)
     chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     counters.vector_additions += n + 2 * m
 
@@ -366,10 +381,20 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
         # Drift is judged against the scale of the summed vectors; the
         # channel itself can pass arbitrarily close to zero mid-sweep.
         drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
+        lines = np.arange(m).reshape(n, l)
         for stop in range(recheck, m + 1, recheck):
             counters.scratch_recomputes += 1
-            _check_drift(real.h_d, g_table[0],
-                         _config_before(position[0], stop, col_end, cfg0[0]),
+            # A checkpoint can fall inside a run of equal arguments, so the
+            # lines before it are those of smaller (argument, flat index).
+            if stop < m:
+                at = flat[0, stop]
+                a_stop = args[0].flat[at]
+                crossed = (args[0] < a_stop) | ((args[0] == a_stop)
+                                                & (lines < at))
+            else:
+                crossed = np.ones((n, l), dtype=bool)
+            _check_drift(real.h_d, vv[0], units,
+                         _config_before(args[0], crossed, col_end, cfg0[0]),
                          complex(chain[0, stop]), drift_scale)
 
     # Zero-width sectors are crossed without being evaluated.
@@ -377,9 +402,11 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     amp[~valid] = -math.inf
     best = amp.argmax(axis=1)  # first max: lowest sector index
 
-    # Read out before allocating config: allocated first, config left the
-    # heap in a state that cost ~1 ms more per call at N = 10^4.
-    cfg = _config_before(position, best, col_end, cfg0)
+    # Sector 0 is valid, so best is too: no line before line best shares
+    # its argument, and the lines crossed before it are exactly those of
+    # smaller argument.
+    a_best = args.take(flat[np.arange(t), best])
+    cfg = _config_before(args, args < a_best[:, None, None], col_end, cfg0)
     config = np.empty((t, n), dtype=int)
     np.put_along_axis(config, order, cfg, axis=1)
 
@@ -391,9 +418,10 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     return result
 
 
-def _check_drift(h_d: complex, g_table: np.ndarray, cfg: np.ndarray,
-                 h_incremental: complex, scale: float) -> None:
-    fresh = h_d + g_table[np.arange(cfg.size), cfg].sum()
+def _check_drift(h_d: complex, vv: np.ndarray, units: np.ndarray,
+                 cfg: np.ndarray, h_incremental: complex,
+                 scale: float) -> None:
+    fresh = h_d + (vv * units[cfg]).sum()
     if scale > 0.0 and abs(fresh - h_incremental) > 1e-9 * scale:
         raise RuntimeError(
             f"incremental channel drifted: {h_incremental} vs {fresh}")

@@ -12,6 +12,7 @@ and empty_regions say so):
     stack                             realizations as the rows of a batch
     sorted_line_order                 the paper's counted line sort
     sweep_line_args                   the line table in the sweep's row order
+    line_positions, config_before     the sweep's read-out by sweep position
 """
 
 import heapq
@@ -257,3 +258,31 @@ def sweep_line_args(real: ChannelRealization,
     order, _ = _argsort_rows(real.element_angles())
     return separation_lines(ChannelRealization(real.h_d, real.v[order]),
                             phase_set).args
+
+
+def line_positions(flat: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Each line's place in sweep order, as an (..., N, L) table.
+
+    flat (..., N*L) lists the row-major line indices in sweep order, as
+    the sweep's line sort returns them.
+    """
+    *lead, m = flat.shape
+    position = np.empty((*lead, n, l), dtype=int)
+    np.put_along_axis(position.reshape(*lead, m), flat, np.arange(m),
+                      axis=-1)
+    return position
+
+
+def config_before(position: np.ndarray, stop, col_start: np.ndarray,
+                  col_end: np.ndarray) -> np.ndarray:
+    """Each element's choice in sector `stop`, just before line `stop`.
+
+    Every element holds the ending choice of its last crossing before
+    line `stop` in sweep order, or, if it has not crossed yet, the
+    starting choice of its first line.  position (..., N, L) is
+    line_positions' table; stop is a scalar or has its leading shape.
+    """
+    cfg0 = col_start[position.argmin(axis=-1)]
+    crossed = position < np.asarray(stop)[..., None, None]
+    last = np.where(crossed, position, -1).argmax(axis=-1)
+    return np.where(crossed.any(axis=-1), col_end[last], cfg0)
