@@ -39,6 +39,9 @@ def parse_phases(text: str) -> PhaseShiftSet:
         if m:
             num = float(m.group(1)) if m.group(1) else 1.0
             den = float(m.group(2)) if m.group(2) else 1.0
+            if den == 0.0:
+                raise ValueError(
+                    f"cannot parse phase {raw.strip()!r}: zero denominator")
             values.append(num * math.pi / den)
         else:
             try:

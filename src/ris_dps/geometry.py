@@ -12,9 +12,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# wrap_angles' shift for an angle that reaches k of 0, 2*pi and 4*pi.
-_SHIFTS = np.array([TWO_PI, 0.0, -TWO_PI, -2.0 * TWO_PI])
-
 # Tolerance band used wherever an angle comparison distinguishes <, =, >
 # (e.g. the pi/2 on/off threshold).  Exact equality provably never occurs
 # at an optimum, but floating point needs a band.
@@ -34,20 +31,23 @@ def wrap_angles(theta):
     Every angle the solvers wrap lies in (-2*pi, 6*pi): np.angle gives
     [-pi, pi], a line argument is a wrapped element angle plus a column
     offset of at most 3.5*pi, and CPP's angle differences lie in
-    (-2*pi, 4*pi).  On that range the wrap adds a shift picked by three
-    comparisons, with no float modulo, and keeps the modulo's bits:
-    subtracting 2*pi from [2*pi, 4*pi), or 4*pi from [4*pi, 6*pi), is
-    exact (Sterbenz lemma), as fmod is; adding 2*pi to (-2*pi, 0) rounds
-    as NumPy's remainder does; and adding 0.0 to [0, 2*pi) turns -0.0
-    into +0.0, as the remainder does.  An array with a value outside the
-    range, or a NaN, takes theta % TWO_PI instead.
+    (-2*pi, 4*pi).  On that range the wrap adds (1 - k)*2*pi, k the
+    count of 0, 2*pi and 4*pi that the angle reaches, with no float
+    modulo, and keeps the modulo's bits: subtracting 2*pi from
+    [2*pi, 4*pi), or 4*pi from [4*pi, 6*pi), is exact (Sterbenz lemma),
+    as fmod is; adding 2*pi to (-2*pi, 0) rounds as NumPy's remainder
+    does; and adding 0.0 to [0, 2*pi) turns -0.0 into +0.0, as the
+    remainder does.  An array with a value outside the range, or a NaN,
+    takes theta % TWO_PI instead.
     """
     if (theta.min(initial=0.0) > -TWO_PI
             and theta.max(initial=0.0) < 3.0 * TWO_PI):
         k = (theta >= 0.0).view(np.int8)
         k += theta >= TWO_PI
         k += theta >= 2.0 * TWO_PI
-        t = _SHIFTS.take(k)
+        # The shift, 2*pi times 1 - k of 1, 0, -1 or -2: an exact float.
+        np.subtract(1, k, out=k)
+        t = np.multiply(k, TWO_PI)
         t += theta
     else:
         t = theta % TWO_PI

@@ -162,29 +162,56 @@ def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
 
     L is K when every cyclic phase gap is at most pi and K+1 when one gap
     exceeds pi; it is identical across elements because the gaps depend
-    only on the shared phase set.  A RealizationBatch gives (T, N, L) args.
+    only on the shared phase set.  A RealizationBatch gives (T, N, L) args,
+    built as the sweep builds them (see _line_args).
     """
     if real.n < 1:
         raise ValueError("need at least one element")
     offsets, starting, ending = _column_templates(phase_set)
-    args = wrap_angles(real.element_angles()[..., None] + offsets)
-    return LineTable(args, starting, ending)
+    return LineTable(_line_args(real.element_angles(), offsets), starting,
+                     ending)
+
+
+def _line_args(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Wrapped line arguments (..., N, L) of element angles (..., N).
+
+    Column c is angles + offsets[c], one add per column into the table's
+    strided column (each add rounds once, as a broadcast add does).
+    """
+    args = np.empty(angles.shape + offsets.shape)
+    for c, offset in enumerate(offsets):
+        np.add(angles, offset, out=args[..., c])
+    return wrap_angles(args)
 
 
 def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
                           theta, always_on: bool = False) -> np.ndarray:
-    """Per-element choices toward theta; angles (..., N), theta (...)."""
-    theta = np.asarray(theta)[..., None, None]
-    # angle between each candidate vector and the direction; (..., N, K)
-    x = wrap_angles(element_angles[..., None] + phases - theta)
+    """Per-element choices toward theta; angles (..., N), theta (...).
+
+    Row c of a (K, ..., N) table holds the angle between each element's
+    candidate under phase c and the direction: (angle + phase) - theta,
+    two roundings as in a broadcast, then wrapped.  A loop over the rows
+    keeps each element's nearest phase; its strict < leaves a tie to the
+    lowest phase index.
+    """
+    theta = np.asarray(theta)[..., None]
+    x = np.empty(phases.shape + element_angles.shape)
+    for c, phase in enumerate(phases):
+        np.add(element_angles, phase, out=x[c])
+        x[c] -= theta
+    x = wrap_angles(x)
     # A float modulo can return exactly 2*pi, which the wrap maps to 0;
     # both give an angle of +0.0, so ang keeps the modulo's bits.
-    ang = np.minimum(x, TWO_PI - x)
-    best = np.argmin(ang, axis=-1)  # first occurrence: lowest phase index
+    ang = np.minimum(x, TWO_PI - x, out=x)
+    smallest = ang[0]
+    best = np.ones(smallest.shape, dtype=int)
+    for c in range(1, phases.size):
+        closer = ang[c] < smallest
+        np.minimum(smallest, ang[c], out=smallest)
+        np.putmask(best, closer, c + 1)
     if always_on:
-        return best + 1
-    smallest = np.take_along_axis(ang, best[..., None], axis=-1)[..., 0]
-    return np.where(smallest < HALF_PI + ANGLE_EPS, best + 1, OFF)
+        return best
+    return np.where(smallest < HALF_PI + ANGLE_EPS, best, OFF)
 
 
 def _argsort_rows(a: np.ndarray):
@@ -266,11 +293,55 @@ def _sorted_lines(batch, offsets: np.ndarray):
     """
     order, angles = _argsort_rows(batch.element_angles())
     vv = np.take_along_axis(batch.v, order, axis=1)
-    args = wrap_angles(angles[:, :, None] + offsets)
+    args = _line_args(angles, offsets)
     flat, sorted_args = _argsort_line_order(args)
     valid = np.ones(flat.shape, dtype=bool)
     np.not_equal(sorted_args[:, 1:], sorted_args[:, :-1], out=valid[:, 1:])
     return order, vv, args, flat, valid
+
+
+def _contributions(vv: np.ndarray, units: np.ndarray,
+                   choices: np.ndarray) -> np.ndarray:
+    """Each element's contribution under each column's choice, (T, N, L).
+
+    Column c is vv * units[choices[c]], one product per column into the
+    table's strided column; an off choice contributes exactly +0.0,
+    which a product with 0j need not give.  NumPy's complex multiply
+    loops round each product as fma(ar, br, -ai*bi) whatever the operand
+    layout, so every row has the bits of the one-realization product and
+    of the (T*N, 1) x (1, L) broadcast product
+    (test_sweep_paths.py::test_column_products_match_the_broadcast pins
+    this).
+    """
+    g = np.empty(vv.shape + choices.shape, dtype=complex)
+    for c, choice in enumerate(choices):
+        if choice == OFF:
+            g[..., c] = 0.0
+        else:
+            np.multiply(vv, units[choice], out=g[..., c])
+    return g
+
+
+def _first_lines(args: np.ndarray, g_start: np.ndarray,
+                 col_start: np.ndarray, h_d: np.ndarray):
+    """Each element's first line, of least (argument, column).
+
+    A loop over the columns whose strict < keeps the lower column of two
+    equal arguments, as argmin does, carrying each element's starting
+    choice and contribution along.  Returns (cfg0, h0): each element's
+    starting choice at its first line, (T, N), and the direct path plus
+    the sum of those lines' starting contributions, (T,), summed over a
+    contiguous (T, N) array as a gather of them would be.
+    """
+    first_arg = args[:, :, 0].copy()
+    cfg0 = np.full(first_arg.shape, col_start[0])
+    g0 = g_start[:, :, 0].copy()
+    for c in range(1, args.shape[2]):
+        lower = args[:, :, c] < first_arg
+        np.copyto(first_arg, args[:, :, c], where=lower)
+        np.copyto(cfg0, col_start[c], where=lower)
+        np.copyto(g0, g_start[:, :, c], where=lower)
+    return cfg0, h_d + g0.sum(axis=1)
 
 
 def _result(single: bool, config: np.ndarray, h_star: np.ndarray,
@@ -342,26 +413,19 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     trial = np.arange(t)[:, None]
 
     # Contribution of every element under each line's starting and ending
-    # choice, (T, N, L), from units[choice] (0 for off).  The product is
-    # taken as a (T*N, 1) x (1, L) broadcast: numpy's complex multiply may
-    # round differently by operand layout, and this layout gives every row
-    # the bits of the one-realization product.  An off choice contributes
-    # exactly +0.0, which a product with 0j need not give.
+    # choice, (T, N, L), from units[choice] (0 for off), built column by
+    # column (see _contributions for the rounding this relies on).
     units = np.zeros(phase_set.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(phase_set.phases))
-    g_start, g_end = ((vv.reshape(-1, 1) * units[cols]).reshape(t, n, l)
-                      for cols in (col_start, col_end))
-    g_start[:, :, col_start == OFF] = 0.0
-    g_end[:, :, col_end == OFF] = 0.0
+    g_start = _contributions(vv, units, col_start)
+    g_end = _contributions(vv, units, col_end)
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its
     # first line, the one of least (argument, column).  Reading it off the
     # table keeps the chain consistent even when that sector is narrower
     # than the angle tolerance.
-    first = args.argmin(axis=2)
-    cfg0 = col_start[first]
-    h0 = batch.h_d + g_start[trial, np.arange(n), first].sum(axis=1)
+    cfg0, h0 = _first_lines(args, g_start, col_start, batch.h_d)
 
     # chain[:, j] is the candidate of sector j (chain[:, m]: back in sector
     # 0).  Each line j takes its element's start contribution out and puts

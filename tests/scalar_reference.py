@@ -13,6 +13,9 @@ and empty_regions say so):
     sorted_line_order                 the paper's counted line sort
     sweep_line_args                   the line table in the sweep's row order
     line_positions, config_before     the sweep's read-out by sweep position
+    broadcast_contributions           the contribution table as one product
+    first_lines_by_argmin             each element's first line by argmin
+    config_toward                     the per-element rule as one table
 """
 
 import heapq
@@ -26,6 +29,7 @@ from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
                      PhaseShiftSet, RealizationBatch, arg_mod_2pi,
                      separation_lines, unit_from_arg, wrap_angle)
 from ris_dps.analysis import _check_h_star
+from ris_dps.geometry import wrap_angles
 from ris_dps.optimizer import _argsort_rows, _config_for_direction
 
 
@@ -286,3 +290,44 @@ def config_before(position: np.ndarray, stop, col_start: np.ndarray,
     crossed = position < np.asarray(stop)[..., None, None]
     last = np.where(crossed, position, -1).argmax(axis=-1)
     return np.where(crossed.any(axis=-1), col_end[last], cfg0)
+
+
+def broadcast_contributions(vv: np.ndarray, units: np.ndarray,
+                            choices: np.ndarray) -> np.ndarray:
+    """vv (T, N) times units[choices] (L,) as a (T*N, 1) x (1, L)
+    broadcast product, reshaped to (T, N, L), with +0.0 in every off
+    column."""
+    t, n = vv.shape
+    g = (vv.reshape(-1, 1) * units[choices]).reshape(t, n, choices.size)
+    g[:, :, choices == OFF] = 0.0
+    return g
+
+
+def first_lines_by_argmin(args: np.ndarray, g_start: np.ndarray,
+                          col_start: np.ndarray, h_d: np.ndarray):
+    """(cfg0, h0): each element's starting choice at its line of least
+    (argument, column), found by argmin over the (T, N, L) table, and
+    h_d plus the sum of those lines' starting contributions."""
+    first = args.argmin(axis=2)
+    t, n = first.shape
+    cfg0 = col_start[first]
+    h0 = h_d + g_start[np.arange(t)[:, None], np.arange(n), first].sum(axis=1)
+    return cfg0, h0
+
+
+def config_toward(element_angles: np.ndarray, phases: np.ndarray, theta,
+                  always_on: bool = False) -> np.ndarray:
+    """The per-element rule toward theta as one (..., N, K) broadcast.
+
+    Angles (..., N), theta (...).  The angle of every candidate to the
+    direction, then argmin over the phases (first occurrence: lowest
+    phase index), off past pi/2 + ANGLE_EPS unless always_on.
+    """
+    theta = np.asarray(theta)[..., None, None]
+    x = wrap_angles(element_angles[..., None] + phases - theta)
+    ang = np.minimum(x, TWO_PI - x)
+    best = np.argmin(ang, axis=-1)
+    if always_on:
+        return best + 1
+    smallest = np.take_along_axis(ang, best[..., None], axis=-1)[..., 0]
+    return np.where(smallest < math.pi / 2 + ANGLE_EPS, best + 1, OFF)

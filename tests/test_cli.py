@@ -22,6 +22,17 @@ def test_parse_phases():
         parse_phases("pi/6,banana")
 
 
+@pytest.mark.parametrize("cmd", [["solve", "--solver", "sweep"], ["regions"]])
+@pytest.mark.parametrize("token", ["pi/0", "0pi/0", "2pi / 0.0"])
+def test_zero_phase_denominator_is_an_error_line(realization_file, capsys,
+                                                 cmd, token):
+    rc = main(cmd + ["--input", str(realization_file),
+                     "--phases", f"0.1, {token}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"ris-dps: error: cannot parse phase {token!r}: zero denominator\n")
+
+
 @pytest.fixture
 def realization_file(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 6,

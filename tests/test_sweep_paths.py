@@ -7,9 +7,10 @@ out unsorted.  These properties pin the row sorter to the stable argsort,
 the line order to the paper's rotation + min-heap merge
 (tests/scalar_reference.py) on the sweep's own element order, the read-out
 of the winning and every checkpoint configuration to the position-table
-read-out there, and the instrumented sweep to the plain sweep's result,
-including on ties, zero-width sectors, gaps of exactly pi, K = 1, N = 1
-and a zero direct path.
+read-out there, the column-by-column contribution table, first lines and
+per-element rule to their broadcast forms there, and the instrumented
+sweep to the plain sweep's result, including on ties, zero-width sectors,
+gaps of exactly pi, K = 1, N = 1 and a zero direct path.
 """
 
 import math
@@ -21,11 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ris_dps.optimizer as optimizer
-from conftest import COINCIDING_SETS, coinciding_blocks, instances
-from scalar_reference import (config_before, line_positions,
-                              sorted_line_order, sweep_line_args)
-from ris_dps import (ChannelRealization, PhaseShiftSet, exhaustive_optimize,
-                     sweep_optimize)
+from conftest import (COINCIDING_SETS, GRID, batches, coinciding_blocks,
+                      instances)
+from scalar_reference import (broadcast_contributions, config_before,
+                              config_toward, first_lines_by_argmin,
+                              line_positions, sorted_line_order, stack,
+                              sweep_line_args)
+from ris_dps import (ANGLE_EPS, OFF, ChannelRealization, PhaseShiftSet,
+                     RealizationBatch, exhaustive_optimize, sweep_optimize)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -202,3 +206,119 @@ def test_verify_raises_on_drift(monkeypatch):
     with pytest.raises(RuntimeError, match="drifted"):
         sweep_optimize(real, ps, instrument=True)
     assert len(calls) == 2
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7])
+def test_column_products_match_the_broadcast(scale):
+    # Every row of a block, and every block, must take the bits of the
+    # broadcast product: a change in how NumPy rounds one layout of its
+    # complex multiply loop fails here by name.
+    rng = np.random.default_rng(41)
+    units = np.zeros(4, dtype=complex)
+    units[1:] = np.exp(1j * rng.uniform(0.0, TWO_PI, 3))
+    choices = np.array([2, OFF, 1, 3])
+    for t in (1, 2, 3, 7, 100):
+        for n in (*range(1, 40), 63, 64, 65, 200, 1001, 10_000):
+            vv = scale * (rng.normal(size=(t, n))
+                          + 1j * rng.normal(size=(t, n)))
+            g = optimizer._contributions(vv, units, choices)
+            assert np.array_equal(
+                _bits(g), _bits(broadcast_contributions(vv, units, choices)))
+            for row in range(t):
+                one = optimizer._contributions(vv[row:row + 1], units,
+                                               choices)
+                assert np.array_equal(_bits(one[0]), _bits(g[row]))
+
+
+@st.composite
+def _blocks(draw):
+    """(batch, phase set): an instance as a one-row block, or a batch."""
+    if draw(st.booleans()):
+        real, ps = draw(instances())
+        return stack([real]), ps
+    reals, ps = draw(batches())
+    return stack(reals), ps
+
+
+def _coinciding(v, ps):
+    return RealizationBatch(np.full(v.shape[0], 0.3 + 0.2j), v), ps
+
+
+_TIED_ROW_SET = PhaseShiftSet((0.0, 1e-16, 2e-16))
+# This element's first two lines under this set share its least argument.
+_FIRST_TIED = (0.9462216835710058 - 0.3235189724576463j,
+               PhaseShiftSet((0.5, 0.5 + 1e-16, 0.5 + 2e-16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+@example((stack([ChannelRealization(0j, [1 + 0j])]), PhaseShiftSet((0.0,))))
+@example((stack([ChannelRealization(0.2j, _V[0])]), _TIED_ROW_SET))
+@example((stack([ChannelRealization(0.2j, [1j, _FIRST_TIED[0], -1 + 0j])]),
+          _FIRST_TIED[1]))
+@example(_coinciding(_V, COINCIDING_SETS[0]))
+@example(_coinciding(_V, COINCIDING_SETS[1]))
+@example(_coinciding(_TIED, COINCIDING_SETS[0]))
+@example(_coinciding(_TIED, COINCIDING_SETS[1]))
+@example(_coinciding(_V, _TIED_ROW_SET))
+def test_first_lines_match_argmin(block):
+    batch, ps = block
+    offsets, col_start, _ = optimizer._column_templates(ps)
+    _, vv, args, _, _ = optimizer._sorted_lines(batch, offsets)
+    units = np.zeros(ps.k + 1, dtype=complex)
+    units[1:] = np.exp(1j * np.asarray(ps.phases))
+    g_start = optimizer._contributions(vv, units, col_start)
+    cfg0, h0 = optimizer._first_lines(args, g_start, col_start, batch.h_d)
+    ref_cfg0, ref_h0 = first_lines_by_argmin(args, g_start, col_start,
+                                             batch.h_d)
+    np.testing.assert_array_equal(cfg0, ref_cfg0)
+    assert np.array_equal(_bits(h0), _bits(ref_h0))
+
+
+def _toward(batch, ps, theta):
+    """(element angles (T, N), phases, theta (T,)) for the per-element
+    rule."""
+    return batch.element_angles(), np.asarray(ps.phases), np.array(theta)
+
+
+@st.composite
+def _directions(draw):
+    """_toward on the rows of _blocks, at directions on or off the grid."""
+    batch, ps = draw(_blocks())
+    theta = draw(st.lists(
+        st.one_of(st.sampled_from(GRID),
+                  st.floats(0.0, TWO_PI, exclude_max=True)),
+        min_size=batch.trials, max_size=batch.trials))
+    return _toward(batch, ps, theta)
+
+
+_ON_THE_THRESHOLD = PI / 2 + ANGLE_EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(_directions())
+# both phases exactly 1.0 from theta
+@example((np.array([[0.0]]), np.array([1.0, 3.0]), np.array([2.0])))
+# the nearest candidate on the on/off threshold, and one ulp either side
+@example((np.array([[_ON_THE_THRESHOLD,
+                     np.nextafter(_ON_THE_THRESHOLD, 0.0),
+                     np.nextafter(_ON_THE_THRESHOLD, 4.0)]]),
+          np.array([0.0, PI / 2]), np.array([0.0])))
+@example((np.array([[0.3]]), np.array([0.0]), np.array([2.0])))
+@example(_toward(stack([ChannelRealization(0.2j, _V[0])]), _TIED_ROW_SET,
+                 [1.0]))
+@example(_toward(*_coinciding(_V, COINCIDING_SETS[0]), [0.0, 1.0, 2.0, 3.0]))
+@example(_toward(*_coinciding(_V, COINCIDING_SETS[1]), [0.0, 1.0, 2.0, 3.0]))
+@example(_toward(*_coinciding(_TIED, COINCIDING_SETS[0]), GRID[:4]))
+@example(_toward(*_coinciding(_TIED, COINCIDING_SETS[1]), GRID[4:8]))
+def test_config_for_direction_matches_broadcast(case):
+    angles, phases, theta = case
+    for always_on in (False, True):
+        np.testing.assert_array_equal(
+            optimizer._config_for_direction(angles, phases, theta,
+                                            always_on=always_on),
+            config_toward(angles, phases, theta, always_on=always_on))
