@@ -15,7 +15,8 @@ import os
 import numpy as np
 
 from ris_dps import (LinkBudget, PhaseShiftSet, arg_mod_2pi,
-                     circular_distance, empty_ratio_upper_bound_approx,
+                     circle_union_length, circular_distance,
+                     empty_ratio_upper_bound_approx,
                      empty_regions, measured_empty_ratio, sample_realization,
                      sweep_optimize)
 
@@ -32,7 +33,10 @@ centers = regions.lines.args.ravel()
 widths = regions.half_width.ravel()
 
 print(f"one draw, N=50, K=2 (plus off): {centers.size} separation lines")
-print(f"union of empty regions: {report.measured_ratio:.1%} of the circle")
+union = circle_union_length(np.stack([centers - widths, centers + widths],
+                                     axis=1))
+print(f"union of empty regions: {union:.3f} rad, "
+      f"{report.measured_ratio:.1%} of the circle")
 print(f"summed widths (upper bound): {report.sum_ratio_ub:.1%}, "
       f"overlap eats {report.overlap_fraction:.1%} of that")
 inside = sum(circular_distance(theta_star, c) < w

@@ -81,9 +81,45 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     return EmptyRegions(lines, half_width.reshape(ratio.shape))
 
 
-def _running_total(x: np.ndarray) -> float:
-    # Left to right, as a Python loop adds; np.sum adds pairwise.
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
+def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Union length of the arcs of each row, (T,) from (T, M) starts and ends.
+
+    Each row gets the bits of sorting its pieces by start, merging
+    overlapping pieces into runs and adding the run lengths left to
+    right.  An arc of width <= 0 is dropped (it becomes the piece (0, 0));
+    one of width >= 2*pi covers the circle.  Every other arc starts at its
+    wrapped start and is cut at 2*pi; the pieces left over past 2*pi all
+    start at 0, so one piece (0, the farthest of their ends) stands for
+    them, and a row sorts M + 1 pieces.  Each run's length sits at its
+    last position and 0.0 everywhere else, so one cumsum adds the runs in
+    order: a non-negative sum plus +0.0 keeps its bits.
+    """
+    t, m = lo.shape
+    width = hi - lo
+    keep = width > 0.0
+    start = wrap_angles(lo)
+    end = start + width
+    starts = np.zeros((t, m + 1))
+    ends = np.zeros((t, m + 1))
+    np.copyto(starts[:, 1:], start, where=keep)
+    np.copyto(ends[:, 1:], np.minimum(end, TWO_PI), where=keep)
+    ends[:, 0] = np.max(end - TWO_PI, axis=1, initial=0.0,
+                        where=end > TWO_PI)
+    at = np.arange(t * (m + 1)).reshape(t, m + 1)  # flat positions
+    order = np.argsort(starts, axis=1)
+    order += at[:, :1]
+    starts = starts.take(order)
+    reach = np.maximum.accumulate(ends.take(order), axis=1)
+    # A piece starting past everything before it opens a new run.
+    opens = np.ones((t, m + 1), dtype=bool)
+    np.greater(starts[:, 1:], reach[:, :-1], out=opens[:, 1:])
+    first = np.maximum.accumulate(np.where(opens, at, 0), axis=1)
+    closes = np.ones_like(opens)
+    closes[:, :-1] = opens[:, 1:]
+    runs = np.where(closes, reach - starts.take(first), 0.0)
+    total = np.minimum(np.cumsum(runs, axis=1)[:, -1], TWO_PI)
+    total[(width >= TWO_PI).any(axis=1)] = TWO_PI
+    return total
 
 
 def circle_union_length(arcs: Union[np.ndarray,
@@ -94,42 +130,40 @@ def circle_union_length(arcs: Union[np.ndarray,
     start; they may wrap past 2*pi and are reduced modulo 2*pi.  An arc
     that reaches past 2*pi after reduction is split there; the pieces are
     sorted by start, overlapping pieces merge into runs, and the run
-    lengths are added in order.
+    lengths are added in order.  This is the one-row case of the union
+    that measured_empty_ratio takes of a whole block.
+
+    Raises:
+        ValueError: if an arc has a NaN or infinite end, naming the first.
     """
     arcs = np.asarray(arcs, dtype=float).reshape(-1, 2)
-    width = arcs[:, 1] - arcs[:, 0]
-    keep = width > 0.0
-    if (width[keep] >= TWO_PI).any():
-        return TWO_PI
-    lo = wrap_angles(arcs[keep, 0])
-    hi = lo + width[keep]
-    over = hi > TWO_PI
-    lo = np.concatenate([lo, np.zeros(np.count_nonzero(over))])
-    hi = np.concatenate([np.where(over, TWO_PI, hi), hi[over] - TWO_PI])
-    if not lo.size:
-        return 0.0
-    order = np.argsort(lo)
-    lo, reach = lo[order], np.maximum.accumulate(hi[order])
-    # A piece starting past everything before it opens a new run.
-    opens = np.flatnonzero(lo[1:] > reach[:-1]) + 1
-    run_lo = lo[np.concatenate([[0], opens])]
-    run_hi = reach[np.concatenate([opens - 1, [lo.size - 1]])]
-    return min(_running_total(run_hi - run_lo), TWO_PI)
+    bad = np.flatnonzero(~np.isfinite(arcs).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"arc {i} must have finite ends, "
+                         f"got {tuple(arcs[i].tolist())!r}")
+    return float(_union_lengths(arcs[None, :, 0], arcs[None, :, 1])[0])
 
 
 def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
-    """Union coverage of the circle, the summed-width bound, and their gap."""
+    """Union coverage of the circle, the summed-width bound, and their gap.
+
+    One union pass takes every row of a batch; each row's fields have the
+    bits of circle_union_length of its arcs and of its widths added left
+    to right, as a Python loop adds (np.sum adds pairwise).
+    """
     *trials, n, l = regions.half_width.shape
     widths = regions.half_width.reshape(math.prod(trials), n * l)
-    fields = []
-    for centers, row in zip(regions.lines.args.reshape(widths.shape), widths):
-        union = circle_union_length(
-            np.stack([centers - row, centers + row], axis=1))
-        summed = 2.0 * _running_total(row)
-        overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
-        fields.append((union / TWO_PI, summed / TWO_PI, overlap))
-    return EmptyRatioReport(*(np.reshape(fields, (-1, 3)).T if trials
-                              else fields[0]))
+    centers = regions.lines.args.reshape(widths.shape)
+    union = _union_lengths(centers - widths, centers + widths)
+    summed = 2.0 * (np.cumsum(widths, axis=1)[:, -1] if n * l
+                    else np.zeros(len(widths)))
+    # A summed width of 0 leaves the quotient 1.0: an overlap of 0.0.
+    overlap = 1.0 - np.divide(union, summed, out=np.ones_like(union),
+                              where=summed != 0.0)
+    fields = (union / TWO_PI, summed / TWO_PI, overlap)
+    return EmptyRatioReport(*(fields if trials
+                              else (float(f[0]) for f in fields)))
 
 
 def empty_ratio_upper_bound_approx(k: int) -> float:

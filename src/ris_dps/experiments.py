@@ -16,6 +16,7 @@ pure function of (scenario, seed) so repeated runs are byte-identical.
 import json
 import math
 import numbers
+import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -84,6 +85,11 @@ class Scenario:
         there (exhaustive only where (K+1)^N <= exhaustive_cap).  A
         regions-mode scenario has no axis and returns [].
         """
+        # The name is the stem of the CSV and sidecar written under --out.
+        if self.name in ("", ".", "..") or any(
+                sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"name must be a plain file stem, without a "
+                             f"path separator, got {self.name!r}")
         if not 1 <= self.trials <= 2 ** 32:  # the sampler's trial indices
             raise ValueError(f"trials must be between 1 and 2**32, "
                              f"got {self.trials!r}")
@@ -110,6 +116,11 @@ class Scenario:
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown or not self.solvers:
             raise ValueError(f"solvers must be a non-empty subset of {SOLVERS}")
+        repeated = [s for s in SOLVERS if self.solvers.count(s) > 1]
+        if repeated:
+            raise ValueError(f"solvers must name each solver once, got "
+                             f"{', '.join(map(repr, repeated))} more than "
+                             "once")
         if self.empty_ratio and "sweep" not in self.solvers:
             raise ValueError("empty_ratio needs the sweep solver")
         gap_axis = self.axis in ("phase_gap", "phase_gap_pair")

@@ -16,6 +16,7 @@ and empty_regions say so):
     broadcast_contributions           the contribution table as one product
     first_lines_by_argmin             each element's first line by argmin
     config_toward                     the per-element rule as one table
+    union_of_row, empty_ratio_of_row  the empty ratio one row at a time
 """
 
 import heapq
@@ -331,3 +332,41 @@ def config_toward(element_angles: np.ndarray, phases: np.ndarray, theta,
         return best + 1
     smallest = np.take_along_axis(ang, best[..., None], axis=-1)[..., 0]
     return np.where(smallest < math.pi / 2 + ANGLE_EPS, best + 1, OFF)
+
+
+def union_of_row(arcs) -> float:
+    """Union length of one row's (start, end) arcs on the circle, by one
+    sort and merge of that row's pieces: an arc of width <= 0 is
+    dropped, one of width >= 2*pi covers the circle, and one reaching
+    past 2*pi after the wrap is split into two pieces there."""
+    arcs = np.asarray(arcs, dtype=float).reshape(-1, 2)
+    width = arcs[:, 1] - arcs[:, 0]
+    keep = width > 0.0
+    if (width[keep] >= TWO_PI).any():
+        return TWO_PI
+    lo = wrap_angles(arcs[keep, 0])
+    hi = lo + width[keep]
+    over = hi > TWO_PI
+    lo = np.concatenate([lo, np.zeros(np.count_nonzero(over))])
+    hi = np.concatenate([np.where(over, TWO_PI, hi), hi[over] - TWO_PI])
+    if not lo.size:
+        return 0.0
+    order = np.argsort(lo)
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    opens = np.flatnonzero(lo[1:] > reach[:-1]) + 1
+    run_lo = lo[np.concatenate([[0], opens])]
+    run_hi = reach[np.concatenate([opens - 1, [lo.size - 1]])]
+    return min(float(np.cumsum(run_hi - run_lo)[-1]), TWO_PI)
+
+
+def empty_ratio_of_row(centers, widths):
+    """(measured_ratio, sum_ratio_ub, overlap_fraction) of one row of
+    empty regions: the union of its arcs by union_of_row, and its widths
+    added left to right."""
+    centers = np.asarray(centers, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    union = union_of_row(np.stack([centers - widths, centers + widths],
+                                  axis=1))
+    summed = 2.0 * float(np.cumsum(widths)[-1]) if widths.size else 0.0
+    overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
+    return union / TWO_PI, summed / TWO_PI, overlap

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import GRID, instances, random_instance
-from scalar_reference import omega_large_gap, omega_small_gap
+from scalar_reference import (empty_ratio_of_row, omega_large_gap,
+                              omega_small_gap, union_of_row)
 from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
                      LineTable, PhaseShiftSet, arg_mod_2pi,
                      circle_union_length, circular_distance,
                      empty_ratio_upper_bound_approx,
                      empty_regions, measured_empty_ratio, separation_lines,
                      sweep_optimize, wrap_angle, write_regions_csv)
+from ris_dps.analysis import _union_lengths
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -295,3 +297,98 @@ def test_union_equals_sort_and_merge(arcs):
     want = union_by_sort_and_merge(arcs)
     assert circle_union_length(arcs) == want
     assert circle_union_length(np.array(arcs).reshape(-1, 2)) == want
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# Starts in and out of the wrap's fast range (-2*pi, 6*pi), and widths
+# that drop the arc, are subnormal, reach 2*pi or pass it.
+STARTS = st.one_of(st.sampled_from(GRID), st.floats(-4 * PI, 4 * PI),
+                   st.sampled_from([-2 * TWO_PI, 3 * TWO_PI, 20.0, -1e3]))
+WIDTHS = st.one_of(st.sampled_from([0.0, -0.0, -0.25, 5e-324, 1e-310,
+                                    PI / 12, PI, TWO_PI, 2.5 * PI]),
+                   st.floats(-0.5, 0.6), st.floats(0.0, 0.05))
+
+
+@st.composite
+def arc_blocks(draw):
+    """(T, M) starts and ends: equal starts, touching arcs, arcs ending on
+    2*pi, rows of one arc and rows whose arcs are all dropped among them."""
+    t, m = draw(st.integers(1, 5)), draw(st.integers(0, 24))
+    lo = np.empty((t, m))
+    hi = np.empty((t, m))
+    for r in range(t):
+        dropped = draw(st.integers(0, 5)) == 0
+        for j in range(m):
+            kind = draw(st.integers(0 if j else 2, 6))
+            start = (lo[r, j - 1] if kind == 0 else hi[r, j - 1] if kind == 1
+                     else draw(STARTS))
+            if kind == 2:  # ends on 2*pi, after the wrap too
+                start = draw(st.sampled_from(GRID))
+                end = TWO_PI
+            else:
+                end = start + draw(WIDTHS)
+            lo[r, j], hi[r, j] = (start, start) if dropped else (start, end)
+    return lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(arc_blocks())
+@example((np.array([[TWO_PI - 0.1, 0.1, 3.0]]),
+          np.array([[TWO_PI + 0.1, 0.3, 3.0 + TWO_PI]])))
+@example((np.zeros((3, 0)), np.zeros((3, 0))))
+@example((np.array([[1.0, 1.0], [30.0, 1.0]]), np.array([[1.5, 1.0],
+                                                        [30.5, 1.0]])))
+@example((np.array([[1.22, 1.57]]), np.array([[1.57, 4.5]])))  # touching
+# ten runs whose lengths round: a pairwise sum of them differs
+@example((np.array([[0.000836, 0.001904, 0.004294, 0.009891, 0.022525,
+                     0.052115, 0.122009, 0.282342, 0.635757, 1.465723]]),
+          np.array([[0.001848, 0.004269, 0.008876, 0.020418, 0.049597,
+                     0.112003, 0.260489, 0.614577, 1.399986, 3.025207]])))
+# a full arc whose two wrapped pieces leave a one-ulp gap between them:
+# only the full-circle rule makes it 2*pi
+@example((np.array([[-2.337948404185129e-15]]),
+          np.array([[-2.337948404185129e-15 + TWO_PI]])))
+def test_union_block_equals_rows(block):
+    # one pass over the block has each row's bits from its own merge
+    lo, hi = block
+    want = [union_of_row(np.stack([a, b], axis=1)) for a, b in zip(lo, hi)]
+    assert _bits(_union_lengths(lo, hi)).tolist() == _bits(want).tolist()
+    for a, b, w in zip(lo, hi, want):
+        assert _bits(circle_union_length(np.stack([a, b], axis=1))) == \
+            _bits(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 6), st.integers(1, 4),
+       st.data())
+def test_empty_ratio_block_equals_rows(t, n, l, data):
+    # all three report fields, bit for bit, row by row
+    centers = np.array(data.draw(st.lists(STARTS, min_size=t * n * l,
+                                          max_size=t * n * l)))
+    widths = np.array(data.draw(st.lists(WIDTHS, min_size=t * n * l,
+                                         max_size=t * n * l)))
+    if data.draw(st.booleans()) and centers.size:  # equal centers
+        centers[:] = centers[0]
+    table = LineTable(centers.reshape(t, n, l), np.arange(1, l + 1),
+                      np.arange(2, l + 2))
+    report = measured_empty_ratio(EmptyRegions(table,
+                                               widths.reshape(t, n, l)))
+    want = np.array([empty_ratio_of_row(c, w) for c, w in zip(
+        centers.reshape(t, n * l), widths.reshape(t, n * l))]).reshape(t, 3)
+    for i, field in enumerate(("measured_ratio", "sum_ratio_ub",
+                               "overlap_fraction")):
+        assert _bits(getattr(report, field)).tolist() == \
+            _bits(want[:, i]).tolist()
+
+
+@pytest.mark.parametrize("arcs, index", [
+    ([(1.0, math.nan)], 0), ([(math.nan, 1.0)], 0),
+    ([(math.inf, math.inf)], 0), ([(0.0, math.inf)], 0),
+    ([(0.0, 1.0), (2.0, 3.0), (-math.inf, 0.5)], 2)])
+def test_union_rejects_non_finite_arcs(arcs, index):
+    with pytest.raises(ValueError, match=f"^arc {index} must have finite "
+                                         "ends"):
+        circle_union_length(arcs)

@@ -155,6 +155,16 @@ def test_invalid_scenario_fails_cleanly(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys):
+    spath = tmp_path / "escape.json"
+    spath.write_text(json.dumps({**scenario_doc(), "name": "../escape"}))
+    out = tmp_path / "deep" / "out"
+    rc = main(["run", "--scenario", str(spath), "--out", str(out)])
+    assert rc == 1
+    assert "name must be a plain file stem" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["escape.json"]
+
+
 def test_missing_json_field_names_file_and_field(realization_file, tmp_path,
                                                   capsys):
     doc = json.loads(realization_file.read_text())

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import re
 from functools import partial
 
 import pytest
@@ -40,6 +42,28 @@ class TestScenarioValidation:
     def test_bad_solver(self):
         with pytest.raises(ValueError, match="solvers"):
             tiny_scenario(solvers=("sweep", "annealing")).validate()
+
+    @pytest.mark.parametrize("solvers, repeated", [
+        (("sweep", "sweep"), "sweep"),
+        (("cpp", "sweep", "cpp", "cpp"), "cpp")])
+    def test_repeated_solver(self, solvers, repeated):
+        message = f"solvers must name each solver once, got '{repeated}' more"
+        with pytest.raises(ValueError, match=message):
+            tiny_scenario(solvers=solvers).validate()
+        doc = {**tiny_scenario().to_json(), "solvers": list(solvers)}
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_json(doc)
+
+    @pytest.mark.parametrize("name", [
+        "/tmp/x", "../..", "", ".", "..", "a/b",
+        *(f"a{sep}b" for sep in (os.sep, os.altsep) if sep and sep != "/")])
+    @pytest.mark.parametrize("mode", ["curve", "regions"])
+    def test_name_is_a_file_stem(self, name, mode):
+        message = (f"^name must be a plain file stem.*"
+                   f"got {re.escape(repr(name))}$")
+        with pytest.raises(ValueError, match=message):
+            tiny_scenario(name=name, mode=mode).validate()
+        tiny_scenario(name="fig15_k2.v2 run", mode=mode).validate()
 
     def test_empty_values(self):
         with pytest.raises(ValueError):
