@@ -95,7 +95,8 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     order: a non-negative sum plus +0.0 keeps its bits.
     """
     t, m = lo.shape
-    width = hi - lo
+    with np.errstate(over="ignore"):  # an overflowing width is >= 2*pi
+        width = hi - lo
     keep = width > 0.0
     start = wrap_angles(lo)
     end = start + width

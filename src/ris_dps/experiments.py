@@ -54,6 +54,10 @@ _PI = math.pi
 #: bounds the block's memory on 1000-trial points.
 _BLOCK_LINES = 2 ** 16
 
+#: Most separation lines, N*(K+1), one trial may have (the exhaustive
+#: cap's figure); the sampler and the sweep hold every line of a trial.
+_MAX_TRIAL_LINES = 2 ** 24
+
 
 @dataclass
 class Scenario:
@@ -108,6 +112,7 @@ class Scenario:
                 raise ValueError("regions mode needs an explicit phase set")
             if self.n_elements < 1:
                 raise ValueError("regions mode needs at least one element")
+            _check_trial_lines(self.n_elements, self.phases)
             return []
         if self.axis not in AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
@@ -148,11 +153,12 @@ class Scenario:
                 field = what if self.axis == "n_elements" else "n_elements"
                 raise ValueError(f"{field} must be at least 1 with "
                                  "empty_ratio on, got 0")
-            try:  # a bad gap or budget
+            try:  # a bad gap, trial size or budget
                 if gap_axis:
                     phases = PhaseShiftSet.from_gaps(coords)
                 elif self.axis != "n_elements":  # a LinkBudget field
                     budget = replace(budget, **{self.axis: coords[0]})
+                _check_trial_lines(n, phases)
                 _check_capacity(budget, n)
             except ValueError as exc:
                 raise ValueError(f"{what}: {exc}") from exc
@@ -215,6 +221,15 @@ class Scenario:
         )
         scenario.validate()
         return scenario
+
+
+def _check_trial_lines(n: int, phases: PhaseShiftSet) -> None:
+    """Raise ValueError if one trial has more than _MAX_TRIAL_LINES lines."""
+    lines = n * (phases.k + 1)
+    if lines > _MAX_TRIAL_LINES:
+        raise ValueError(
+            f"n_elements = {n} gives N*(K+1) = {lines} separation lines "
+            f"per trial at K = {phases.k}, more than 2**24")
 
 
 def _check_capacity(budget: LinkBudget, n: int) -> None:

@@ -300,9 +300,9 @@ def _sorted_lines(batch, offsets: np.ndarray):
     return order, vv, args, flat, valid
 
 
-def _contributions(vv: np.ndarray, units: np.ndarray,
-                   choices: np.ndarray) -> np.ndarray:
-    """Each element's contribution under each column's choice, (T, N, L).
+def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
+                   g: np.ndarray) -> None:
+    """Fill g (T, N, L) with each element's contribution per column's choice.
 
     Column c is vv * units[choices[c]], one product per column into the
     table's strided column; an off choice contributes exactly +0.0,
@@ -313,13 +313,11 @@ def _contributions(vv: np.ndarray, units: np.ndarray,
     (test_sweep_paths.py::test_column_products_match_the_broadcast pins
     this).
     """
-    g = np.empty(vv.shape + choices.shape, dtype=complex)
     for c, choice in enumerate(choices):
         if choice == OFF:
             g[..., c] = 0.0
         else:
             np.multiply(vv, units[choice], out=g[..., c])
-    return g
 
 
 def _first_lines(args: np.ndarray, g_start: np.ndarray,
@@ -412,13 +410,27 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     order, vv, args, flat, valid = _sorted_lines(batch, offsets)
     trial = np.arange(t)[:, None]
 
+    # The per-line complex tables are views of one allocation of
+    # T*(5m + 1) values (80 bytes a line), in order: g_start and g_end
+    # (T, N, L), a (T, m) gather buffer and the steps (T, 2m + 1).  It is
+    # the call's largest allocation, and freeing it sets glibc's trim
+    # threshold to twice its size.  The rest of the call's peak stays
+    # below the block, so the heap is not trimmed when the call returns
+    # and the next call reuses its pages instead of faulting them in.
+    tm = t * m
+    block = np.empty(t * (5 * m + 1), dtype=complex)
+    g_start = block[:tm].reshape(t, n, l)
+    g_end = block[tm:2 * tm].reshape(t, n, l)
+    gathered = block[2 * tm:3 * tm].reshape(t, m)
+    steps = block[3 * tm:].reshape(t, 2 * m + 1)
+
     # Contribution of every element under each line's starting and ending
-    # choice, (T, N, L), from units[choice] (0 for off), built column by
-    # column (see _contributions for the rounding this relies on).
+    # choice, from units[choice] (0 for off), built column by column (see
+    # _contributions for the rounding this relies on).
     units = np.zeros(phase_set.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(phase_set.phases))
-    g_start = _contributions(vv, units, col_start)
-    g_end = _contributions(vv, units, col_end)
+    _contributions(vv, units, col_start, g_start)
+    _contributions(vv, units, col_end, g_end)
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its
@@ -431,12 +443,15 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # 0).  Each line j takes its element's start contribution out and puts
     # its end contribution in; add.accumulate is a sequential left fold, so
     # each entry is exactly chain[:, j] - g_start[:, j] + g_end[:, j].
-    # From here on flat indexes the flattened (T, N, L) tables.
+    # From here on flat indexes the flattened (T, N, L) tables; it is in
+    # range, so take's "clip" mode writes straight into the buffer, where
+    # "raise" would buffer the output.
     flat += trial * m
-    steps = np.empty((t, 2 * m + 1), dtype=complex)
     steps[:, 0] = h0
-    np.negative(g_start.take(flat), out=steps[:, 1::2])
-    steps[:, 2::2] = g_end.take(flat)
+    np.take(g_start, flat, out=gathered, mode="clip")
+    np.negative(gathered, out=steps[:, 1::2])
+    np.take(g_end, flat, out=gathered, mode="clip")
+    steps[:, 2::2] = gathered
     chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     counters.vector_additions += n + 2 * m
 

@@ -392,3 +392,13 @@ def test_union_rejects_non_finite_arcs(arcs, index):
     with pytest.raises(ValueError, match=f"^arc {index} must have finite "
                                          "ends"):
         circle_union_length(arcs)
+
+
+@pytest.mark.parametrize("arcs", [
+    [(-1e308, 1e308)], [(-1.7e308, 1.7e308)],
+    [(0.0, 1.0), (-1e308, 1e308), (2.0, 2.5)],
+    [(5.0, 5.5), (1.0, 1.2), (-1e308, 1e308), (1e308, -1e308)]])
+def test_overflowing_arc_width_covers_the_circle(arcs):
+    # hi - lo overflows to inf on finite ends; under the suite's
+    # filterwarnings = error a RuntimeWarning would fail this call.
+    assert circle_union_length(arcs) == TWO_PI

@@ -342,6 +342,47 @@ def test_snr_axis_reuses_realizations():
     assert rows[0].mean_se == rows[1].mean_se
 
 
+_BIG = 10 ** 9
+_ON_THE_CAP = 2 ** 24 // 3  # N*(K+1) = 2**24 - 1 with TWO_PHASES (K = 2)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(values=(4, _BIG)), r"^sweep.values\[1\]: n_elements = 1000000000 "
+                             r"gives N\*\(K\+1\) = 3000000000 separation "
+                             r"lines per trial at K = 2, more than 2\*\*24$"),
+    (dict(values=(_ON_THE_CAP, _ON_THE_CAP + 1)),
+     r"^sweep.values\[1\]: n_elements = 5592406 gives N\*\(K\+1\) = "
+     r"16777218 "),
+    (dict(values=(10 ** 400,)), r"^sweep.values\[0\]: n_elements = 1000"),
+    (dict(axis="phase_gap", values=(PI / 2, PI), n_elements=_BIG),
+     r"^sweep.values\[0\]: n_elements = 1000000000 gives N\*\(K\+1\) = "
+     r"3000000000 separation lines per trial at K = 2, more than 2\*\*24$"),
+    (dict(axis="snr_budget_db", values=(90.0,), n_elements=_BIG,
+          solvers=("sweep",)), r"^sweep.values\[0\]: n_elements = "),
+    (dict(mode="regions", n_elements=_BIG, solvers=("sweep",)),
+     r"^n_elements = 1000000000 gives N\*\(K\+1\) = 3000000000 "),
+], ids=["axis", "one-past-the-cap", "int-beyond-float", "fixed-on-gap-axis",
+        "fixed-on-snr-axis", "regions"])
+def test_trial_size_is_bounded_before_sampling(monkeypatch, overrides,
+                                               message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(experiments, "sample_realization", unreachable)
+    s = tiny_scenario(**{"solvers": ("sweep", "cpp"), **overrides})
+    run = regions_dump if s.mode == "regions" else run_scenario
+    for call in (s.validate, lambda: run(s),
+                 lambda: Scenario.from_json(json.loads(
+                     json.dumps(s.to_json())))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_a_trial_on_the_line_cap_passes():
+    plan = tiny_scenario(values=(_ON_THE_CAP,), solvers=("sweep",)).validate()
+    assert plan[0][1] * (plan[0][2].k + 1) == 2 ** 24 - 1
+
+
 def test_capacity_underflow_names_the_point():
     s = tiny_scenario(axis="snr_budget_db", values=(100.0, -300.0),
                       solvers=("sweep", "cpp"))

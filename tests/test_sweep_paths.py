@@ -14,6 +14,7 @@ gaps of exactly pi, K = 1, N = 1 and a zero direct path.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -212,11 +213,24 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint64)
 
 
+def _carved_contributions(vv, units, choices, before=0, after=0):
+    """_contributions filled into a table carved out of a NaN block, as the
+    sweep carves its tables, with `before` and `after` values around it;
+    returns (table, block)."""
+    size = vv.size * choices.size
+    block = np.full(before + size + after, np.nan, dtype=complex)
+    g = block[before:before + size].reshape(vv.shape + choices.shape)
+    optimizer._contributions(vv, units, choices, g)
+    return g, block
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-7])
 def test_column_products_match_the_broadcast(scale):
     # Every row of a block, and every block, must take the bits of the
     # broadcast product: a change in how NumPy rounds one layout of its
-    # complex multiply loop fails here by name.
+    # complex multiply loop fails here by name.  A table carved out of a
+    # larger block at an offset, as the sweep's g_end is, must take the
+    # same bits and leave the rest of the block alone.
     rng = np.random.default_rng(41)
     units = np.zeros(4, dtype=complex)
     units[1:] = np.exp(1j * rng.uniform(0.0, TWO_PI, 3))
@@ -225,13 +239,44 @@ def test_column_products_match_the_broadcast(scale):
         for n in (*range(1, 40), 63, 64, 65, 200, 1001, 10_000):
             vv = scale * (rng.normal(size=(t, n))
                           + 1j * rng.normal(size=(t, n)))
-            g = optimizer._contributions(vv, units, choices)
+            g, _ = _carved_contributions(vv, units, choices)
             assert np.array_equal(
                 _bits(g), _bits(broadcast_contributions(vv, units, choices)))
+            m = n * choices.size
+            carved, block = _carved_contributions(
+                vv, units, choices, t * m, t * (3 * m + 1))
+            assert np.array_equal(_bits(carved), _bits(g))
+            assert np.isnan(block[:t * m]).all()
+            assert np.isnan(block[2 * t * m:]).all()
             for row in range(t):
-                one = optimizer._contributions(vv[row:row + 1], units,
-                                               choices)
+                one, _ = _carved_contributions(vv[row:row + 1], units, choices)
                 assert np.array_equal(_bits(one[0]), _bits(g[row]))
+
+
+@pytest.mark.parametrize("t, n, phase_set, l", [
+    (100, 50, PhaseShiftSet((0.0, PI / 6, PI / 3)), 4),
+    (1, 10_000, PhaseShiftSet.uniform(3), 3),
+    (4, 200, PhaseShiftSet((PI / 6, 5 * PI / 6)), 3)])
+def test_sweep_peak_stays_below_twice_its_complex_block(t, n, phase_set, l):
+    # The per-line complex tables are one block of T*(5m + 1) values, the
+    # call's largest allocation.  glibc trims its heap when the free top
+    # exceeds twice the largest mmapped chunk freed, so a call whose peak
+    # stays below twice the block reuses its heap on the next call instead
+    # of faulting it in again.
+    rng = np.random.default_rng(7)
+    v = rng.uniform(0.1, 2.0, (t, n)) * np.exp(
+        1j * rng.uniform(0.0, TWO_PI, (t, n)))
+    batch = RealizationBatch(rng.normal(size=t) + 1j * rng.normal(size=t), v)
+    assert optimizer._column_templates(phase_set)[0].size == l
+    block = 16 * t * (5 * n * l + 1)
+    sweep_optimize(batch, phase_set)
+    tracemalloc.start()
+    try:
+        sweep_optimize(batch, phase_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block <= peak < 2 * block
 
 
 @st.composite
@@ -271,7 +316,7 @@ def test_first_lines_match_argmin(block):
     _, vv, args, _, _ = optimizer._sorted_lines(batch, offsets)
     units = np.zeros(ps.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(ps.phases))
-    g_start = optimizer._contributions(vv, units, col_start)
+    g_start, _ = _carved_contributions(vv, units, col_start)
     cfg0, h0 = optimizer._first_lines(args, g_start, col_start, batch.h_d)
     ref_cfg0, ref_h0 = first_lines_by_argmin(args, g_start, col_start,
                                              batch.h_d)
