@@ -9,14 +9,20 @@ candidate channel for each sector follows from the previous one by a
 single subtract/add, so one pass over the sorted lines evaluates every
 sector.
 
-The sweep is one array program over the N x L line table: one sort
-orders the lines, a cumulative sum of contributions gathered by line
-index forms the candidate chain, and the winning configuration is read
-off the line arguments, as each element's last line below the winning
-line's argument.  Both sorts (elements by angle, lines by argument) give
-the order of a stable argsort: one value sort of keys that carry each
-value's index in their low bits, and a stable argsort of the rare row
-that comes out unsorted.  Every solver runs on a (T, N) block of
+The sweep is one array program over the line table, stored plane by
+plane as (T, L, N), so every per-column pass (line arguments,
+contributions, first lines, read-out) reads or writes one contiguous
+(T, N) plane.  One sort orders the lines, a cumulative sum of
+contributions gathered by line position forms the candidate chain, and
+the winning configuration is read off the line arguments, as each
+element's last line below the winning line's argument.  Both sorts
+(elements by angle, lines by argument) give the order of a stable
+argsort, as flat positions that one take or put applies to a whole
+block: one value sort of keys that carry each value's rank in their low
+bits, and a stable argsort of the rare row that comes out unsorted.  A
+line's rank is its row-major index with the column count padded to a
+power of two, n*Lp + c, so the sorted ranks map to plane positions with
+a mask, a shift and a multiply.  Every solver runs on a (T, N) block of
 realizations (a RealizationBatch) with the same kernel; a single
 ChannelRealization is the one-row block.  The line sort gives the order
 of the paper's column rotation and min-heap merge (O(N*L*log L)
@@ -162,25 +168,27 @@ def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
 
     L is K when every cyclic phase gap is at most pi and K+1 when one gap
     exceeds pi; it is identical across elements because the gaps depend
-    only on the shared phase set.  A RealizationBatch gives (T, N, L) args,
-    built as the sweep builds them (see _line_args).
+    only on the shared phase set.  A RealizationBatch gives (T, N, L) args:
+    the sweep's plane table (see _line_args), transposed into a
+    contiguous array.
     """
     if real.n < 1:
         raise ValueError("need at least one element")
     offsets, starting, ending = _column_templates(phase_set)
-    return LineTable(_line_args(real.element_angles(), offsets), starting,
-                     ending)
+    args = _line_args(real.element_angles(), offsets)
+    return LineTable(np.ascontiguousarray(np.swapaxes(args, -1, -2)),
+                     starting, ending)
 
 
 def _line_args(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Wrapped line arguments (..., N, L) of element angles (..., N).
+    """Wrapped line arguments (..., L, N) of element angles (..., N).
 
-    Column c is angles + offsets[c], one add per column into the table's
-    strided column (each add rounds once, as a broadcast add does).
+    Plane c is angles + offsets[c], one add per column into a contiguous
+    plane (each add rounds once, as a broadcast add does).
     """
-    args = np.empty(angles.shape + offsets.shape)
+    args = np.empty(angles.shape[:-1] + offsets.shape + angles.shape[-1:])
     for c, offset in enumerate(offsets):
-        np.add(angles, offset, out=args[..., c])
+        np.add(angles, offset, out=args[..., c, :])
     return wrap_angles(args)
 
 
@@ -214,67 +222,114 @@ def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
     return np.where(smallest < HALF_PI + ANGLE_EPS, best, OFF)
 
 
-def _argsort_rows(a: np.ndarray):
-    """np.argsort(a, axis=-1, kind="stable") and a sorted along that axis.
+def _rank_sort(a: np.ndarray, rank: np.ndarray, bits: int,
+               rows: tuple) -> np.ndarray:
+    """Each row's ranks in ascending (value, rank) order, as (R, m) uint64.
 
-    Each value's IEEE bits (after adding +0.0, which turns -0.0 into +0.0)
-    order the non-negative floats as unsigned integers do.  The low
-    ceil(log2 k) bits of each key, k the row length, are replaced by the
-    value's column, so one value sort of the keys (NumPy's SIMD sort)
-    carries the indices along, and equal values come out in index order.
-    A row whose values, gathered in that order, are not non-decreasing
-    (keys that differed only in the replaced bits, or negative values) is
-    put right by a stable argsort of the gathered values, which are
-    nearly sorted.  Returns (indices, sorted values), the same arrays as
-    the stable argsort and its gather.
+    a reshapes to `rows`, (R, m): R rows of m values; rank, which broadcasts
+    against a, gives each value a rank below 2**bits that is unique in
+    its row.  Each value's IEEE bits (after adding +0.0, which turns -0.0
+    into +0.0) order the non-negative floats as unsigned integers do.  The
+    low `bits` bits of each key are replaced by the value's rank, so one
+    value sort of the keys (NumPy's SIMD sort) carries the ranks along,
+    and equal values come out in rank order.  Keys that differed only in
+    the replaced bits, and negative values, can come out of value order;
+    _gather_sorted puts their rows right.
     """
-    bits = max(a.shape[-1] - 1, 0).bit_length()
     mask = np.uint64((1 << bits) - 1)
     keys = (a + 0.0).view(np.uint64)
     keys &= ~mask
-    keys |= np.arange(a.shape[-1], dtype=np.uint64)
+    keys |= rank
+    keys = keys.reshape(rows)
     keys.sort(axis=-1)
     keys &= mask
-    idx = keys.view(np.intp)
-    srt = np.take_along_axis(a, idx, axis=-1)
-    bad = (srt[..., 1:] < srt[..., :-1]).any(axis=-1)
+    return keys
+
+
+def _gather_sorted(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """a's values at the flat positions pos (R, m), rows put into order.
+
+    A row whose gathered values are not non-decreasing is put right by a
+    stable argsort of those values, which are nearly sorted, and pos is
+    permuted with it; equal values keep their order, which _rank_sort
+    made their rank order.  pos must lie in range: take's "clip" mode then
+    gathers without buffering.  Returns the sorted values.
+    """
+    srt = a.take(pos, mode="clip")
+    bad = (srt[:, 1:] < srt[:, :-1]).any(axis=1)
     if bad.any():
-        fix = np.argsort(srt[bad], axis=-1, kind="stable")
-        idx[bad] = np.take_along_axis(idx[bad], fix, axis=-1)
-        srt[bad] = np.take_along_axis(srt[bad], fix, axis=-1)
-    return idx, srt
+        fix = np.argsort(srt[bad], axis=1, kind="stable")
+        pos[bad] = np.take_along_axis(pos[bad], fix, axis=1)
+        srt[bad] = np.take_along_axis(srt[bad], fix, axis=1)
+    return srt
+
+
+def _argsort_rows(a: np.ndarray):
+    """A stable argsort of each row of a (..., k), as flat positions.
+
+    The rank of each value is its index in its row (see _rank_sort).
+    Returns (pos, sorted values), both shaped as a: pos holds, for each
+    row, the positions in a.ravel() of its values in the order of
+    np.argsort(a, axis=-1, kind="stable"), that is the argsort plus the
+    row's start, so one flat take or put permutes every row.
+    """
+    k = a.shape[-1]
+    pos = _rank_sort(a, np.arange(k, dtype=np.uint64),
+                     max(k - 1, 0).bit_length(), (math.prod(a.shape[:-1]), k))
+    pos += np.arange(len(pos), dtype=np.uint64)[:, None] * k
+    pos = pos.view(np.intp)
+    return pos.reshape(a.shape), _gather_sorted(a, pos).reshape(a.shape)
 
 
 def _argsort_line_order(args: np.ndarray):
-    """Order each (N, L) argument matrix ascending, ties by (row, column).
+    """Order each (L, N) plane table of lines ascending, ties by (element,
+    column).
 
-    A stable argsort of the row-major flattened matrix (by _argsort_rows):
-    row-major order makes the flat index break ties by (row, column),
-    exactly the rule of the paper's rotation + heap merge.
-    args may carry leading batch axes.  Returns (flat, sorted_args), both
-    of length N*L along the last axis: flat = row * L + column of each
-    line in sweep order, and the arguments in that order.
+    args (..., L, N) holds plane c of column c's arguments, as _line_args
+    builds it.  Each key carries its line's row-major rank r = n*Lp + c,
+    Lp being L rounded up to a power of two, so equal arguments come out
+    by (element, column), the rule of the paper's rotation + heap merge:
+    the order of a stable argsort of the row-major (N, L) table.  The
+    sorted ranks become plane positions c*N + n, plus the table's start
+    in args.ravel(), in the keys' own buffer.  Returns (pos,
+    sorted_args), (R, N*L) each for the R tables: every line's position in
+    args.ravel() in sweep order, and the arguments in that order.
     """
-    *lead, n, l = args.shape
-    return _argsort_rows(args.reshape(*lead, n * l))
+    l, n = args.shape[-2:]
+    m = n * l
+    shift = (l - 1).bit_length()
+    rank = ((np.arange(n, dtype=np.uint64) << shift)
+            | np.arange(l, dtype=np.uint64)[:, None])
+    keys = _rank_sort(args, rank, ((n - 1) << shift | (l - 1)).bit_length(),
+                      (math.prod(args.shape[:-2]), m))
+    del rank
+    column = keys & ((1 << shift) - 1)
+    keys >>= shift
+    column *= n
+    keys += column
+    del column
+    keys += np.arange(len(keys), dtype=np.uint64)[:, None] * m
+    pos = keys.view(np.intp)
+    return pos, _gather_sorted(args, pos)
 
 
 def _config_before(args: np.ndarray, crossed: np.ndarray,
                    col_end: np.ndarray, cfg0: np.ndarray) -> np.ndarray:
     """Each element's choice once the lines marked in `crossed` are behind.
 
-    crossed (..., N, L) must mark a prefix of the sweep order, the lines
-    before some point in ascending (argument, flat index) order.  Every
-    element then holds the ending choice of its crossed line of largest
-    (argument, column), which it crossed last, or its starting choice
-    cfg0 (..., N) if it has crossed none.
+    args and crossed are (..., L, N) plane tables; crossed must mark a
+    prefix of the sweep order, the lines before some point in ascending
+    (argument, element, column) order.  Every element then holds the
+    ending choice of its crossed line of largest (argument, column),
+    which it crossed last, or its starting choice cfg0 (..., N) if it has
+    crossed none.
     """
     cfg = cfg0.copy()
     latest = np.full(cfg0.shape, -1.0)
-    for c in range(args.shape[-1]):
+    for c in range(args.shape[-2]):
         # >=: of two equal arguments, the higher column is crossed later
-        later = crossed[..., c] & (args[..., c] >= latest)
-        np.copyto(latest, args[..., c], where=later)
+        later = crossed[..., c, :] & (args[..., c, :] >= latest)
+        np.copyto(latest, args[..., c, :], where=later)
         np.copyto(cfg, col_end[c], where=later)
     return cfg
 
@@ -282,30 +337,31 @@ def _config_before(args: np.ndarray, crossed: np.ndarray,
 def _sorted_lines(batch, offsets: np.ndarray):
     """Each row's elements in angle order and its lines in sweep order.
 
-    Both sorts go through _argsort_rows, so they give a stable argsort's
-    order.  Returns (order, vv, args, flat, valid), all with a leading
-    trials axis: order sorts the elements by angle (stably) and vv holds
-    their coefficients in that order; args (T, N, L) is the line table
-    with its rows in that order; flat gives the row-major index
-    (element * L + column) of each line in ascending order of argument;
+    Both sorts give a stable argsort's order, as flat positions (see
+    _argsort_rows and _argsort_line_order).  Returns (order, vv, args,
+    pos, valid), all with a leading trials axis: order holds the
+    positions in batch.v.ravel() of each row's elements sorted by angle
+    (stably), and vv their coefficients in that order; args (T, L, N) is
+    the line table, plane by plane, with the elements in that order; pos
+    gives the position in args.ravel() of each line in sweep order;
     valid is False where a line sits at the same argument as the one
     before it, so the sector between them has zero width.
     """
     order, angles = _argsort_rows(batch.element_angles())
-    vv = np.take_along_axis(batch.v, order, axis=1)
+    vv = batch.v.take(order, mode="clip")
     args = _line_args(angles, offsets)
-    flat, sorted_args = _argsort_line_order(args)
-    valid = np.ones(flat.shape, dtype=bool)
+    pos, sorted_args = _argsort_line_order(args)
+    valid = np.ones(pos.shape, dtype=bool)
     np.not_equal(sorted_args[:, 1:], sorted_args[:, :-1], out=valid[:, 1:])
-    return order, vv, args, flat, valid
+    return order, vv, args, pos, valid
 
 
 def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
                    g: np.ndarray) -> None:
-    """Fill g (T, N, L) with each element's contribution per column's choice.
+    """Fill g (T, L, N) with each element's contribution per column's choice.
 
-    Column c is vv * units[choices[c]], one product per column into the
-    table's strided column; an off choice contributes exactly +0.0,
+    Plane c is vv * units[choices[c]], one product per column into the
+    table's contiguous plane; an off choice contributes exactly +0.0,
     which a product with 0j need not give.  NumPy's complex multiply
     loops round each product as fma(ar, br, -ai*bi) whatever the operand
     layout, so every row has the bits of the one-realization product and
@@ -315,30 +371,31 @@ def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
     """
     for c, choice in enumerate(choices):
         if choice == OFF:
-            g[..., c] = 0.0
+            g[..., c, :] = 0.0
         else:
-            np.multiply(vv, units[choice], out=g[..., c])
+            np.multiply(vv, units[choice], out=g[..., c, :])
 
 
 def _first_lines(args: np.ndarray, g_start: np.ndarray,
                  col_start: np.ndarray, h_d: np.ndarray):
     """Each element's first line, of least (argument, column).
 
-    A loop over the columns whose strict < keeps the lower column of two
-    equal arguments, as argmin does, carrying each element's starting
-    choice and contribution along.  Returns (cfg0, h0): each element's
-    starting choice at its first line, (T, N), and the direct path plus
-    the sum of those lines' starting contributions, (T,), summed over a
-    contiguous (T, N) array as a gather of them would be.
+    A loop over the (T, L, N) tables' planes whose strict < keeps the
+    lower column of two equal arguments, as argmin does, carrying each
+    element's starting choice and contribution along.  Returns (cfg0,
+    h0): each element's starting choice at its first line, (T, N), and
+    the direct path plus the sum of those lines' starting contributions,
+    (T,), summed over a contiguous (T, N) array as a gather of them would
+    be.
     """
-    first_arg = args[:, :, 0].copy()
+    first_arg = args[:, 0].copy()
     cfg0 = np.full(first_arg.shape, col_start[0])
-    g0 = g_start[:, :, 0].copy()
-    for c in range(1, args.shape[2]):
-        lower = args[:, :, c] < first_arg
-        np.copyto(first_arg, args[:, :, c], where=lower)
+    g0 = g_start[:, 0].copy()
+    for c in range(1, args.shape[1]):
+        lower = args[:, c] < first_arg
+        np.copyto(first_arg, args[:, c], where=lower)
         np.copyto(cfg0, col_start[c], where=lower)
-        np.copyto(g0, g_start[:, :, c], where=lower)
+        np.copyto(g0, g_start[:, c], where=lower)
     return cfg0, h_d + g0.sum(axis=1)
 
 
@@ -358,12 +415,13 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
     Elements are sorted by angle once and the lines are put in ascending
-    order by one sort of the N x L line table; both sorts give a stable
-    argsort's order (see _argsort_rows).  The first sector's candidate
-    channel is built from each element's starting choice at its first
-    line (N vector additions); each subsequent sector costs two vector
-    additions, gathered by line index from the (N, L) tables of every
-    line's starting and ending contribution, so the candidate chain (one
+    order by one sort of the line table; both sorts give a stable
+    argsort's order (see _argsort_rows and _argsort_line_order).  The
+    first sector's candidate channel is built from each element's
+    starting choice at its first line (N vector additions); each
+    subsequent sector costs two vector additions, gathered by line
+    position from the (L, N) plane tables of every line's starting and
+    ending contribution, so the candidate chain (one
     cumulative sum) takes N + 2*N*L additions.  In the winning sector,
     each element holds the ending choice of its last line of smaller
     argument than the winning line, or its starting choice if it has
@@ -407,25 +465,24 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     m = n * l
-    order, vv, args, flat, valid = _sorted_lines(batch, offsets)
-    trial = np.arange(t)[:, None]
+    order, vv, args, pos, valid = _sorted_lines(batch, offsets)
 
     # The per-line complex tables are views of one allocation of
     # T*(5m + 1) values (80 bytes a line), in order: g_start and g_end
-    # (T, N, L), a (T, m) gather buffer and the steps (T, 2m + 1).  It is
+    # (T, L, N), a (T, m) gather buffer and the steps (T, 2m + 1).  It is
     # the call's largest allocation, and freeing it sets glibc's trim
     # threshold to twice its size.  The rest of the call's peak stays
     # below the block, so the heap is not trimmed when the call returns
     # and the next call reuses its pages instead of faulting them in.
     tm = t * m
     block = np.empty(t * (5 * m + 1), dtype=complex)
-    g_start = block[:tm].reshape(t, n, l)
-    g_end = block[tm:2 * tm].reshape(t, n, l)
+    g_start = block[:tm].reshape(t, l, n)
+    g_end = block[tm:2 * tm].reshape(t, l, n)
     gathered = block[2 * tm:3 * tm].reshape(t, m)
     steps = block[3 * tm:].reshape(t, 2 * m + 1)
 
     # Contribution of every element under each line's starting and ending
-    # choice, from units[choice] (0 for off), built column by column (see
+    # choice, from units[choice] (0 for off), built plane by plane (see
     # _contributions for the rounding this relies on).
     units = np.zeros(phase_set.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(phase_set.phases))
@@ -443,14 +500,13 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # 0).  Each line j takes its element's start contribution out and puts
     # its end contribution in; add.accumulate is a sequential left fold, so
     # each entry is exactly chain[:, j] - g_start[:, j] + g_end[:, j].
-    # From here on flat indexes the flattened (T, N, L) tables; it is in
-    # range, so take's "clip" mode writes straight into the buffer, where
-    # "raise" would buffer the output.
-    flat += trial * m
+    # pos indexes the flattened (T, L, N) tables; it is in range, so
+    # take's "clip" mode writes straight into the buffer, where "raise"
+    # would buffer the output.
     steps[:, 0] = h0
-    np.take(g_start, flat, out=gathered, mode="clip")
+    np.take(g_start, pos, out=gathered, mode="clip")
     np.negative(gathered, out=steps[:, 1::2])
-    np.take(g_end, flat, out=gathered, mode="clip")
+    np.take(g_end, pos, out=gathered, mode="clip")
     steps[:, 2::2] = gathered
     chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     counters.vector_additions += n + 2 * m
@@ -460,18 +516,19 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
         # Drift is judged against the scale of the summed vectors; the
         # channel itself can pass arbitrarily close to zero mid-sweep.
         drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
-        lines = np.arange(m).reshape(n, l)
+        rank = np.arange(m).reshape(n, l).T  # row-major, as (L, N)
         for stop in range(recheck, m + 1, recheck):
             counters.scratch_recomputes += 1
             # A checkpoint can fall inside a run of equal arguments, so the
-            # lines before it are those of smaller (argument, flat index).
+            # lines before it are those of smaller (argument, element,
+            # column).
             if stop < m:
-                at = flat[0, stop]
+                at = pos[0, stop]
                 a_stop = args[0].flat[at]
                 crossed = (args[0] < a_stop) | ((args[0] == a_stop)
-                                                & (lines < at))
+                                                & (rank < rank.flat[at]))
             else:
-                crossed = np.ones((n, l), dtype=bool)
+                crossed = np.ones((l, n), dtype=bool)
             _check_drift(real.h_d, vv[0], units,
                          _config_before(args[0], crossed, col_end, cfg0[0]),
                          complex(chain[0, stop]), drift_scale)
@@ -484,10 +541,10 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # Sector 0 is valid, so best is too: no line before line best shares
     # its argument, and the lines crossed before it are exactly those of
     # smaller argument.
-    a_best = args.take(flat[np.arange(t), best])
+    a_best = args.take(pos[np.arange(t), best])
     cfg = _config_before(args, args < a_best[:, None, None], col_end, cfg0)
     config = np.empty((t, n), dtype=int)
-    np.put_along_axis(config, order, cfg, axis=1)
+    config.put(order, cfg, mode="clip")
 
     result = _result(single, config, chain[np.arange(t), best], best)
     if instrument:
@@ -532,6 +589,10 @@ def exhaustive_optimize(real, phase_set: PhaseShiftSet,
     units = np.exp(1j * np.asarray(phase_set.phases))[None, :]
     config = np.zeros((batch.trials, n), dtype=int)
     h_star = np.empty_like(batch.h_d)
+    # A square overflows past ~1e154 and loses bits below ~1e-154, so each
+    # row compares its candidates scaled by 2**-e, e the exponent of its
+    # bound |h_d| + sum |v_n|: exact, and every |h| then lies below 1.
+    exponents = np.frexp(continuous_upper_bound(batch))[1]
     for t in range(batch.trials):  # a block table would hold T*(K+1)**N
         choices = np.concatenate([np.zeros((n, 1), dtype=complex),
                                   batch.v[t][:, None] * units], axis=1)
@@ -539,7 +600,9 @@ def exhaustive_optimize(real, phase_set: PhaseShiftSet,
         for idx in range(n):
             shape = (1,) * idx + (k + 1,) + (1,) * (n - 1 - idx)
             h = h + choices[idx].reshape(shape)
-        power = (h.real ** 2 + h.imag ** 2).ravel()
+        re = np.ldexp(h.real, -exponents[t])
+        im = np.ldexp(h.imag, -exponents[t])
+        power = (re ** 2 + im ** 2).ravel()
         best = int(np.argmax(power))  # first max: lexicographically smallest
         config[t] = np.unravel_index(best, (k + 1,) * n)
         h_star[t] = h.ravel()[best]

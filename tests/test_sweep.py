@@ -225,6 +225,39 @@ class TestExhaustive:
         assert res.amplitude == pytest.approx(best_amp, rel=1e-12)
         assert tuple(res.config) == best_cfg
 
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_scaled_rows_keep_their_optimum(self, power):
+        # A row scaled by 2**600 squares past the float range and one
+        # scaled by 2**-600 below it; both must keep the unscaled row's
+        # configuration and, scaled exactly, its channel.
+        rng = np.random.default_rng(71)
+        reals, ps = zip(*(random_instance(rng, 5, 3) for _ in range(4)))
+        ps = ps[0]
+        batch = RealizationBatch(np.array([r.h_d for r in reals]),
+                                 np.stack([r.v for r in reals]))
+        s = math.ldexp(1.0, power)
+        scaled = RealizationBatch(batch.h_d * s, batch.v * s)
+        plain, big = exhaustive_optimize(batch, ps), exhaustive_optimize(
+            scaled, ps)
+        np.testing.assert_array_equal(big.config, plain.config)
+        assert np.array_equal(big.h_star, plain.h_star * s)
+        np.testing.assert_array_equal(
+            big.config, sweep_optimize(scaled, ps).config)
+
+    @pytest.mark.parametrize("h_d, v, config, h_star", [
+        (0j, [1e-310], [1], 1e-310),
+        (3 * 2.0 ** -1060, [4 * 2.0 ** -1060, -4j * 2.0 ** -1060], [1, 1],
+         (7 - 4j) * 2.0 ** -1060),
+    ])
+    def test_subnormal_rows_keep_their_optimum(self, h_d, v, config, h_star):
+        # A bound below 2**-1022: unscaled, every square is 0; the scale
+        # 2**-e, e <= -1024, is not itself a float.  Phases 0 and pi keep
+        # every sum exact, and ties break to the first phase.
+        real = ChannelRealization(h_d, np.array(v))
+        res = exhaustive_optimize(real, PhaseShiftSet.uniform(2))
+        assert list(res.config) == config
+        assert res.h_star == h_star
+
     def test_cap_enforced(self):
         real = ChannelRealization(1 + 0j, np.exp(1j * np.arange(10)))
         with pytest.raises(ValueError, match="cap"):

@@ -2,10 +2,14 @@
 
 The sweep orders the elements and the separation lines with a row sorter
 that gives a stable argsort's order: one value sort of keys that pack each
-value's bits with its index, then a stable argsort of the rows that come
-out unsorted.  These properties pin the row sorter to the stable argsort,
-the line order to the paper's rotation + min-heap merge
-(tests/scalar_reference.py) on the sweep's own element order, the read-out
+value's bits with its rank, then a stable argsort of the rows that come
+out unsorted.  The sweep stores its line tables plane by plane, (T, L, N),
+and a line's rank is its row-major index padded to a power-of-two column
+count.  These properties pin the row sorter to the stable argsort, the
+line order, read as row-major (element, column), to the paper's rotation +
+min-heap merge (tests/scalar_reference.py) on the sweep's own element
+order and on plane tables of one to four columns, the plane table to
+separation_lines' (N, L) table, the read-out
 of the winning and every checkpoint configuration to the position-table
 read-out there, the column-by-column contribution table, first lines and
 per-element rule to their broadcast forms there, and the instrumented
@@ -30,11 +34,38 @@ from scalar_reference import (broadcast_contributions, config_before,
                               line_positions, sorted_line_order, stack,
                               sweep_line_args)
 from ris_dps import (ANGLE_EPS, OFF, ChannelRealization, PhaseShiftSet,
-                     RealizationBatch, exhaustive_optimize, sweep_optimize)
+                     RealizationBatch, exhaustive_optimize, separation_lines,
+                     sweep_optimize)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
 _V, _TIED = coinciding_blocks()
+
+
+def _planes(args: np.ndarray) -> np.ndarray:
+    """An (..., N, L) line table as the sweep's (..., L, N) plane table."""
+    return np.ascontiguousarray(np.swapaxes(args, -1, -2))
+
+
+def _row_major(pos: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Row-major line indices (element * L + column) of the line sort's
+    flat positions pos (R, N*L) into R (L, N) plane tables."""
+    plane = pos - np.arange(len(pos))[:, None] * (n * l)
+    cols, rows = np.divmod(plane, n)
+    return rows * l + cols
+
+
+def _line_order_matches_heap_merge(args: np.ndarray) -> None:
+    """The line sort of the (N, L) table args, as a plane table, equals
+    the rotation + heap merge read as row-major (element, column).  It is
+    sorted as rows 0 and 2 of a block, so each row's positions must start
+    at its own table."""
+    n, l = args.shape
+    block = np.stack([args, args[::-1], args])
+    flat = _row_major(optimizer._argsort_line_order(_planes(block))[0], n, l)
+    ref_rows, ref_cols = sorted_line_order(args)
+    for row in (flat[0], flat[2]):
+        np.testing.assert_array_equal(row, ref_rows * l + ref_cols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -50,12 +81,70 @@ _V, _TIED = coinciding_blocks()
 @example((ChannelRealization(0j, _TIED[0]), COINCIDING_SETS[1]))
 def test_argsort_order_matches_heap_merge(inst):
     real, ps = inst
-    args = sweep_line_args(real, ps)
-    flat, _ = optimizer._argsort_line_order(args)
-    rows, cols = np.divmod(flat, args.shape[1])
-    ref_rows, ref_cols = sorted_line_order(args)
-    np.testing.assert_array_equal(rows, ref_rows)
-    np.testing.assert_array_equal(cols, ref_cols)
+    _line_order_matches_heap_merge(sweep_line_args(real, ps))
+
+
+def _padded_bits(n: int, l: int) -> bool:
+    """Whether the padded rank of an (N, L) table takes one more bit than
+    its row-major index: N*L < 2**b <= N*Lp, b the index's bit count."""
+    lp = 1 << (l - 1).bit_length()
+    return ((n - 1) * lp + l - 1).bit_length() > (n * l - 1).bit_length()
+
+
+#: Element counts below 50 whose padded 3-column rank takes one more bit.
+_PADDED_N = [n for n in range(1, 50) if _padded_bits(n, 3)]
+
+
+def _line_table(angles, offsets) -> np.ndarray:
+    """The (N, L) table _line_args builds from sorted angles."""
+    return np.ascontiguousarray(optimizer._line_args(
+        np.array(angles, dtype=float), np.array(offsets, dtype=float)).T)
+
+
+@st.composite
+def _line_tables(draw):
+    """(N, L) line tables of 1-4 columns over sorted element angles, as
+    _line_args builds them: angles and offsets on a grid (ties), off it,
+    and one ulp apart; N drawn small or where the padded rank takes one
+    more bit."""
+    l = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from(_PADDED_N)))
+    angle = st.one_of(st.sampled_from(GRID),
+                      st.floats(0.0, TWO_PI, exclude_max=True))
+    angles = sorted(draw(st.lists(angle, min_size=n, max_size=n)))
+    for i in draw(st.lists(st.integers(1, n), max_size=3)):
+        if i < n:  # the next angle one ulp above this one
+            angles[i] = float(np.nextafter(angles[i - 1], TWO_PI))
+    angles.sort()
+    offsets = draw(st.lists(st.one_of(angle, st.just(1.0),
+                                      st.just(float(np.nextafter(1.0, 2.0)))),
+                            min_size=l, max_size=l))
+    return _line_table(angles, offsets)
+
+
+#: Two lines one ulp apart, 1.5 (line (1, 0), rank 2) and 1.5 + 2**-52
+#: (line (0, 1), rank 1): their keys collide in the two rank bits, so
+#: the higher value sorts first and the row takes the stable fix-up.
+_FIXUP_TABLE = _line_table([0.5, 1.5], [0.0, 1.0 + 2.0 ** -52])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_tables())
+@example(_line_table([0.3], [2.0]))  # L = 1, N = 1
+@example(_line_table([0.0, 0.0, 1.0], [0.0]))
+@example(_line_table([0.0, 1.0, 1.0, 3.0], [0.0, PI]))
+@example(_line_table(GRID[:5], [0.0, 1.0, 1.0]))  # N = 5, L = 3: one bit more
+@example(_line_table(sorted(GRID[::2] * 2)[:9], [1.0, 0.5, 1.0]))  # N = 9
+@example(_line_table(GRID[:10], [0.0, PI / 2, PI, 3 * PI / 2]))
+@example(_FIXUP_TABLE)
+def test_padded_line_order_matches_heap_merge(args):
+    _line_order_matches_heap_merge(args)
+
+
+def test_colliding_ranks_take_the_stable_fixup():
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        _line_order_matches_heap_merge(_FIXUP_TABLE)
+    assert spy.call_count == 1
 
 
 def _ulp_run(x: float, perm) -> list:
@@ -106,9 +195,11 @@ def _wide_row() -> np.ndarray:
 @example(_wide_row())
 def test_row_sorter_matches_stable_argsort(a):
     for rows in (a, a[0]):
-        idx, srt = optimizer._argsort_rows(rows)
+        pos, srt = optimizer._argsort_rows(rows)
         ref = np.argsort(rows, axis=-1, kind="stable")
-        np.testing.assert_array_equal(idx, ref)
+        k = rows.shape[-1]
+        starts = np.arange(0, rows.size, k).reshape(rows.shape[:-1] + (1,))
+        np.testing.assert_array_equal(pos - starts, ref)
         # bytes, so that a -0.0 where the stable sort has 0.0 fails
         assert srt.tobytes() == np.take_along_axis(rows, ref, -1).tobytes()
 
@@ -136,7 +227,9 @@ def test_readout_matches_position_table(inst):
         res = sweep_optimize(real, ps, instrument=True)
     args = sweep_line_args(real, ps)
     n, l = args.shape
-    position = line_positions(optimizer._argsort_line_order(args)[0], n, l)
+    position = line_positions(
+        _row_major(optimizer._argsort_line_order(_planes(args))[0], n, l)[0],
+        n, l)
     _, col_start, col_end = optimizer._column_templates(ps)
     order, _ = optimizer._argsort_rows(real.element_angles())
     winner = np.empty(n, dtype=int)
@@ -219,7 +312,8 @@ def _carved_contributions(vv, units, choices, before=0, after=0):
     returns (table, block)."""
     size = vv.size * choices.size
     block = np.full(before + size + after, np.nan, dtype=complex)
-    g = block[before:before + size].reshape(vv.shape + choices.shape)
+    g = block[before:before + size].reshape(vv.shape[:-1] + choices.shape
+                                            + vv.shape[-1:])
     optimizer._contributions(vv, units, choices, g)
     return g, block
 
@@ -240,8 +334,8 @@ def test_column_products_match_the_broadcast(scale):
             vv = scale * (rng.normal(size=(t, n))
                           + 1j * rng.normal(size=(t, n)))
             g, _ = _carved_contributions(vv, units, choices)
-            assert np.array_equal(
-                _bits(g), _bits(broadcast_contributions(vv, units, choices)))
+            ref = broadcast_contributions(vv, units, choices)
+            assert np.array_equal(_bits(_planes(ref)), _bits(g))
             m = n * choices.size
             carved, block = _carved_contributions(
                 vv, units, choices, t * m, t * (3 * m + 1))
@@ -318,10 +412,33 @@ def test_first_lines_match_argmin(block):
     units[1:] = np.exp(1j * np.asarray(ps.phases))
     g_start, _ = _carved_contributions(vv, units, col_start)
     cfg0, h0 = optimizer._first_lines(args, g_start, col_start, batch.h_d)
-    ref_cfg0, ref_h0 = first_lines_by_argmin(args, g_start, col_start,
-                                             batch.h_d)
+    ref_cfg0, ref_h0 = first_lines_by_argmin(
+        np.swapaxes(args, 1, 2), np.swapaxes(g_start, 1, 2), col_start,
+        batch.h_d)
     np.testing.assert_array_equal(cfg0, ref_cfg0)
     assert np.array_equal(_bits(h0), _bits(ref_h0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+@example((stack([ChannelRealization(0j, [1 + 0j])]), PhaseShiftSet((0.0,))))
+@example((stack([ChannelRealization(0.2j, _V[0])]), _TIED_ROW_SET))
+@example(_coinciding(_V, COINCIDING_SETS[0]))
+@example(_coinciding(_TIED, COINCIDING_SETS[1]))
+def test_plane_table_is_the_line_table(block):
+    # The sweep's (T, L, N) arguments, transposed and put back through
+    # the element order, are separation_lines' (T, N, L) table.
+    batch, ps = block
+    offsets, _, _ = optimizer._column_templates(ps)
+    order, _, args, _, _ = optimizer._sorted_lines(batch, offsets)
+    t, l, n = args.shape
+    if n == 0:  # the sweep returns before it sorts no lines
+        with pytest.raises(ValueError, match="at least one element"):
+            separation_lines(batch, ps)
+        return
+    back = np.empty((t, n, l))
+    back.reshape(t * n, l)[order.ravel()] = _planes(args).reshape(t * n, l)
+    assert back.tobytes() == separation_lines(batch, ps).args.tobytes()
 
 
 def _toward(batch, ps, theta):
