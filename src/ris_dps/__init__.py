@@ -18,7 +18,7 @@ from .analysis import (EmptyRatioReport, EmptyRegions, circle_union_length,
 from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                       RealizationBatch, overall_h, sample_realization)
 from .geometry import (ANGLE_EPS, TWO_PI, arg_mod_2pi, circular_distance,
-                       unit_from_arg, wrap_angle)
+                       wrap_angle)
 from .experiments import (ResultRow, Scenario, builtin_scenarios, get_builtin,
                           regions_dump, run_scenario, write_meta_json,
                           write_rows_csv)
@@ -29,7 +29,7 @@ from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, LineTable, SweepCounters,
 
 __all__ = [
     "ANGLE_EPS", "TWO_PI", "OFF", "DEFAULT_EXHAUSTIVE_CAP", "__version__",
-    "arg_mod_2pi", "circular_distance", "unit_from_arg", "wrap_angle",
+    "arg_mod_2pi", "circular_distance", "wrap_angle",
     "ChannelRealization", "LinkBudget", "PhaseShiftSet", "RealizationBatch",
     "overall_h", "sample_realization",
     "LineTable", "SweepCounters", "SweepResult",

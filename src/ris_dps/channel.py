@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import TWO_PI, unit_from_arg, wrap_angles
+from .geometry import TWO_PI, wrap_angles
 
 SCHEMA_VERSION = 1
 
@@ -76,13 +76,13 @@ class PhaseShiftSet:
             phases.append(phases[-1] + float(g))
         return cls(phases)
 
-    def to_json(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, "phases": list(self.phases)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PhaseShiftSet":
-        check_schema(doc, "phase set")
-        return cls(json_numbers(doc.get("phases"), "phases"))
+    @property
+    def units(self) -> np.ndarray:
+        """The (K+1,) unit vector each choice applies: 0 at OFF, then
+        np.exp(1j * phase), which has the bits of (cos, sin) of the phase."""
+        units = np.zeros(self.k + 1, dtype=complex)
+        units[1:] = np.exp(1j * np.asarray(self.phases))
+        return units
 
 
 @dataclass(frozen=True)
@@ -372,9 +372,8 @@ def overall_h(real, phase_set: PhaseShiftSet, config):
     if bad.size:
         raise IndexError(
             f"phase index {int(bad[0])} out of range 1..{phase_set.k}")
-    units = np.array([0j] + [unit_from_arg(p) for p in phase_set.phases])
     config = config.reshape(batch.v.shape)
-    u = units[config]
+    u = phase_set.units[config]
     a, b = batch.v.real, batch.v.imag
     c, d = u.real, u.imag
     on = config != OFF

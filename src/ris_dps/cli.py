@@ -17,10 +17,10 @@ from typing import List, Optional
 
 from .analysis import empty_regions, write_regions_csv
 from .channel import ChannelRealization, LinkBudget, PhaseShiftSet
-from .experiments import (Scenario, get_builtin, regions_dump, run_scenario,
-                          write_meta_json, write_rows_csv)
-from .optimizer import (continuous_upper_bound, cpp_optimize,
-                        exhaustive_optimize, sweep_optimize)
+from .experiments import (SOLVERS, Scenario, get_builtin, regions_dump,
+                          run_scenario, solve, write_meta_json,
+                          write_rows_csv)
+from .optimizer import continuous_upper_bound, sweep_optimize
 
 _PHASE_TOKEN = re.compile(r"^(\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
 
@@ -79,10 +79,6 @@ def _read_json(path: str, parse):
         return parse(json.load(fh))
 
 
-def _load_realization(path: str) -> ChannelRealization:
-    return _read_json(path, ChannelRealization.from_json)
-
-
 def _cmd_run(args) -> int:
     path = args.scenario if os.path.exists(args.scenario) else None
     scenarios = ([_read_json(path, Scenario.from_json)] if path
@@ -117,17 +113,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    real = _load_realization(args.input)
+    real = _read_json(args.input, ChannelRealization.from_json)
     phases = parse_phases(args.phases)
     with _naming(args.input):
-        if args.solver == "sweep":
-            result = sweep_optimize(real, phases)
-        elif args.solver == "cpp":
-            result = cpp_optimize(real, phases)
-        elif args.solver == "cpp_always_on":
-            result = cpp_optimize(real, phases, always_on=True)
-        else:
-            result = exhaustive_optimize(real, phases)
+        result = solve(args.solver, real, phases)
     budget = None
     if args.snr_budget_db is not None:
         budget = LinkBudget(0.0, 0.0, 0.0, args.snr_budget_db,
@@ -144,7 +133,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    real = _load_realization(args.input)
+    real = _read_json(args.input, ChannelRealization.from_json)
     phases = parse_phases(args.phases)
     with _naming(args.input):
         if args.use_upper_bound:
@@ -188,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--phases", required=True,
                          help="comma-separated phases, e.g. 'pi/6,5pi/6'")
     solve_p.add_argument("--solver", required=True,
-                         choices=("sweep", "cpp", "cpp_always_on",
-                                  "exhaustive"))
+                         choices=[s for s in SOLVERS if s != "continuous_ub"])
     solve_p.add_argument("--snr-budget-db", type=float, default=None,
                          help="include capacity at this SNR budget")
     solve_p.add_argument("--bandwidth-hz", type=float, default=1.0)
@@ -216,7 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"ris-dps: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        text = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"ris-dps: error: {text}", file=sys.stderr)
         return 1
 
 

@@ -31,9 +31,9 @@ from .channel import (LinkBudget, PhaseShiftSet, check_json_keys,
                       check_schema, json_bool, json_int, json_list,
                       json_number, json_numbers, json_str, sample_realization)
 from .metrics import performance_gain
-from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, continuous_upper_bound,
-                        cpp_optimize, exhaustive_fits, exhaustive_optimize,
-                        sweep_optimize)
+from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, SweepResult,
+                        continuous_upper_bound, cpp_optimize, exhaustive_fits,
+                        exhaustive_optimize, sweep_optimize)
 
 SCHEMA_VERSION = 1
 
@@ -265,6 +265,24 @@ class ResultRow:
     empty_ratio: Optional[float]
 
 
+def solve(solver: str, real, phase_set: PhaseShiftSet,
+          exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SweepResult:
+    """The SweepResult of the named configuration solver (any of SOLVERS
+    but continuous_ub, which bounds |h| without a configuration).
+
+    The solvers are looked up as this module's globals at call time, so a
+    wrapper set on them here sees every call.
+    """
+    if solver == "sweep":
+        return sweep_optimize(real, phase_set)
+    if solver in ("cpp", "cpp_always_on"):
+        return cpp_optimize(real, phase_set,
+                            always_on=solver == "cpp_always_on")
+    if solver == "exhaustive":
+        return exhaustive_optimize(real, phase_set, exhaustive_cap)
+    raise ValueError(f"unknown solver {solver!r}")
+
+
 def _solve_trial(scenario: Scenario, point: tuple, trials: range
                  ) -> Dict[str, np.ndarray]:
     """Columns for a block of trials: |h| per solver, and "empty_ratio".
@@ -278,18 +296,10 @@ def _solve_trial(scenario: Scenario, point: tuple, trials: range
     batch = sample_realization(budget, n, (scenario.seed, trials))
     cols: Dict[str, np.ndarray] = {}
     for solver in solvers:
-        if solver == "sweep":
-            cols[solver] = sweep_optimize(batch, phases).amplitude
-        elif solver == "cpp":
-            cols[solver] = cpp_optimize(batch, phases).amplitude
-        elif solver == "cpp_always_on":
-            cols[solver] = cpp_optimize(batch, phases,
-                                        always_on=True).amplitude
-        elif solver == "exhaustive":
-            cols[solver] = exhaustive_optimize(
-                batch, phases, scenario.exhaustive_cap).amplitude
-        elif solver == "continuous_ub":
-            cols[solver] = continuous_upper_bound(batch)
+        cols[solver] = (continuous_upper_bound(batch)
+                        if solver == "continuous_ub" else
+                        solve(solver, batch, phases,
+                              scenario.exhaustive_cap).amplitude)
     if scenario.empty_ratio:
         cols["empty_ratio"] = measured_empty_ratio(
             empty_regions(batch, phases, cols["sweep"])).measured_ratio

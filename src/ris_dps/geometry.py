@@ -2,8 +2,8 @@
 
 Channel coefficients are plain Python/numpy complex numbers; this module
 collects the angle utilities everything else is phrased in: arguments
-reduced to [0, 2*pi), the (unsigned, <= pi) distance between two
-directions, and unit vectors from a direction.
+reduced to [0, 2*pi) and the (unsigned, <= pi) distance between two
+directions.
 """
 
 import math
@@ -72,11 +72,6 @@ def arg_mod_2pi(v: complex) -> float:
     if v.real == 0.0 and v.imag == 0.0:
         raise ValueError("argument of zero vector undefined")
     return wrap_angle(math.atan2(v.imag, v.real))
-
-
-def unit_from_arg(theta: float) -> complex:
-    """Unit-amplitude complex number with argument theta mod 2*pi."""
-    return complex(math.cos(theta), math.sin(theta))
 
 
 def circular_distance(a: float, b: float) -> float:

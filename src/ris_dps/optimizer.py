@@ -484,8 +484,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # Contribution of every element under each line's starting and ending
     # choice, from units[choice] (0 for off), built plane by plane (see
     # _contributions for the rounding this relies on).
-    units = np.zeros(phase_set.k + 1, dtype=complex)
-    units[1:] = np.exp(1j * np.asarray(phase_set.phases))
+    units = phase_set.units
     _contributions(vv, units, col_start, g_start)
     _contributions(vv, units, col_end, g_end)
 
@@ -516,19 +515,12 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
         # Drift is judged against the scale of the summed vectors; the
         # channel itself can pass arbitrarily close to zero mid-sweep.
         drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
-        rank = np.arange(m).reshape(n, l).T  # row-major, as (L, N)
         for stop in range(recheck, m + 1, recheck):
             counters.scratch_recomputes += 1
-            # A checkpoint can fall inside a run of equal arguments, so the
-            # lines before it are those of smaller (argument, element,
-            # column).
-            if stop < m:
-                at = pos[0, stop]
-                a_stop = args[0].flat[at]
-                crossed = (args[0] < a_stop) | ((args[0] == a_stop)
-                                                & (rank < rank.flat[at]))
-            else:
-                crossed = np.ones((l, n), dtype=bool)
+            # The lines crossed at a checkpoint are the first `stop` in
+            # sweep order, which already breaks ties by (element, column).
+            crossed = np.zeros((l, n), dtype=bool)
+            crossed.flat[pos[0, :stop]] = True
             _check_drift(real.h_d, vv[0], units,
                          _config_before(args[0], crossed, col_end, cfg0[0]),
                          complex(chain[0, stop]), drift_scale)
@@ -586,7 +578,7 @@ def exhaustive_optimize(real, phase_set: PhaseShiftSet,
     if not exhaustive_fits(k, n, max_configs):
         raise ValueError(
             f"(K+1)^N = {k + 1}^{n} exceeds the exhaustive cap {max_configs}")
-    units = np.exp(1j * np.asarray(phase_set.phases))[None, :]
+    units = phase_set.units[None, 1:]
     config = np.zeros((batch.trials, n), dtype=int)
     h_star = np.empty_like(batch.h_d)
     # A square overflows past ~1e154 and loses bits below ~1e-154, so each
@@ -594,6 +586,7 @@ def exhaustive_optimize(real, phase_set: PhaseShiftSet,
     # bound |h_d| + sum |v_n|: exact, and every |h| then lies below 1.
     exponents = np.frexp(continuous_upper_bound(batch))[1]
     for t in range(batch.trials):  # a block table would hold T*(K+1)**N
+        # Off is an explicit +0j column: v * units[OFF] can give -0.0.
         choices = np.concatenate([np.zeros((n, 1), dtype=complex),
                                   batch.v[t][:, None] * units], axis=1)
         h = np.asarray(batch.h_d[t])

@@ -5,6 +5,7 @@ state the same rules the way the paper does, and the tests compare the
 array results against them (bit for bit where the docstrings of overall_h
 and empty_regions say so):
 
+    unit_from_arg                     the unit vector of a direction
     phase_of, f_vector, realize_g     one element's contribution
     angle_between                     the angle the per-element rule uses
     config_given_direction            the per-element rule at a direction
@@ -28,10 +29,15 @@ import numpy as np
 
 from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
                      PhaseShiftSet, RealizationBatch, arg_mod_2pi,
-                     separation_lines, unit_from_arg, wrap_angle)
+                     separation_lines, wrap_angle)
 from ris_dps.analysis import _check_h_star
 from ris_dps.geometry import wrap_angles
 from ris_dps.optimizer import _argsort_rows, _config_for_direction
+
+
+def unit_from_arg(theta: float) -> complex:
+    """Unit-amplitude complex number with argument theta mod 2*pi."""
+    return complex(math.cos(theta), math.sin(theta))
 
 
 def phase_of(phase_set: PhaseShiftSet, index: int) -> float:

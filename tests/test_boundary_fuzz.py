@@ -6,7 +6,10 @@ path-like name; a key dropped; an unknown key added; an array emptied.
 Every mutated document either loads or is rejected with a ValueError,
 and `ris-dps solve` on a mutated realization file either succeeds or
 prints one `ris-dps: error:` line: no other exception and no traceback
-reaches the user.
+reaches the user.  The argv of `solve`, `regions` and `run` is mutated
+too (phase lists, solver names, job and trial counts, seeds, output
+paths): each call exits 0, 1 with one error line, or 2 from argparse,
+and writes only where its --out points.
 """
 
 import copy
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from ris_dps import (ChannelRealization, LinkBudget, Scenario,
                      sample_realization)
 from ris_dps.cli import main
-from ris_dps.experiments import get_builtin
+from ris_dps.experiments import SOLVERS, get_builtin
 
 _SCENARIO = get_builtin("fig13")[0].to_json()
 _REALIZATION = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 4,
@@ -149,3 +152,123 @@ def test_solve_on_a_mutated_file_succeeds_or_prints_one_error(doc, solver,
         assert len(lines) == 1 and lines[0].startswith("ris-dps: error: ")
         assert "Traceback" not in err.getvalue()
         assert out.getvalue() == ""
+
+
+def _exit_code(argv) -> tuple:
+    """(exit code, stdout, stderr) of cli.main; argparse exits with 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _files(root) -> set:
+    """Every file under root, relative to it."""
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+@st.composite
+def _options(draw, options):
+    """One value per option: a valid one, except at up to two options,
+    which take one of their mutated values.  None leaves an option out."""
+    chosen = {key: draw(st.sampled_from(good))
+              for key, (good, _) in options.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(options)), max_size=2)):
+        chosen[key] = draw(st.sampled_from(options[key][1]))
+    return chosen
+
+
+#: Paths are relative to a temporary root that holds real.json and the
+#: plain file "taken".
+_SOLVE = {
+    "--input": (["real.json"], ["missing.json", "taken"]),
+    "--phases": (["pi/6,5pi/6", "0,pi/2,pi", "0.3"],
+                 ["pi/0", "", " , ", "1e400", "1,0.5", "pi,pi", "7", "-1",
+                  "nan", "x"]),
+    "--solver": ([s for s in SOLVERS if s != "continuous_ub"],
+                 ["continuous_ub", "nosuch"]),
+    "--out": ([None, "out", "a/b/out"], [".", "taken", "taken/out"]),
+}
+_RUN = {
+    "--scenario": (["fig11", "fig14"], ["nosuch"]),
+    "--jobs": (["1", "2"], ["0", "-1", "x"]),
+    "--trials": (["2", "1"], ["0", "-3", "4294967297", "1e3"]),
+    "--seed": ([None, "0", str(2 ** 70), str(10 ** 40)], ["-5", "x"]),
+    "--out": (["out", "a/b/out", "."], ["taken", "taken/out"]),
+}
+_ARGV = settings(max_examples=100, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def _argv(tmp, command, options) -> list:
+    """The command's argv, with its --input and --out paths under tmp."""
+    argv = [command]
+    for key, value in options.items():
+        if value is not None:
+            argv += [key, os.path.join(tmp, value)
+                     if key in ("--input", "--out") else value]
+    return argv
+
+
+def _check_exit(rc, err) -> None:
+    """Exit 0, 1 with exactly one error line, or argparse's 2."""
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("ris-dps: error:")]
+    assert len(errors) == (1 if rc == 1 else 0)
+
+
+@_ARGV
+@given(st.sampled_from(["solve", "regions"]), _options(_SOLVE), st.booleans())
+@example("solve", {"--input": "real.json", "--phases": "pi/6,5pi/6",
+                   "--solver": "continuous_ub", "--out": None}, False)
+@example("regions", {"--input": "real.json", "--phases": "pi/0",
+                     "--solver": "sweep", "--out": "a/b/out"}, True)
+def test_solve_and_regions_argv_exit_cleanly(command, options, upper_bound):
+    if command == "regions":
+        del options["--solver"]
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "real.json"), "w") as fh:
+            json.dump(_REALIZATION, fh)
+        with open(os.path.join(tmp, "taken"), "w") as fh:
+            fh.write("kept\n")
+        argv = _argv(tmp, command, options)
+        if command == "regions" and upper_bound:
+            argv.append("--use-upper-bound")
+        rc, out, err = _exit_code(argv)
+        written = _files(tmp) - {"real.json", "taken"}
+    _check_exit(rc, err)
+    if options.get("--solver") == "continuous_ub":
+        assert rc == 2  # a bound, not a configuration solver
+    target = options["--out"]
+    if rc == 0 and target not in (None, "taken"):
+        assert written == {os.path.normpath(target)}
+    else:
+        assert written == set()
+    assert bool(out) == (rc == 0 and target is None)
+
+
+@_ARGV
+@given(_options(_RUN))
+@example({"--scenario": "nosuch", "--jobs": "1", "--trials": "2",
+          "--seed": None, "--out": "out"})
+@example({"--scenario": "fig11", "--jobs": "2", "--trials": "2",
+          "--seed": str(2 ** 70), "--out": "a/b/out"})
+def test_run_argv_exits_cleanly_and_writes_only_under_out(options):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "taken"), "w") as fh:
+            fh.write("kept\n")
+        rc, out, err = _exit_code(_argv(tmp, "run", options))
+        written = _files(tmp) - {"taken"}
+    _check_exit(rc, err)
+    assert out == ""
+    if rc == 0:
+        stem = os.path.join(options["--out"], options["--scenario"])
+        assert written == {os.path.normpath(stem + ext)
+                           for ext in (".csv", ".meta.json")}
+    else:
+        assert written == set()

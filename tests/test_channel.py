@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from scalar_reference import f_vector, phase_of, realize_g
+from scalar_reference import f_vector, phase_of, realize_g, unit_from_arg
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      overall_h, sample_realization)
 
@@ -38,6 +39,14 @@ def test_phase_set_builders():
         (0.0, 2 * PI / 3, 4 * PI / 3))
     assert PhaseShiftSet.from_gaps((PI / 2, PI / 2)).phases == pytest.approx(
         (0.0, PI / 2, PI))
+
+
+@given(st.sets(st.floats(0.0, 2 * PI, exclude_max=True), min_size=1,
+               max_size=8))
+def test_choice_units_have_the_bits_of_cos_and_sin(phases):
+    ps = PhaseShiftSet(sorted(phases))
+    expected = [0j] + [unit_from_arg(p) for p in ps.phases]
+    assert ps.units.tobytes() == np.array(expected).tobytes()
 
 
 def test_phase_of_bounds():
@@ -280,14 +289,3 @@ def test_realization_json_rejects_non_numbers():
         ChannelRealization.from_json({**doc, "v": {"re": 1.0, "im": 0.0}})
     back = ChannelRealization.from_json({**doc, "h_d": {"re": 1, "im": 0}})
     assert back.h_d == 1 + 0j
-
-
-def test_phase_set_json_roundtrip():
-    ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
-    assert PhaseShiftSet.from_json(ps.to_json()).phases == ps.phases
-    with pytest.raises(ValueError, match="schema_version"):
-        PhaseShiftSet.from_json({"phases": [0.0]})
-    with pytest.raises(ValueError, match="phase set must be a JSON object"):
-        PhaseShiftSet.from_json([0.0])
-    with pytest.raises(ValueError, match="phases must be a JSON array"):
-        PhaseShiftSet.from_json({"schema_version": 1, "phases": 0.5})

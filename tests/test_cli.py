@@ -145,6 +145,13 @@ def test_unknown_preset_fails_cleanly(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unknown_preset_message_is_printed_unquoted(tmp_path, capsys):
+    assert main(["run", "--scenario", "nosuch", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "ris-dps: error: unknown preset 'nosuch'; available: fig9, fig10, "
+        "fig11, fig12, fig13, fig14, fig15_k2, fig15_k3, fig15\n")
+
+
 def test_invalid_scenario_fails_cleanly(tmp_path, capsys):
     spath = tmp_path / "bad.json"
     doc = scenario_doc()

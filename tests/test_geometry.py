@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from scalar_reference import angle_between
-from ris_dps import (PhaseShiftSet, TWO_PI, arg_mod_2pi, unit_from_arg,
-                     wrap_angle)
+from scalar_reference import angle_between, unit_from_arg
+from ris_dps import PhaseShiftSet, TWO_PI, arg_mod_2pi, wrap_angle
 from ris_dps import geometry
 from ris_dps.geometry import wrap_angles
 from ris_dps.optimizer import _column_templates

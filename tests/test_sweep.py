@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from scalar_reference import angle_between, config_given_direction, phase_of
+from scalar_reference import (angle_between, config_given_direction,
+                              phase_of, unit_from_arg)
 from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      RealizationBatch, continuous_upper_bound, cpp_optimize,
                      exhaustive_optimize,
                      overall_h, sample_realization, separation_lines,
-                     sweep_optimize, unit_from_arg)
+                     sweep_optimize)
 from ris_dps.optimizer import DEFAULT_EXHAUSTIVE_CAP, exhaustive_fits
 
 PI = math.pi
