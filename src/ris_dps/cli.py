@@ -80,7 +80,8 @@ def _read_json(path: str, parse):
 
 
 def _cmd_run(args) -> int:
-    path = args.scenario if os.path.exists(args.scenario) else None
+    # a directory named like a preset (a previous --out) is not a scenario
+    path = args.scenario if os.path.isfile(args.scenario) else None
     scenarios = ([_read_json(path, Scenario.from_json)] if path
                  else get_builtin(args.scenario))
     os.makedirs(args.out, exist_ok=True)

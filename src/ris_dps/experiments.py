@@ -17,8 +17,6 @@ import json
 import math
 import numbers
 import os
-import subprocess
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -306,6 +304,18 @@ def _solve_trial(scenario: Scenario, point: tuple, trials: range
     return cols
 
 
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first use (PEP 562).
+
+    The pool loads multiprocessing, which only run_scenario at jobs > 1
+    needs.  A class bound as this module's ProcessPoolExecutor replaces it.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     """Run every axis point of a curve scenario.
 
@@ -334,7 +344,9 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     _, points, blocks = zip(*tasks)
     worker = partial(_solve_trial, scenario)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        pool_class = (globals().get("ProcessPoolExecutor")
+                      or __getattr__("ProcessPoolExecutor"))
+        with pool_class(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(worker, points, blocks))
     else:
         results = list(map(worker, points, blocks))
@@ -411,8 +423,12 @@ def write_rows_csv(scenario: Scenario, rows: Sequence[ResultRow], fh) -> None:
 
 
 def _git_describe() -> Optional[str]:
+    """`git describe` of the checkout holding this package, or None."""
+    import subprocess
+
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=5)
     except (OSError, subprocess.TimeoutExpired):
         return None

@@ -396,6 +396,18 @@ def test_run_jobs_do_not_change_csv_bytes(tmp_path):
                 == (tmp_path / "2" / name).read_bytes())
 
 
+def test_out_directory_named_like_the_preset_runs_again(tmp_path, monkeypatch,
+                                                       capsys):
+    # the first run makes ./fig11; the second must still read the preset
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert main(["run", "--scenario", "fig11", "--trials", "2",
+                     "--out", "fig11"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "fig11").iterdir()) == [
+        "fig11.csv", "fig11.meta.json"]
+
+
 def test_module_entry_point(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 3,
                               (5, 0))

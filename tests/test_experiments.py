@@ -3,10 +3,14 @@ import json
 import math
 import os
 import re
+import shutil
+import subprocess
+import sys
 from functools import partial
 
 import pytest
 
+from conftest import child_env
 from ris_dps import LinkBudget, PhaseShiftSet, experiments
 from ris_dps.experiments import (Scenario, builtin_scenarios, get_builtin,
                                  regions_dump, run_scenario, write_meta_json,
@@ -433,6 +437,47 @@ def test_meta_sidecar():
     assert doc["jobs"] == 3
     assert doc["scenario"]["name"] == "tiny"
     assert "generated_at" in doc
+
+
+def _git(*args, cwd):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], cwd=cwd, capture_output=True, text=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_meta_sidecar_describes_the_package_checkout(tmp_path, monkeypatch):
+    # run from inside an unrelated repository: its hash must not be recorded
+    assert _git("init", "-q", cwd=tmp_path).returncode == 0
+    assert _git("commit", "-q", "--allow-empty", "-m", "other",
+                cwd=tmp_path).returncode == 0
+    other = _git("rev-parse", "HEAD", cwd=tmp_path).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    buf = io.StringIO()
+    write_meta_json(tiny_scenario(), buf)
+    described = json.loads(buf.getvalue())["git_describe"]
+    assert described is None or not other.startswith(
+        described.removesuffix("-dirty"))
+    package_dir = os.path.dirname(experiments.__file__)
+    in_checkout = _git("rev-parse", "HEAD", cwd=package_dir).returncode == 0
+    assert (described is not None) == in_checkout
+
+
+#: Modules that only a worker pool or the sidecar's git call needs.
+LAZY_MODULES = ("multiprocessing", "concurrent.futures",
+                "concurrent.futures.process", "subprocess")
+
+
+@pytest.mark.parametrize("module", ["ris_dps", "ris_dps.cli"])
+def test_import_loads_no_pool_and_no_subprocess(module):
+    script = (f"import sys, {module}\n"
+              "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+              "import concurrent.futures, ris_dps.experiments as e\n"
+              "print(e.ProcessPoolExecutor\n"
+              "      is concurrent.futures.ProcessPoolExecutor)\n")
+    out = subprocess.run([sys.executable, "-c", script, *LAZY_MODULES],
+                         capture_output=True, text=True, env=child_env(),
+                         timeout=60, check=True)
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 def test_builtin_presets_validate():
