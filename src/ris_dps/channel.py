@@ -359,11 +359,15 @@ def overall_h(real, phase_set: PhaseShiftSet, config):
         config: per-element choices, length real.n.
 
     Raises:
-        ValueError: on a length mismatch.
-        IndexError: on a choice outside 0..K.
+        ValueError: on a length mismatch or an entry that is no integer.
+        IndexError: on an integer choice outside 0..K.
     """
     batch, single = as_batch(real)
-    config = np.asarray(config, dtype=int)
+    if not (isinstance(config, np.ndarray) and config.dtype.kind in "iu"):
+        config = np.asarray(config, dtype=object)  # entries as given
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                   for c in config.flat):
+            raise ValueError("config entries must be integers")
     shape = batch.v.shape[1:] if single else batch.v.shape
     if config.shape != shape:
         raise ValueError(f"config shape {config.shape} != {shape}: "
@@ -371,8 +375,8 @@ def overall_h(real, phase_set: PhaseShiftSet, config):
     bad = config[(config < OFF) | (config > phase_set.k)]
     if bad.size:
         raise IndexError(
-            f"phase index {int(bad[0])} out of range 1..{phase_set.k}")
-    config = config.reshape(batch.v.shape)
+            f"phase index {int(bad[0])} out of range 0..{phase_set.k}")
+    config = config.reshape(batch.v.shape).astype(int, copy=False)
     u = phase_set.units[config]
     a, b = batch.v.real, batch.v.imag
     c, d = u.real, u.imag

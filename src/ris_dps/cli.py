@@ -114,6 +114,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if not 0.0 < args.bandwidth_hz < math.inf:  # checked even with no budget
+        raise ValueError("--bandwidth-hz must be positive and finite")
     real = _read_json(args.input, ChannelRealization.from_json)
     phases = parse_phases(args.phases)
     with _naming(args.input):

@@ -13,10 +13,11 @@ The sweep is one array program over the line table, stored plane by
 plane as (T, L, N), so every per-column pass (line arguments,
 contributions, first lines, read-out) reads or writes one contiguous
 (T, N) plane.  One sort orders the lines, a cumulative sum of
-contributions gathered by line position forms the candidate chain, and
-the winning configuration is read off the line arguments, as each
-element's last line below the winning line's argument.  Both sorts
-(elements by angle, lines by argument) give the order of a stable
+contributions gathered by line position from one table forms the
+candidate chain (a line's ending choice is the next column's starting
+choice), and the winning configuration is read off the line arguments,
+as each element's last line below the winning line's argument.  Both
+sorts (elements by angle, lines by argument) give the order of a stable
 argsort, as flat positions that one take or put applies to a whole
 block: one value sort of keys that carry each value's rank in their low
 bits, and a stable argsort of the rare row that comes out unsorted.  A
@@ -132,35 +133,26 @@ def _column_templates(phase_set: PhaseShiftSet):
     2*pi with the given starting/ending choices.  One line bisects each
     phase gap below pi; a gap above pi contributes an off region bracketed
     by two lines; a gap of exactly pi (within tolerance) collapses the
-    zero-width off region into a single boundary.
+    zero-width off region into a single boundary.  A line's ending
+    choice is the next column's starting choice.
     """
     phases = phase_set.phases
     gaps = phase_set.cyclic_gaps()
     offsets: List[float] = []
     starting: List[int] = []
-    ending: List[int] = []
     for i in range(phase_set.k):
         phi_lo = phases[i]
         phi_hi = phi_lo + gaps[i]  # next phase, unwrapped past 2*pi
-        on_lo = i + 1
-        on_hi = (i + 1) % phase_set.k + 1
+        starting.append(i + 1)
         if gaps[i] < math.pi - ANGLE_EPS:
             offsets.append((phi_lo + phi_hi) / 2.0)
-            starting.append(on_lo)
-            ending.append(on_hi)
-        elif gaps[i] > math.pi + ANGLE_EPS:
-            offsets.append(phi_lo + HALF_PI)
-            starting.append(on_lo)
-            ending.append(OFF)
-            offsets.append(phi_hi - HALF_PI)
-            starting.append(OFF)
-            ending.append(on_hi)
         else:
             offsets.append(phi_lo + HALF_PI)
-            starting.append(on_lo)
-            ending.append(on_hi)
-    return (np.asarray(offsets), np.asarray(starting, dtype=int),
-            np.asarray(ending, dtype=int))
+        if gaps[i] > math.pi + ANGLE_EPS:
+            offsets.append(phi_hi - HALF_PI)
+            starting.append(OFF)
+    start = np.asarray(starting, dtype=int)
+    return np.asarray(offsets), start, np.roll(start, -1)
 
 
 def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
@@ -339,21 +331,18 @@ def _sorted_lines(batch, offsets: np.ndarray):
 
     Both sorts give a stable argsort's order, as flat positions (see
     _argsort_rows and _argsort_line_order).  Returns (order, vv, args,
-    pos, valid), all with a leading trials axis: order holds the
+    pos, sorted_args), all with a leading trials axis: order holds the
     positions in batch.v.ravel() of each row's elements sorted by angle
     (stably), and vv their coefficients in that order; args (T, L, N) is
     the line table, plane by plane, with the elements in that order; pos
-    gives the position in args.ravel() of each line in sweep order;
-    valid is False where a line sits at the same argument as the one
-    before it, so the sector between them has zero width.
+    gives the position in args.ravel() of each line in sweep order, and
+    sorted_args its argument.
     """
     order, angles = _argsort_rows(batch.element_angles())
     vv = batch.v.take(order, mode="clip")
     args = _line_args(angles, offsets)
     pos, sorted_args = _argsort_line_order(args)
-    valid = np.ones(pos.shape, dtype=bool)
-    np.not_equal(sorted_args[:, 1:], sorted_args[:, :-1], out=valid[:, 1:])
-    return order, vv, args, pos, valid
+    return order, vv, args, pos, sorted_args
 
 
 def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
@@ -420,12 +409,13 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     first sector's candidate channel is built from each element's
     starting choice at its first line (N vector additions); each
     subsequent sector costs two vector additions, gathered by line
-    position from the (L, N) plane tables of every line's starting and
-    ending contribution, so the candidate chain (one
-    cumulative sum) takes N + 2*N*L additions.  In the winning sector,
-    each element holds the ending choice of its last line of smaller
-    argument than the winning line, or its starting choice if it has
-    none; that configuration is mapped back to the input element order.
+    position from one (L + 1, N) plane table of contributions: a line's
+    starting contribution in its column's plane, its ending one in the
+    next plane.  The candidate chain (one cumulative sum) takes N +
+    2*N*L additions.  In the winning sector, each element holds the
+    ending choice of its last line of smaller argument than the winning
+    line, or its starting choice if it has none; that configuration is
+    mapped back to the input element order.
     A RealizationBatch is solved as one block, every row exactly as the
     single call would solve it.
 
@@ -465,47 +455,51 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     m = n * l
-    order, vv, args, pos, valid = _sorted_lines(batch, offsets)
+    order, vv, args, pos, sorted_args = _sorted_lines(batch, offsets)
 
     # The per-line complex tables are views of one allocation of
-    # T*(5m + 1) values (80 bytes a line), in order: g_start and g_end
-    # (T, L, N), a (T, m) gather buffer and the steps (T, 2m + 1).  It is
-    # the call's largest allocation, and freeing it sets glibc's trim
-    # threshold to twice its size.  The rest of the call's peak stays
-    # below the block, so the heap is not trimmed when the call returns
-    # and the next call reuses its pages instead of faulting them in.
-    tm = t * m
-    block = np.empty(t * (5 * m + 1), dtype=complex)
-    g_start = block[:tm].reshape(t, l, n)
-    g_end = block[tm:2 * tm].reshape(t, l, n)
-    gathered = block[2 * tm:3 * tm].reshape(t, m)
-    steps = block[3 * tm:].reshape(t, 2 * m + 1)
+    # T*(4m + N + 1) values (64 bytes a line and 16 an element), in
+    # order: the contribution table g (T, L + 1, N), a (T, m) gather
+    # buffer and the steps (T, 2m + 1).  It is the call's largest
+    # allocation, and freeing it sets glibc's trim threshold to twice its
+    # size.  The rest of the call's peak stays below the block, so the
+    # heap is not trimmed when the call returns and the next call reuses
+    # its pages instead of faulting them in.
+    tg = t * (m + n)
+    block = np.empty(t * (4 * m + n + 1), dtype=complex)
+    g = block[:tg].reshape(t, l + 1, n)
+    gathered = block[tg:tg + t * m].reshape(t, m)
+    steps = block[tg + t * m:].reshape(t, 2 * m + 1)
 
-    # Contribution of every element under each line's starting and ending
-    # choice, from units[choice] (0 for off), built plane by plane (see
-    # _contributions for the rounding this relies on).
+    # Plane c of g holds every element's contribution under column c's
+    # starting choice (see _contributions for the rounding this relies
+    # on).  A line's ending choice is the next column's starting choice,
+    # so plane L repeats plane 0.
     units = phase_set.units
-    _contributions(vv, units, col_start, g_start)
-    _contributions(vv, units, col_end, g_end)
+    _contributions(vv, units, col_start, g[:, :l])
+    g[:, l] = g[:, 0]
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its
     # first line, the one of least (argument, column).  Reading it off the
     # table keeps the chain consistent even when that sector is narrower
     # than the angle tolerance.
-    cfg0, h0 = _first_lines(args, g_start, col_start, batch.h_d)
+    cfg0, h0 = _first_lines(args, g, col_start, batch.h_d)
 
     # chain[:, j] is the candidate of sector j (chain[:, m]: back in sector
     # 0).  Each line j takes its element's start contribution out and puts
     # its end contribution in; add.accumulate is a sequential left fold, so
-    # each entry is exactly chain[:, j] - g_start[:, j] + g_end[:, j].
-    # pos indexes the flattened (T, L, N) tables; it is in range, so
-    # take's "clip" mode writes straight into the buffer, where "raise"
-    # would buffer the output.
+    # each entry is exactly chain[:, j] - start + end.  Row t of g starts
+    # t*N values later in g.ravel() than row t of args in args.ravel(),
+    # so pos moves by t*N; a line's start is then g.ravel()[pos], its end
+    # N values on.  Row 0 does not move: the checkpoints below read
+    # pos[0] in args.  pos is in range, so take's "clip" mode writes
+    # straight into the buffer, where "raise" would buffer the output.
+    pos += np.arange(0, t * n, n)[:, None]
     steps[:, 0] = h0
-    np.take(g_start, pos, out=gathered, mode="clip")
+    np.take(block[:tg], pos, out=gathered, mode="clip")
     np.negative(gathered, out=steps[:, 1::2])
-    np.take(g_end, pos, out=gathered, mode="clip")
+    np.take(block[n:tg], pos, out=gathered, mode="clip")
     steps[:, 2::2] = gathered
     chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
     counters.vector_additions += n + 2 * m
@@ -525,22 +519,22 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
                          _config_before(args[0], crossed, col_end, cfg0[0]),
                          complex(chain[0, stop]), drift_scale)
 
-    # Zero-width sectors are crossed without being evaluated.
+    # Zero-width sectors (a line at its predecessor's argument) are skipped.
     amp = np.abs(chain[:, :m])
-    amp[~valid] = -math.inf
+    amp[:, 1:][sorted_args[:, 1:] == sorted_args[:, :-1]] = -math.inf
     best = amp.argmax(axis=1)  # first max: lowest sector index
 
     # Sector 0 is valid, so best is too: no line before line best shares
     # its argument, and the lines crossed before it are exactly those of
     # smaller argument.
-    a_best = args.take(pos[np.arange(t), best])
+    a_best = sorted_args[np.arange(t), best]
     cfg = _config_before(args, args < a_best[:, None, None], col_end, cfg0)
     config = np.empty((t, n), dtype=int)
     config.put(order, cfg, mode="clip")
 
     result = _result(single, config, chain[np.arange(t), best], best)
     if instrument:
-        result.candidates = np.where(valid[0], amp[0], math.nan)
+        result.candidates = np.where(np.isneginf(amp[0]), math.nan, amp[0])
         result.counters = counters
         result.cycle_h = complex(chain[0, m])
     return result

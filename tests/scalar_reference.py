@@ -17,6 +17,7 @@ and empty_regions say so):
     broadcast_contributions           the contribution table as one product
     first_lines_by_argmin             each element's first line by argmin
     config_toward                     the per-element rule as one table
+    sector_oracle                     the optimum as the best sector midpoint
     union_of_row, empty_ratio_of_row  the empty ratio one row at a time
 """
 
@@ -338,6 +339,33 @@ def config_toward(element_angles: np.ndarray, phases: np.ndarray, theta,
         return best + 1
     smallest = np.take_along_axis(ang, best[..., None], axis=-1)[..., 0]
     return np.where(smallest < math.pi / 2 + ANGLE_EPS, best + 1, OFF)
+
+
+def sector_oracle(real: ChannelRealization,
+                  phase_set: PhaseShiftSet) -> complex:
+    """The paper's optimum as the best of its sector candidates, with no
+    part of the sweep's sorts or chain.
+
+    The N*L sorted line arguments split the circle into sectors, the last
+    one wrapping past 2*pi.  Toward each sector's midpoint the
+    per-element rule (_config_for_direction) gives the sector's
+    candidate, whose channel is summed from scratch; the candidate of
+    largest |h| wins.  A sector narrower than 1e-9 is skipped: its
+    midpoint may not resolve between its lines.  On instances whose
+    distinct lines lie further apart, such a sector only separates lines
+    that coincide but round apart, and holds no direction.  O(N**2 * L)
+    per realization.
+    """
+    lines = np.sort(separation_lines(real, phase_set).args.ravel())
+    ends = np.append(lines[1:], lines[0] + TWO_PI)
+    wide = ends - lines >= 1e-9
+    mid = (lines[wide] + ends[wide]) / 2.0
+    cfg = _config_for_direction(
+        np.broadcast_to(real.element_angles(), (mid.size, real.n)),
+        np.asarray(phase_set.phases), mid)
+    units = np.array([0j] + [unit_from_arg(p) for p in phase_set.phases])
+    h = real.h_d + (real.v * units[cfg]).sum(axis=1)
+    return complex(h[np.argmax(np.abs(h))])
 
 
 def union_of_row(arcs) -> float:

@@ -247,9 +247,26 @@ def test_overall_h_matches_elementwise_sum_bit_for_bit():
 def test_overall_h_rejects_unknown_choice():
     real = ChannelRealization(1 + 0j, [1 + 0j, 1j])
     ps = PhaseShiftSet((0.0, PI))
-    for bad in ([1, 3], [-1, 1]):
+    for bad in ([1, 3], [-1, 1], [2 ** 70, 1],
+                np.array([2 ** 64 - 1, 0], dtype=np.uint64)):
         with pytest.raises(IndexError, match="out of range"):
             overall_h(real, ps, bad)
+
+
+def test_overall_h_reads_no_integer_into_a_non_integer_choice():
+    # A float was truncated ([1.7, 0.2] ran as [1, 0]) and a str parsed.
+    real = ChannelRealization(1 + 0j, [1 + 0j, 1j])
+    ps = PhaseShiftSet.uniform(3)
+    for bad in ([1.7, 0.2], [1.0, 2.0], ["1", "2"], [True, 1], [None, 1],
+                np.array([1.0, 0.0]), np.array([True, False]),
+                np.array([1, "2"], dtype=object)):
+        with pytest.raises(ValueError, match="must be integers"):
+            overall_h(real, ps, bad)
+    h = overall_h(real, ps, np.array([1, 3]))
+    for good in ([1, 3], [np.int32(1), np.uint8(3)],
+                 np.array([1, 3], dtype=np.uint8),
+                 np.array([1, 3], dtype=object)):
+        assert overall_h(real, ps, good) == h
 
 
 def test_realization_json_roundtrip(tmp_path):

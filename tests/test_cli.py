@@ -72,6 +72,20 @@ def test_solve_agrees_across_solvers(realization_file, capsys):
     assert amps["cpp"] <= amps["sweep"] * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("budget", [[], ["--snr-budget-db", "90"]])
+@pytest.mark.parametrize("bandwidth", ["-5", "0", "nan", "inf"])
+def test_solve_rejects_a_bandwidth_that_is_not_positive_and_finite(
+        realization_file, capsys, budget, bandwidth):
+    # Without a budget the value was never read, and the call exited 0.
+    rc = main(["solve", "--input", str(realization_file), "--phases",
+               "pi/6,5pi/6", "--solver", "sweep", "--bandwidth-hz",
+               bandwidth] + budget)
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "ris-dps: error: --bandwidth-hz must be positive and finite\n")
+
+
 def test_regions_command(realization_file, capsys):
     rc = main(["regions", "--input", str(realization_file),
                "--phases", "pi/6,5pi/6"])

@@ -323,8 +323,9 @@ def test_column_products_match_the_broadcast(scale):
     # Every row of a block, and every block, must take the bits of the
     # broadcast product: a change in how NumPy rounds one layout of its
     # complex multiply loop fails here by name.  A table carved out of a
-    # larger block at an offset, as the sweep's g_end is, must take the
-    # same bits and leave the rest of the block alone.
+    # larger block at an offset must take the same bits and leave the
+    # rest of the block alone, and so must the first L planes of a
+    # (T, L + 1, N) table, which the sweep fills.
     rng = np.random.default_rng(41)
     units = np.zeros(4, dtype=complex)
     units[1:] = np.exp(1j * rng.uniform(0.0, TWO_PI, 3))
@@ -342,6 +343,11 @@ def test_column_products_match_the_broadcast(scale):
             assert np.array_equal(_bits(carved), _bits(g))
             assert np.isnan(block[:t * m]).all()
             assert np.isnan(block[2 * t * m:]).all()
+            del carved, block  # the wider table below reuses their memory
+            wide = np.full((t, choices.size + 1, n), np.nan, dtype=complex)
+            optimizer._contributions(vv, units, choices, wide[:, :-1])
+            assert np.array_equal(_bits(wide[:, :-1]), _bits(g))
+            assert np.isnan(wide[:, -1]).all()
             for row in range(t):
                 one, _ = _carved_contributions(vv[row:row + 1], units, choices)
                 assert np.array_equal(_bits(one[0]), _bits(g[row]))
@@ -352,17 +358,18 @@ def test_column_products_match_the_broadcast(scale):
     (1, 10_000, PhaseShiftSet.uniform(3), 3),
     (4, 200, PhaseShiftSet((PI / 6, 5 * PI / 6)), 3)])
 def test_sweep_peak_stays_below_twice_its_complex_block(t, n, phase_set, l):
-    # The per-line complex tables are one block of T*(5m + 1) values, the
-    # call's largest allocation.  glibc trims its heap when the free top
-    # exceeds twice the largest mmapped chunk freed, so a call whose peak
-    # stays below twice the block reuses its heap on the next call instead
-    # of faulting it in again.
+    # The per-line complex tables are one block of T*(4m + N + 1) values
+    # (a (T, L + 1, N) contribution table, a (T, m) gather buffer and the
+    # (T, 2m + 1) steps), the call's largest allocation.  glibc trims its
+    # heap when the free top exceeds twice the largest mmapped chunk
+    # freed, so a call whose peak stays below twice the block reuses its
+    # heap on the next call instead of faulting it in again.
     rng = np.random.default_rng(7)
     v = rng.uniform(0.1, 2.0, (t, n)) * np.exp(
         1j * rng.uniform(0.0, TWO_PI, (t, n)))
     batch = RealizationBatch(rng.normal(size=t) + 1j * rng.normal(size=t), v)
     assert optimizer._column_templates(phase_set)[0].size == l
-    block = 16 * t * (5 * n * l + 1)
+    block = 16 * t * (4 * n * l + n + 1)
     sweep_optimize(batch, phase_set)
     tracemalloc.start()
     try:
