@@ -16,18 +16,19 @@ contributions, first lines, read-out) reads or writes one contiguous
 contributions gathered by line position from one table forms the
 candidate chain (a line's ending choice is the next column's starting
 choice), and the winning configuration is read off the line arguments,
-as each element's last line below the winning line's argument.  Both
-sorts (elements by angle, lines by argument) give the order of a stable
-argsort, as flat positions that one take or put applies to a whole
-block: one value sort of keys that carry each value's rank in their low
-bits, and a stable argsort of the rare row that comes out unsorted.  A
-line's rank is its row-major index with the column count padded to a
-power of two, n*Lp + c, so the sorted ranks map to plane positions with
-a mask, a shift and a multiply.  Every solver runs on a (T, N) block of
-realizations (a RealizationBatch) with the same kernel; a single
-ChannelRealization is the one-row block.  The line sort gives the order
-of the paper's column rotation and min-heap merge (O(N*L*log L)
-comparisons), ties by element and then column.
+as each element's last line below the winning line's argument.  One
+sorter serves both sorts (elements by angle, lines by argument): it
+gives the order of a stable argsort, as flat positions that one take or
+put applies to a whole block, by one value sort of keys that carry each
+value's rank in their low bits and a stable argsort of the rare row that
+comes out unsorted.  A line's rank is its row-major index with the
+column count padded to a power of two, n*Lp + c, so the sorted ranks map
+to plane positions with a mask, a shift and a multiply; the element sort
+is the one-plane case, whose rank is the element index itself.  Every
+solver runs on a (T, N) block of realizations (a RealizationBatch) with
+the same kernel; a single ChannelRealization is the one-row block.  The
+line sort gives the order of the paper's column rotation and min-heap
+merge (O(N*L*log L) comparisons), ties by element and then column.
 ``sweep_optimize(..., instrument=True)`` observes that one kernel, so the
 result never depends on the switch.
 """
@@ -214,36 +215,12 @@ def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
     return np.where(smallest < HALF_PI + ANGLE_EPS, best, OFF)
 
 
-def _rank_sort(a: np.ndarray, rank: np.ndarray, bits: int,
-               rows: tuple) -> np.ndarray:
-    """Each row's ranks in ascending (value, rank) order, as (R, m) uint64.
-
-    a reshapes to `rows`, (R, m): R rows of m values; rank, which broadcasts
-    against a, gives each value a rank below 2**bits that is unique in
-    its row.  Each value's IEEE bits (after adding +0.0, which turns -0.0
-    into +0.0) order the non-negative floats as unsigned integers do.  The
-    low `bits` bits of each key are replaced by the value's rank, so one
-    value sort of the keys (NumPy's SIMD sort) carries the ranks along,
-    and equal values come out in rank order.  Keys that differed only in
-    the replaced bits, and negative values, can come out of value order;
-    _gather_sorted puts their rows right.
-    """
-    mask = np.uint64((1 << bits) - 1)
-    keys = (a + 0.0).view(np.uint64)
-    keys &= ~mask
-    keys |= rank
-    keys = keys.reshape(rows)
-    keys.sort(axis=-1)
-    keys &= mask
-    return keys
-
-
 def _gather_sorted(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """a's values at the flat positions pos (R, m), rows put into order.
 
     A row whose gathered values are not non-decreasing is put right by a
     stable argsort of those values, which are nearly sorted, and pos is
-    permuted with it; equal values keep their order, which _rank_sort
+    permuted with it; equal values keep their order, which _argsort_planes
     made their rank order.  pos must lie in range: take's "clip" mode then
     gathers without buffering.  Returns the sorted values.
     """
@@ -256,53 +233,52 @@ def _gather_sorted(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return srt
 
 
-def _argsort_rows(a: np.ndarray):
-    """A stable argsort of each row of a (..., k), as flat positions.
+def _argsort_planes(a: np.ndarray):
+    """Order each (L, N) plane table of a (..., L, N) ascending, ties by
+    (element, column): the order of a stable argsort of the row-major
+    (N, L) table, as flat positions.
 
-    The rank of each value is its index in its row (see _rank_sort).
-    Returns (pos, sorted values), both shaped as a: pos holds, for each
-    row, the positions in a.ravel() of its values in the order of
-    np.argsort(a, axis=-1, kind="stable"), that is the argsort plus the
-    row's start, so one flat take or put permutes every row.
+    Plane c of a holds column c's values, as _line_args builds it; the
+    elements sorted by angle are the one-plane case, a[..., None, :].
+    Each value's IEEE bits (after adding +0.0, which turns -0.0 into
+    +0.0) order the non-negative floats as unsigned integers do.  The low
+    bits of each key are replaced by the value's rank, its row-major index
+    r = n*Lp + c, Lp being L rounded up to a power of two, so one value
+    sort of the keys (NumPy's SIMD sort) carries the ranks along and equal
+    values come out by (element, column), the rule of the paper's rotation
+    + heap merge.  Keys that differed only in the replaced bits, and
+    negative values, can come out of value order; _gather_sorted puts
+    their rows right.  The sorted ranks become plane positions c*N + n,
+    plus the table's start in a.ravel(), in the keys' own buffer; for one
+    plane the rank is the element index n and is its position already.
+    Returns (pos, sorted values), (R, N*L) each for the R tables: every
+    value's position in a.ravel() in sorted order, and the values in that
+    order.
     """
-    k = a.shape[-1]
-    pos = _rank_sort(a, np.arange(k, dtype=np.uint64),
-                     max(k - 1, 0).bit_length(), (math.prod(a.shape[:-1]), k))
-    pos += np.arange(len(pos), dtype=np.uint64)[:, None] * k
-    pos = pos.view(np.intp)
-    return pos.reshape(a.shape), _gather_sorted(a, pos).reshape(a.shape)
-
-
-def _argsort_line_order(args: np.ndarray):
-    """Order each (L, N) plane table of lines ascending, ties by (element,
-    column).
-
-    args (..., L, N) holds plane c of column c's arguments, as _line_args
-    builds it.  Each key carries its line's row-major rank r = n*Lp + c,
-    Lp being L rounded up to a power of two, so equal arguments come out
-    by (element, column), the rule of the paper's rotation + heap merge:
-    the order of a stable argsort of the row-major (N, L) table.  The
-    sorted ranks become plane positions c*N + n, plus the table's start
-    in args.ravel(), in the keys' own buffer.  Returns (pos,
-    sorted_args), (R, N*L) each for the R tables: every line's position in
-    args.ravel() in sweep order, and the arguments in that order.
-    """
-    l, n = args.shape[-2:]
+    l, n = a.shape[-2:]
     m = n * l
     shift = (l - 1).bit_length()
-    rank = ((np.arange(n, dtype=np.uint64) << shift)
-            | np.arange(l, dtype=np.uint64)[:, None])
-    keys = _rank_sort(args, rank, ((n - 1) << shift | (l - 1)).bit_length(),
-                      (math.prod(args.shape[:-2]), m))
+    rank = np.arange(n, dtype=np.uint64)
+    if l > 1:
+        rank = (rank << shift) | np.arange(l, dtype=np.uint64)[:, None]
+    bits = ((n - 1) << shift | (l - 1)).bit_length()
+    mask = np.uint64((1 << bits) - 1)
+    keys = (a + 0.0).view(np.uint64)
+    keys &= ~mask
+    keys |= rank
     del rank
-    column = keys & ((1 << shift) - 1)
-    keys >>= shift
-    column *= n
-    keys += column
-    del column
+    keys = keys.reshape(math.prod(a.shape[:-2]), m)
+    keys.sort(axis=-1)
+    keys &= mask
+    if l > 1:
+        column = keys & ((1 << shift) - 1)
+        keys >>= shift
+        column *= n
+        keys += column
+        del column
     keys += np.arange(len(keys), dtype=np.uint64)[:, None] * m
     pos = keys.view(np.intp)
-    return pos, _gather_sorted(args, pos)
+    return pos, _gather_sorted(a, pos)
 
 
 def _config_before(args: np.ndarray, crossed: np.ndarray,
@@ -324,25 +300,6 @@ def _config_before(args: np.ndarray, crossed: np.ndarray,
         np.copyto(latest, args[..., c, :], where=later)
         np.copyto(cfg, col_end[c], where=later)
     return cfg
-
-
-def _sorted_lines(batch, offsets: np.ndarray):
-    """Each row's elements in angle order and its lines in sweep order.
-
-    Both sorts give a stable argsort's order, as flat positions (see
-    _argsort_rows and _argsort_line_order).  Returns (order, vv, args,
-    pos, sorted_args), all with a leading trials axis: order holds the
-    positions in batch.v.ravel() of each row's elements sorted by angle
-    (stably), and vv their coefficients in that order; args (T, L, N) is
-    the line table, plane by plane, with the elements in that order; pos
-    gives the position in args.ravel() of each line in sweep order, and
-    sorted_args its argument.
-    """
-    order, angles = _argsort_rows(batch.element_angles())
-    vv = batch.v.take(order, mode="clip")
-    args = _line_args(angles, offsets)
-    pos, sorted_args = _argsort_line_order(args)
-    return order, vv, args, pos, sorted_args
 
 
 def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
@@ -404,18 +361,18 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     """Optimal configuration by sweeping the N*L separation-line sectors.
 
     Elements are sorted by angle once and the lines are put in ascending
-    order by one sort of the line table; both sorts give a stable
-    argsort's order (see _argsort_rows and _argsort_line_order).  The
-    first sector's candidate channel is built from each element's
-    starting choice at its first line (N vector additions); each
-    subsequent sector costs two vector additions, gathered by line
-    position from one (L + 1, N) plane table of contributions: a line's
-    starting contribution in its column's plane, its ending one in the
-    next plane.  The candidate chain (one cumulative sum) takes N +
-    2*N*L additions.  In the winning sector, each element holds the
-    ending choice of its last line of smaller argument than the winning
-    line, or its starting choice if it has none; that configuration is
-    mapped back to the input element order.
+    order by one sort of the line table; one sorter gives both a stable
+    argsort's order (see _argsort_planes), the element sort as its
+    one-plane case.  The first sector's candidate channel is built from
+    each element's starting choice at its first line (N vector
+    additions); each subsequent sector costs two vector additions,
+    gathered by line position from one (L + 1, N) plane table of
+    contributions: a line's starting contribution in its column's plane,
+    its ending one in the next plane.  The candidate chain (one
+    cumulative sum) takes N + 2*N*L additions.  In the winning sector,
+    each element holds the ending choice of its last line of smaller
+    argument than the winning line, or its starting choice if it has
+    none; that configuration is mapped back to the input element order.
     A RealizationBatch is solved as one block, every row exactly as the
     single call would solve it.
 
@@ -441,21 +398,23 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     if instrument and not single:
         raise ValueError("instrument=True observes one realization, "
                          "not a batch")
-    counters = SweepCounters()
     t, n = batch.trials, batch.n
     if n == 0:
         result = _result(single, np.zeros((t, 0), dtype=int), batch.h_d,
                          np.zeros(t, dtype=int))
         if instrument:
             result.candidates = np.array([abs(real.h_d)])
-            result.counters = counters
+            result.counters = SweepCounters()
             result.cycle_h = real.h_d
         return result
 
     offsets, col_start, col_end = _column_templates(phase_set)
     l = offsets.size
     m = n * l
-    order, vv, args, pos, sorted_args = _sorted_lines(batch, offsets)
+    order, angles = _argsort_planes(batch.element_angles()[:, None])
+    vv = batch.v.take(order, mode="clip")
+    args = _line_args(angles, offsets)
+    pos, sorted_args = _argsort_planes(args)
 
     # The per-line complex tables are views of one allocation of
     # T*(4m + N + 1) values (64 bytes a line and 16 an element), in
@@ -502,15 +461,15 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     np.take(block[n:tg], pos, out=gathered, mode="clip")
     steps[:, 2::2] = gathered
     chain = np.cumsum(steps, axis=1, out=steps)[:, ::2]
-    counters.vector_additions += n + 2 * m
 
     if instrument:
         recheck = max(1, math.ceil(n / 4))
+        stops = range(recheck, m + 1, recheck)
+        counters = SweepCounters(n + 2 * m, len(stops))
         # Drift is judged against the scale of the summed vectors; the
         # channel itself can pass arbitrarily close to zero mid-sweep.
         drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
-        for stop in range(recheck, m + 1, recheck):
-            counters.scratch_recomputes += 1
+        for stop in stops:
             # The lines crossed at a checkpoint are the first `stop` in
             # sweep order, which already breaks ties by (element, column).
             crossed = np.zeros((l, n), dtype=bool)

@@ -33,7 +33,7 @@ from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
                      separation_lines, wrap_angle)
 from ris_dps.analysis import _check_h_star
 from ris_dps.geometry import wrap_angles
-from ris_dps.optimizer import _argsort_rows, _config_for_direction
+from ris_dps.optimizer import _argsort_planes, _config_for_direction
 
 
 def unit_from_arg(theta: float) -> complex:
@@ -265,9 +265,10 @@ def sweep_line_args(real: ChannelRealization,
     """The (N, L) line arguments with the elements in the sweep's order.
 
     The elements are ordered by the sweep's own sorter (a stable argsort
-    of their angles), so these are the arguments sweep_optimize sorts.
+    of their angles, as one plane), so these are the arguments
+    sweep_optimize sorts.
     """
-    order, _ = _argsort_rows(real.element_angles())
+    order = _argsort_planes(real.element_angles()[None, None])[0][0]
     return separation_lines(ChannelRealization(real.h_d, real.v[order]),
                             phase_set).args
 

@@ -7,9 +7,10 @@ Every mutated document either loads or is rejected with a ValueError,
 and `ris-dps solve` on a mutated realization file either succeeds or
 prints one `ris-dps: error:` line: no other exception and no traceback
 reaches the user.  The argv of `solve`, `regions` and `run` is mutated
-too (phase lists, solver names, job and trial counts, seeds, output
-paths): each call exits 0, 1 with one error line, or 2 from argparse,
-and writes only where its --out points.
+too (phase lists, solver names, SNR budgets, bandwidths, job and trial
+counts, seeds, output paths): each call exits 0, 1 with one error line,
+or 2 from argparse, and writes only where its --out points; a bad SNR
+budget or bandwidth never exits 0.
 """
 
 import copy
@@ -191,8 +192,12 @@ _SOLVE = {
                   "nan", "x"]),
     "--solver": ([s for s in SOLVERS if s != "continuous_ub"],
                  ["continuous_ub", "nosuch"]),
+    "--snr-budget-db": ([None, "140", "-20"], ["1e400", "nan", "inf", "x"]),
+    "--bandwidth-hz": ([None, "1", "2e7"], ["0", "-5", "nan", "inf", "x"]),
     "--out": ([None, "out", "a/b/out"], [".", "taken", "taken/out"]),
 }
+#: The options of solve that regions does not take.
+_SOLVE_ONLY = ("--solver", "--snr-budget-db", "--bandwidth-hz")
 _RUN = {
     "--scenario": (["fig11", "fig14"], ["nosuch"]),
     "--jobs": (["1", "2"], ["0", "-1", "x"]),
@@ -225,12 +230,18 @@ def _check_exit(rc, err) -> None:
 @_ARGV
 @given(st.sampled_from(["solve", "regions"]), _options(_SOLVE), st.booleans())
 @example("solve", {"--input": "real.json", "--phases": "pi/6,5pi/6",
-                   "--solver": "continuous_ub", "--out": None}, False)
+                   "--solver": "continuous_ub", "--snr-budget-db": None,
+                   "--bandwidth-hz": None, "--out": None}, False)
+@example("solve", {"--input": "real.json", "--phases": "pi/6,5pi/6",
+                   "--solver": "sweep", "--snr-budget-db": None,
+                   "--bandwidth-hz": "nan", "--out": "out"}, False)
 @example("regions", {"--input": "real.json", "--phases": "pi/0",
-                     "--solver": "sweep", "--out": "a/b/out"}, True)
+                     "--solver": "sweep", "--snr-budget-db": "140",
+                     "--bandwidth-hz": "2e7", "--out": "a/b/out"}, True)
 def test_solve_and_regions_argv_exit_cleanly(command, options, upper_bound):
     if command == "regions":
-        del options["--solver"]
+        for key in _SOLVE_ONLY:
+            del options[key]
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "real.json"), "w") as fh:
             json.dump(_REALIZATION, fh)
@@ -242,6 +253,9 @@ def test_solve_and_regions_argv_exit_cleanly(command, options, upper_bound):
         rc, out, err = _exit_code(argv)
         written = _files(tmp) - {"real.json", "taken"}
     _check_exit(rc, err)
+    if any(options.get(key) not in _SOLVE[key][0]
+           for key in ("--snr-budget-db", "--bandwidth-hz")):
+        assert rc != 0  # a bad budget or bandwidth is refused
     if options.get("--solver") == "continuous_ub":
         assert rc == 2  # a bound, not a configuration solver
     target = options["--out"]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -373,3 +374,46 @@ def test_sampled_realizations_solve_end_to_end():
     base = cpp_optimize(real, ps)
     assert res.amplitude >= base.amplitude
     assert res.amplitude >= abs(real.h_d)
+
+
+#: SHA-256 of sweep_optimize's config, h_star and sector_index bytes on
+#: seeded blocks beyond the presets' N <= 200, under the benchmark's two
+#: phase sets; angles free, or on a 1024-direction grid, so that elements
+#: tie in the element sort and lines coincide.
+LARGE_N_DIGESTS = {
+    (1, 10_000, False, "lopsided"):
+        "3a3e01ee676aff49c86665fab8add81f2caeb33085ebab283a5f5959219c4a42",
+    (1, 10_000, False, "uniform3"):
+        "f7e953c7159e3b91cfdd9b2537921a5a363c8e8e570f57e75cef192b647dc816",
+    (1, 10_000, True, "lopsided"):
+        "c466b48fcc85606be5f3575c180fee9d198d6184ad3c95d9b8b1cf6debec6026",
+    (1, 10_000, True, "uniform3"):
+        "27d7d3d34ae4239a991358959c3300a8b1a1002b4ba7bcc8719d552d542a3c9f",
+    (20, 1_000, False, "lopsided"):
+        "e61ef7fb88c2c5ac94f469a75cdd7be22b85e4e72768aa3358c3a7d0e3fe9c71",
+    (20, 1_000, False, "uniform3"):
+        "1f4de79d323971c57505a9a1018a6033838c5711bca13d703698483bc06a817d",
+    (20, 1_000, True, "lopsided"):
+        "72619a07f2111e8ff809c0ab527520bc68bc3d6bf10f6c7fa2cb658c93e13070",
+    (20, 1_000, True, "uniform3"):
+        "c79f86ee76d8bfa86a4b2e66eff3097bb1b2ba6ae3f8b2b26597cfeca9a71643",
+}
+
+
+def test_large_n_sweep_digests():
+    sets = {"lopsided": PhaseShiftSet((PI / 6, 5 * PI / 6)),
+            "uniform3": PhaseShiftSet.uniform(3)}
+    for (t, n, grid, name), digest in LARGE_N_DIGESTS.items():
+        rng = np.random.default_rng((t, n, grid))
+        angles = rng.uniform(0.0, 2 * PI, (t, n))
+        if grid:
+            angles = np.floor(angles * (1024 / (2 * PI))) * (2 * PI / 1024)
+        v = rng.uniform(0.1, 2.0, (t, n)) * np.exp(1j * angles)
+        h_d = rng.uniform(0.0, 2.0, t) * np.exp(
+            1j * rng.uniform(0.0, 2 * PI, t))
+        res = sweep_optimize(RealizationBatch(h_d, v), sets[name])
+        d = hashlib.sha256()
+        for a in (res.config.astype(np.int64), res.h_star,
+                  res.sector_index.astype(np.int64)):
+            d.update(a.tobytes())
+        assert d.hexdigest() == digest, (t, n, grid, name)

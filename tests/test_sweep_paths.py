@@ -1,20 +1,22 @@
 """The array sweep against its counted reference, on adversarial instances.
 
-The sweep orders the elements and the separation lines with a row sorter
-that gives a stable argsort's order: one value sort of keys that pack each
-value's bits with its rank, then a stable argsort of the rows that come
-out unsorted.  The sweep stores its line tables plane by plane, (T, L, N),
-and a line's rank is its row-major index padded to a power-of-two column
-count.  These properties pin the row sorter to the stable argsort, the
-line order, read as row-major (element, column), to the paper's rotation +
-min-heap merge (tests/scalar_reference.py) on the sweep's own element
-order and on plane tables of one to four columns, the plane table to
-separation_lines' (N, L) table, the read-out
-of the winning and every checkpoint configuration to the position-table
-read-out there, the column-by-column contribution table, first lines and
-per-element rule to their broadcast forms there, and the instrumented
-sweep to the plain sweep's result, including on ties, zero-width sectors,
-gaps of exactly pi, K = 1, N = 1 and a zero direct path.
+The sweep orders the separation lines, and the elements before them,
+with one sorter that gives a stable argsort's order: one value sort of
+keys that pack each value's bits with its rank, then a stable argsort of
+the rows that come out unsorted.  The sweep stores its line tables plane
+by plane, (T, L, N), and a line's rank is its row-major index padded to a
+power-of-two column count; the element sort is the one-plane case, whose
+rank is the element index.  These properties pin the element sort to the
+stable argsort, the line order, read as row-major (element, column), to
+the paper's rotation + min-heap merge (tests/scalar_reference.py) on the
+sweep's own element order and on plane tables of one to four columns, the
+plane table to separation_lines' (N, L) table, the read-out of the winning
+and every checkpoint configuration to the position-table read-out there,
+the column-by-column contribution table, first lines and per-element rule
+to their broadcast forms there, the zero-width mask to the read-out of a
+configuration that realizes h_star, and the instrumented sweep to the
+plain sweep's result, including on ties, zero-width sectors, gaps of
+exactly pi, K = 1, N = 1 and a zero direct path.
 """
 
 import math
@@ -28,14 +30,14 @@ from hypothesis import strategies as st
 
 import ris_dps.optimizer as optimizer
 from conftest import (COINCIDING_SETS, GRID, batches, coinciding_blocks,
-                      instances)
+                      instances, phase_sets)
 from scalar_reference import (broadcast_contributions, config_before,
                               config_toward, first_lines_by_argmin,
                               line_positions, sorted_line_order, stack,
                               sweep_line_args)
 from ris_dps import (ANGLE_EPS, OFF, ChannelRealization, PhaseShiftSet,
-                     RealizationBatch, exhaustive_optimize, separation_lines,
-                     sweep_optimize)
+                     RealizationBatch, exhaustive_optimize, overall_h,
+                     separation_lines, sweep_optimize)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -62,7 +64,7 @@ def _line_order_matches_heap_merge(args: np.ndarray) -> None:
     at its own table."""
     n, l = args.shape
     block = np.stack([args, args[::-1], args])
-    flat = _row_major(optimizer._argsort_line_order(_planes(block))[0], n, l)
+    flat = _row_major(optimizer._argsort_planes(_planes(block))[0], n, l)
     ref_rows, ref_cols = sorted_line_order(args)
     for row in (flat[0], flat[2]):
         np.testing.assert_array_equal(row, ref_rows * l + ref_cols)
@@ -194,8 +196,10 @@ def _wide_row() -> np.ndarray:
                    _ulp_run(0.0, [0, 1, 2, 3, 4])]))
 @example(_wide_row())
 def test_row_sorter_matches_stable_argsort(a):
+    # The element sort: each row as a one-plane table.
     for rows in (a, a[0]):
-        pos, srt = optimizer._argsort_rows(rows)
+        pos, srt = optimizer._argsort_planes(rows[..., None, :])
+        pos, srt = pos.reshape(rows.shape), srt.reshape(rows.shape)
         ref = np.argsort(rows, axis=-1, kind="stable")
         k = rows.shape[-1]
         starts = np.arange(0, rows.size, k).reshape(rows.shape[:-1] + (1,))
@@ -228,10 +232,10 @@ def test_readout_matches_position_table(inst):
     args = sweep_line_args(real, ps)
     n, l = args.shape
     position = line_positions(
-        _row_major(optimizer._argsort_line_order(_planes(args))[0], n, l)[0],
+        _row_major(optimizer._argsort_planes(_planes(args))[0], n, l)[0],
         n, l)
     _, col_start, col_end = optimizer._column_templates(ps)
-    order, _ = optimizer._argsort_rows(real.element_angles())
+    order = optimizer._argsort_planes(real.element_angles()[None, None])[0][0]
     winner = np.empty(n, dtype=int)
     winner[order] = config_before(position, res.sector_index, col_start,
                                   col_end)
@@ -276,6 +280,49 @@ def test_repeated_elements_give_zero_width_sectors():
     counted = sweep_optimize(real, ps, instrument=True)
     assert np.isnan(counted.candidates).sum() == 2  # one per coinciding pair
     _assert_same(counted, plain)
+
+
+@st.composite
+def _faint_twins(draw):
+    """(batch, phase set): T = 1-5 rows of elements of amplitude near 1 on
+    grid angles, each row with the same number of faint twins: elements
+    of amplitude 1e-17 at a drawn element's angle, in drawn places."""
+    ps = draw(phase_sets())
+    t = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    h_d, v = [], []
+    for _ in range(t):
+        angles = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+        angles += [angles[i] for i in draw(st.lists(
+            st.integers(0, n - 1), min_size=k, max_size=k))]
+        amps = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        amps += [1e-17] * k
+        perm = draw(st.permutations(range(n + k)))
+        v.append([amps[i] * np.exp(1j * angles[i]) for i in perm])
+        h_d.append(draw(st.sampled_from((0.0, 0.5, 1.0)))
+                   * np.exp(1j * draw(st.sampled_from(GRID))))
+    return RealizationBatch(h_d, v), ps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faint_twins())
+@example((RealizationBatch([0j], [[1.0, 1e-17]]), PhaseShiftSet((PI / 2,))))
+def test_zero_width_sectors_are_never_read_out(block):
+    # A zero-width sector lies between coinciding lines, with one twin
+    # crossed and the other not; the read-out, which crosses every line
+    # below the winning line's argument, would give the sector before the
+    # pair.  In exact arithmetic a zero-width sector's candidate lies
+    # strictly below the optimum, so ordinary coinciding elements never
+    # tempt the argmax there.  A faint twin's contribution is below the
+    # rounding of |h|, so the sector between it and its bright twin ties
+    # the sector past both, and only the zero-width mask keeps the argmax
+    # off it: every row's configuration must then realize h_star.
+    batch, ps = block
+    res = sweep_optimize(batch, ps)
+    scale = np.abs(batch.h_d) + np.abs(batch.v).sum(axis=1)
+    assert (np.abs(overall_h(batch, ps, res.config) - res.h_star)
+            <= 1e-12 * scale).all()
 
 
 def test_verify_raises_on_drift(monkeypatch):
@@ -337,12 +384,13 @@ def test_column_products_match_the_broadcast(scale):
             g, _ = _carved_contributions(vv, units, choices)
             ref = broadcast_contributions(vv, units, choices)
             assert np.array_equal(_bits(_planes(ref)), _bits(g))
-            m = n * choices.size
+            # one (T, N) plane either side: at odd T*N the table starts
+            # off a 64-byte boundary
             carved, block = _carved_contributions(
-                vv, units, choices, t * m, t * (3 * m + 1))
+                vv, units, choices, t * n, t * n)
             assert np.array_equal(_bits(carved), _bits(g))
-            assert np.isnan(block[:t * m]).all()
-            assert np.isnan(block[2 * t * m:]).all()
+            assert np.isnan(block[:t * n]).all()
+            assert np.isnan(block[t * n + g.size:]).all()
             del carved, block  # the wider table below reuses their memory
             wide = np.full((t, choices.size + 1, n), np.nan, dtype=complex)
             optimizer._contributions(vv, units, choices, wide[:, :-1])
@@ -390,6 +438,17 @@ def _blocks(draw):
     return stack(reals), ps
 
 
+def _sorted_elements(batch, offsets):
+    """The sort stage of sweep_optimize, also on N = 0 blocks, where the
+    sweep returns before it: (order, vv, args), the positions in
+    batch.v.ravel() of each row's elements sorted by angle, their
+    coefficients in that order, and the (T, L, N) line table with the
+    elements in that order."""
+    order, angles = optimizer._argsort_planes(batch.element_angles()[:, None])
+    return (order, batch.v.take(order),
+            optimizer._line_args(angles, offsets))
+
+
 def _coinciding(v, ps):
     return RealizationBatch(np.full(v.shape[0], 0.3 + 0.2j), v), ps
 
@@ -414,7 +473,7 @@ _FIRST_TIED = (0.9462216835710058 - 0.3235189724576463j,
 def test_first_lines_match_argmin(block):
     batch, ps = block
     offsets, col_start, _ = optimizer._column_templates(ps)
-    _, vv, args, _, _ = optimizer._sorted_lines(batch, offsets)
+    _, vv, args = _sorted_elements(batch, offsets)
     units = np.zeros(ps.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(ps.phases))
     g_start, _ = _carved_contributions(vv, units, col_start)
@@ -437,7 +496,7 @@ def test_plane_table_is_the_line_table(block):
     # the element order, are separation_lines' (T, N, L) table.
     batch, ps = block
     offsets, _, _ = optimizer._column_templates(ps)
-    order, _, args, _, _ = optimizer._sorted_lines(batch, offsets)
+    order, _, args = _sorted_elements(batch, offsets)
     t, l, n = args.shape
     if n == 0:  # the sweep returns before it sorts no lines
         with pytest.raises(ValueError, match="at least one element"):
