@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -9,12 +10,14 @@ from conftest import GRID, instances, random_instance
 from scalar_reference import (empty_ratio_of_row, omega_large_gap,
                               omega_small_gap, union_of_row)
 from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
-                     LineTable, PhaseShiftSet, arg_mod_2pi,
+                     LineTable, PhaseShiftSet, RealizationBatch, arg_mod_2pi,
                      circle_union_length, circular_distance,
                      empty_ratio_upper_bound_approx,
-                     empty_regions, measured_empty_ratio, separation_lines,
-                     sweep_optimize, wrap_angle, write_regions_csv)
+                     empty_regions, measured_empty_ratio, sample_realization,
+                     separation_lines, sweep_optimize, wrap_angle,
+                     write_regions_csv)
 from ris_dps.analysis import _union_lengths
+from ris_dps.experiments import TWO_PHASE_SET, get_builtin, regions_dump
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -402,3 +405,43 @@ def test_overflowing_arc_width_covers_the_circle(arcs):
     # hi - lo overflows to inf on finite ends; under the suite's
     # filterwarnings = error a RuntimeWarning would fail this call.
     assert circle_union_length(arcs) == TWO_PI
+
+
+#: SHA-256 of empty_regions' half-width bytes, sized from the sweep
+#: optimum: seeded sampled blocks beyond the presets' N <= 200 under the
+#: benchmark's two phase sets, and a block whose amplitudes all differ.
+WIDTH_DIGESTS = {
+    ("sampled", 20, 1_000, "lopsided"):
+        "61ecddd904f8a6f617b44e80faad7bbea590fd997200be8b846726edf0f9063c",
+    ("sampled", 20, 1_000, "uniform3"):
+        "7e045f5a6ee3961bd6ee12d38d80ad33567017fc22f369c2024aef091595b9bd",
+    ("sampled", 1, 10_000, "lopsided"):
+        "78a278da4f5c4ad18154e34bbd6cdc76a6ecbba9900e289647d648aa9c8317bc",
+    ("sampled", 1, 10_000, "uniform3"):
+        "bccfbc390f68244004d62663a0139067a4e7ca60cbc2f0f6f96db55f4941b0ae",
+    ("distinct", 3, 400, "uniform3"):
+        "54c046f3911822924ccd0156781d8aa8f7c553b821dbe3bd228b4194d8df970d",
+}
+#: SHA-256 of the fig14 preset's regions CSV.
+FIG14_DIGEST = (
+    "4d1819d20aff6047ac89fd8fa843210847c7d4ba38b0838d80f8afdfbc168177")
+
+
+def test_width_digests():
+    sets = {"lopsided": TWO_PHASE_SET, "uniform3": PhaseShiftSet.uniform(3)}
+    budget = get_builtin("fig15_k3")[0].budget
+    for (kind, t, n, name), digest in WIDTH_DIGESTS.items():
+        if kind == "sampled":
+            batch = sample_realization(budget, n, (2023, range(t)))
+        else:
+            rng = np.random.default_rng((t, n))
+            batch = RealizationBatch(np.ones(t, dtype=complex), rng.uniform(
+                0.1, 2.0, (t, n)) * np.exp(1j * rng.uniform(0, TWO_PI, (t, n))))
+        ps = sets[name]
+        regions = empty_regions(batch, ps, sweep_optimize(batch, ps).amplitude)
+        assert regions.half_width.shape[:2] == (t, n)
+        assert hashlib.sha256(regions.half_width.tobytes()).hexdigest() == \
+            digest, (kind, t, n, name)
+    buf = io.StringIO()
+    write_regions_csv(regions_dump(get_builtin("fig14")[0]), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FIG14_DIGEST
