@@ -61,6 +61,15 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     their order ((v * 0.5) / h equals v / (2h)), and the arcsine stays
     math.asin, since np.arcsin can differ in the last bit.
 
+    A width depends only on (row, |v_n|, column), and a sampled block's
+    |v_n| lie a few ulps apart.  When each row's least and greatest |v_n|,
+    lo and hi, share a binade, every |v_n| is lo + k * spacing(lo) for a
+    whole k: |v_n| - lo is exact (Sterbenz), and so is its quotient by a
+    power of two.  If the widest row spans W - 1 ulps and W < N, the
+    arcsines are taken of each row's W amplitudes lo + j * spacing(lo),
+    j < W, exactly the |v_n| they stand for, and gathered by k; otherwise
+    the block takes one arcsine per line.
+
     Args:
         h_star_amp: amplitude of the optimal channel, (T,) for a
             RealizationBatch; pass the sweep optimum, or the continuous
@@ -75,10 +84,24 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
         0.5 if OFF in (s, e)
         else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
         for s, e in zip(lines.starting.tolist(), lines.ending.tolist())])
-    ratio = np.minimum(np.abs(real.v)[..., None] * factors / h_star, 1.0)
+    amps, index = np.abs(real.v), None
+    if amps.size:
+        lo = amps.min(axis=-1, keepdims=True)
+        hi = amps.max(axis=-1, keepdims=True)
+        ulp = np.spacing(lo)  # a row is in one binade iff hi has it too
+        w = (int(((hi - lo) / ulp).max()) + 1
+             if (np.spacing(hi) == ulp).all() else amps.shape[-1])
+        if w < amps.shape[-1]:
+            # k plus each row's offset into the flat (T * W, L) widths
+            rows = np.arange(0, lo.size * w, w).reshape(lo.shape)
+            index = ((amps - lo) / ulp).astype(np.intp) + rows
+            amps = lo + np.arange(w) * ulp
+    ratio = np.minimum(amps[..., None] * factors / h_star, 1.0)
     half_width = np.fromiter(map(math.asin, ratio.ravel().tolist()), float,
-                             ratio.size)
-    return EmptyRegions(lines, half_width.reshape(ratio.shape))
+                             ratio.size).reshape(ratio.shape)
+    if index is not None:
+        half_width = half_width.reshape(-1, factors.size).take(index, axis=0)
+    return EmptyRegions(lines, half_width)
 
 
 def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

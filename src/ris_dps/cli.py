@@ -128,6 +128,7 @@ def _cmd_solve(args) -> int:
     doc["solver"] = args.solver
     out = json.dumps(doc, indent=2) + "\n"
     if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:
             fh.write(out)
     else:
@@ -145,6 +146,7 @@ def _cmd_regions(args) -> int:
             h_amp = sweep_optimize(real, phases).amplitude
         regions = empty_regions(real, phases, h_amp)
     if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:
             write_regions_csv(regions, fh)
     else:

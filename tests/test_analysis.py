@@ -1,12 +1,13 @@
 import hashlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import GRID, instances, random_instance
+from conftest import GRID, instances, phase_sets, random_instance
 from scalar_reference import (empty_ratio_of_row, omega_large_gap,
                               omega_small_gap, union_of_row)
 from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
@@ -240,6 +241,79 @@ def test_array_widths_equal_scalar_omegas(inst, h_star_amp):
     assert measured_empty_ratio(regions) == EmptyRatioReport(
         union / TWO_PI, summed / TWO_PI,
         0.0 if summed == 0.0 else 1.0 - union / summed)
+
+
+#: Unit phasors whose products with a float keep its magnitude exactly.
+EXACT_UNITS = (1.0, -1.0, 1j, -1j)
+
+
+@st.composite
+def amplitude_rows(draw, n):
+    """n coefficients of one row, whose |v_n| are one of: a * e^{i theta}
+    (a few ulps apart, as the sampler draws them); lo one ulp below a power
+    of two with hi at it; lo plus 0..span ulps inside one binade, span
+    around n; or all drawn freely."""
+    kind = draw(st.sampled_from(["phasor", "edge", "span", "free"]))
+    scale = 2.0 ** draw(st.integers(-3, 3))
+    if kind == "phasor":
+        a = scale * draw(st.floats(1.0, 2.0, exclude_max=True))
+        theta = np.array(draw(st.lists(st.floats(0.0, TWO_PI), min_size=n,
+                                       max_size=n)))
+        return a * np.exp(1j * theta)
+    if kind == "free":
+        amps = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    elif kind == "edge":
+        pair = (math.nextafter(scale, 0.0), scale)
+        amps = [pair[i % 2] for i in range(n)]
+    else:
+        span = max(0, n + draw(st.integers(-3, 2)))
+        a = scale * draw(st.sampled_from([1.0, 1.25, 1.5]))
+        steps = [0, span] + draw(st.lists(st.integers(0, span), min_size=n,
+                                          max_size=n))
+        amps = [a + k * math.ulp(a) for k in steps[:n]]
+    amps = draw(st.permutations(amps))
+    units = draw(st.lists(st.sampled_from(EXACT_UNITS), min_size=n,
+                          max_size=n))
+    return np.array(amps) * np.array(units)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_sets(), st.sampled_from([None, 0, 1, 2, 5]),
+       st.integers(1, 30), st.data())
+def test_table_and_per_line_widths_equal_scalar_omegas(ps, t, n, data):
+    # Both paths of empty_regions, bit for bit, and the one it takes: a
+    # table of W amplitudes when every row's |v_n| lie in one binade and
+    # W (one past the widest row's span in ulps) is below N.
+    rows = 1 if t is None else t
+    v = np.array([data.draw(amplitude_rows(n)) for _ in range(rows)],
+                 dtype=complex).reshape(rows, n)
+    h_star = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.05, 50.0), st.sampled_from([1e-3, 1.0])),
+        min_size=rows, max_size=rows)))
+    real = (ChannelRealization(1 + 0j, v[0]) if t is None
+            else RealizationBatch(np.ones(rows, dtype=complex), v))
+    lines = separation_lines(real, ps)
+    cols = list(zip(lines.starting.tolist(), lines.ending.tolist()))
+    amps = np.abs(v).tolist()
+    want = [[[omega_large_gap(a, h) if OFF in (s, e)
+              else omega_small_gap(a, ps.phases[s - 1], ps.phases[e - 1], h)
+              for s, e in cols] for a in row]
+            for row, h in zip(amps, h_star.tolist())]
+    spans = [(hi - lo) / math.ulp(lo) if math.frexp(lo)[1] == math.frexp(hi)[1]
+             else math.inf for lo, hi in ((min(r), max(r)) for r in amps)]
+    w = max(spans, default=0.0) + 1.0
+    asin, calls = math.asin, []
+
+    def counted_asin(x):
+        calls.append(x)
+        return asin(x)
+
+    with mock.patch.object(math, "asin", counted_asin):
+        regions = empty_regions(real, ps, h_star[0] if t is None else h_star)
+    got = regions.half_width if t is not None else regions.half_width[None]
+    assert got.shape == (rows, n, len(cols))
+    assert _bits(got).tolist() == _bits(np.reshape(want, got.shape)).tolist()
+    assert len(calls) == rows * (w if w < n else n) * len(cols)
 
 
 def union_by_sort_and_merge(arcs):

@@ -238,6 +238,9 @@ def _check_exit(rc, err) -> None:
 @example("regions", {"--input": "real.json", "--phases": "pi/0",
                      "--solver": "sweep", "--snr-budget-db": "140",
                      "--bandwidth-hz": "2e7", "--out": "a/b/out"}, True)
+@example("solve", {"--input": "real.json", "--phases": "0.3",
+                   "--solver": "cpp", "--snr-budget-db": "-20",
+                   "--bandwidth-hz": "1", "--out": "a/b/out"}, False)
 def test_solve_and_regions_argv_exit_cleanly(command, options, upper_bound):
     if command == "regions":
         for key in _SOLVE_ONLY:
@@ -253,6 +256,8 @@ def test_solve_and_regions_argv_exit_cleanly(command, options, upper_bound):
         rc, out, err = _exit_code(argv)
         written = _files(tmp) - {"real.json", "taken"}
     _check_exit(rc, err)
+    if all(value in _SOLVE[key][0] for key, value in options.items()):
+        assert rc == 0  # only valid values: missing --out parents are made
     if any(options.get(key) not in _SOLVE[key][0]
            for key in ("--snr-budget-db", "--bandwidth-hz")):
         assert rc != 0  # a bad budget or bandwidth is refused
