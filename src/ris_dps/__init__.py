@@ -12,7 +12,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .analysis import (EmptyRatioReport, EmptyRegions, circle_union_length,
+from .analysis import (EmptyRatioReport, EmptyRegions,
                        empty_ratio_upper_bound_approx, empty_regions,
                        measured_empty_ratio, write_regions_csv)
 from .channel import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
@@ -36,9 +36,8 @@ __all__ = [
     "continuous_upper_bound", "cpp_optimize",
     "exhaustive_optimize", "separation_lines", "sweep_optimize",
     "CapacityReport", "capacity", "performance_gain",
-    "EmptyRatioReport", "EmptyRegions", "circle_union_length",
-    "empty_ratio_upper_bound_approx", "empty_regions", "measured_empty_ratio",
-    "write_regions_csv",
+    "EmptyRatioReport", "EmptyRegions", "empty_ratio_upper_bound_approx",
+    "empty_regions", "measured_empty_ratio", "write_regions_csv",
     "ResultRow", "Scenario", "builtin_scenarios", "get_builtin",
     "regions_dump", "run_scenario", "write_meta_json", "write_rows_csv",
 ]

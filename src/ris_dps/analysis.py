@@ -11,7 +11,7 @@ approximation of the summed-width upper bound.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -113,9 +113,11 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     one of width >= 2*pi covers the circle.  Every other arc starts at its
     wrapped start and is cut at 2*pi; the pieces left over past 2*pi all
     start at 0, so one piece (0, the farthest of their ends) stands for
-    them, and a row sorts M + 1 pieces.  Each run's length sits at its
-    last position and 0.0 everywhere else, so one cumsum adds the runs in
-    order: a non-negative sum plus +0.0 keeps its bits.
+    them, and a row sorts M + 1 pieces.  The sorted starts ascend, so a
+    running max of the runs' opening starts is each run's start.  A run's
+    length sits at its last position and 0.0 everywhere else, so one
+    cumsum adds the runs in order: a non-negative sum plus +0.0 keeps its
+    bits.
     """
     t, m = lo.shape
     with np.errstate(over="ignore"):  # an overflowing width is >= 2*pi
@@ -129,51 +131,27 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     np.copyto(ends[:, 1:], np.minimum(end, TWO_PI), where=keep)
     ends[:, 0] = np.max(end - TWO_PI, axis=1, initial=0.0,
                         where=end > TWO_PI)
-    at = np.arange(t * (m + 1)).reshape(t, m + 1)  # flat positions
     order = np.argsort(starts, axis=1)
-    order += at[:, :1]
+    order += np.arange(0, t * (m + 1), m + 1)[:, None]  # flat positions
     starts = starts.take(order)
     reach = np.maximum.accumulate(ends.take(order), axis=1)
     # A piece starting past everything before it opens a new run.
     opens = np.ones((t, m + 1), dtype=bool)
     np.greater(starts[:, 1:], reach[:, :-1], out=opens[:, 1:])
-    first = np.maximum.accumulate(np.where(opens, at, 0), axis=1)
+    first = np.maximum.accumulate(np.where(opens, starts, 0.0), axis=1)
     closes = np.ones_like(opens)
     closes[:, :-1] = opens[:, 1:]
-    runs = np.where(closes, reach - starts.take(first), 0.0)
+    runs = np.where(closes, reach - first, 0.0)
     total = np.minimum(np.cumsum(runs, axis=1)[:, -1], TWO_PI)
     total[(width >= TWO_PI).any(axis=1)] = TWO_PI
     return total
-
-
-def circle_union_length(arcs: Union[np.ndarray,
-                                    Sequence[Tuple[float, float]]]) -> float:
-    """Total length of the union of arcs on the circle.
-
-    Arcs are (start, end) pairs, or an (M, 2) array of them, with end >=
-    start; they may wrap past 2*pi and are reduced modulo 2*pi.  An arc
-    that reaches past 2*pi after reduction is split there; the pieces are
-    sorted by start, overlapping pieces merge into runs, and the run
-    lengths are added in order.  This is the one-row case of the union
-    that measured_empty_ratio takes of a whole block.
-
-    Raises:
-        ValueError: if an arc has a NaN or infinite end, naming the first.
-    """
-    arcs = np.asarray(arcs, dtype=float).reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(arcs).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"arc {i} must have finite ends, "
-                         f"got {tuple(arcs[i].tolist())!r}")
-    return float(_union_lengths(arcs[None, :, 0], arcs[None, :, 1])[0])
 
 
 def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap.
 
     One union pass takes every row of a batch; each row's fields have the
-    bits of circle_union_length of its arcs and of its widths added left
+    bits of sorting and merging its own arcs and of adding its widths left
     to right, as a Python loop adds (np.sum adds pairwise).
     """
     *trials, n, l = regions.half_width.shape

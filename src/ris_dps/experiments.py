@@ -92,6 +92,9 @@ class Scenario:
                 sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
             raise ValueError(f"name must be a plain file stem, without a "
                              f"path separator, got {self.name!r}")
+        if "\0" in self.name:  # open() would refuse it after the run
+            raise ValueError(f"name must not hold a NUL character, "
+                             f"got {self.name!r}")
         if not 1 <= self.trials <= 2 ** 32:  # the sampler's trial indices
             raise ValueError(f"trials must be between 1 and 2**32, "
                              f"got {self.trials!r}")
@@ -193,7 +196,7 @@ class Scenario:
         required = ("name", "budget", "seed")
         check_json_keys(doc, "scenario", required,
                         [k for k in SCENARIO_KEYS if k not in required])
-        sweep = doc.get("sweep") or {"axis": "n_elements", "values": []}
+        sweep = doc.get("sweep", {})
         check_json_keys(sweep, "sweep", (), ("axis", "values"))
         values = tuple(tuple(v) if isinstance(v, list) else v
                        for v in json_list(sweep.get("values", []),
@@ -204,7 +207,7 @@ class Scenario:
             budget=LinkBudget.from_json(doc["budget"]),
             n_elements=json_int(doc.get("n_elements", 0), "n_elements"),
             phases=PhaseShiftSet(json_numbers(phases, "phases"))
-            if phases else None,
+            if phases is not None else None,
             axis=json_str(sweep.get("axis", "n_elements"), "sweep.axis"),
             values=values,
             trials=json_int(doc.get("trials", 1000), "trials"),

@@ -69,6 +69,16 @@ class TestScenarioValidation:
             tiny_scenario(name=name, mode=mode).validate()
         tiny_scenario(name="fig15_k2.v2 run", mode=mode).validate()
 
+    @pytest.mark.parametrize("mode", ["curve", "regions"])
+    def test_name_without_nul(self, mode):
+        # rejected before the run, not by open() once it is over
+        with pytest.raises(ValueError, match=r"^name must not hold a NUL "
+                                             r"character, got 'a\\x00b'$"):
+            tiny_scenario(name="a\0b", mode=mode).validate()
+        doc = {**tiny_scenario(mode=mode).to_json(), "name": "a\0b"}
+        with pytest.raises(ValueError, match="^name must not hold a NUL"):
+            Scenario.from_json(doc)
+
     def test_empty_values(self):
         with pytest.raises(ValueError):
             tiny_scenario(values=()).validate()
@@ -226,6 +236,36 @@ def test_scenario_json_rejects_an_empty_ratio_of_no_elements():
     # without the ratio, N = 0 is a valid point
     Scenario.from_json({**doc, "empty_ratio": False,
                         "sweep": {"axis": "n_elements", "values": [0]}})
+
+
+@pytest.mark.parametrize("value,message", [
+    (0, "phases must be a JSON array, got 0"),
+    (False, "phases must be a JSON array, got False"),
+    ("", "phases must be a JSON array, got ''"),
+    ({}, "phases must be a JSON array, got {}"),
+    ([], "phase-shift set needs at least one phase")])
+def test_scenario_json_phases_are_null_or_an_array(value, message):
+    # a gap-axis scenario builds its own sets, and to_json writes null there
+    doc = json.loads(json.dumps(tiny_scenario(
+        axis="phase_gap", values=(PI / 3,), phases=None).to_json()))
+    assert doc["phases"] is None
+    assert Scenario.from_json(doc).phases is None
+    del doc["phases"]
+    assert Scenario.from_json(doc).phases is None
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Scenario.from_json({**doc, "phases": value})
+
+
+@pytest.mark.parametrize("value", [0, False, "", [], None])
+def test_scenario_json_sweep_is_an_object(value):
+    doc = json.loads(json.dumps(tiny_scenario().to_json()))
+    with pytest.raises(ValueError, match=re.escape(
+            f"sweep must be a JSON object, got {value!r}")):
+        Scenario.from_json({**doc, "sweep": value})
+    # an absent sweep is the n_elements axis with no values
+    regions = tiny_scenario(mode="regions").to_json()
+    del regions["sweep"]
+    assert Scenario.from_json(regions).values == ()
 
 
 @pytest.mark.parametrize("key,value", [

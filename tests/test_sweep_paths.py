@@ -103,6 +103,10 @@ def _line_table(angles, offsets) -> np.ndarray:
         np.array(angles, dtype=float), np.array(offsets, dtype=float)).T)
 
 
+#: The largest element angle: element_angles wraps 2*pi to 0.
+_LAST_BELOW_TWO_PI = float(np.nextafter(TWO_PI, 0.0))
+
+
 @st.composite
 def _line_tables(draw):
     """(N, L) line tables of 1-4 columns over sorted element angles, as
@@ -115,7 +119,8 @@ def _line_tables(draw):
                       st.floats(0.0, TWO_PI, exclude_max=True))
     angles = sorted(draw(st.lists(angle, min_size=n, max_size=n)))
     for i in draw(st.lists(st.integers(1, n), max_size=3)):
-        if i < n:  # the next angle one ulp above this one
+        # the next angle one ulp above this one, if still below 2*pi
+        if i < n and angles[i - 1] < _LAST_BELOW_TWO_PI:
             angles[i] = float(np.nextafter(angles[i - 1], TWO_PI))
     angles.sort()
     offsets = draw(st.lists(st.one_of(angle, st.just(1.0),
@@ -139,6 +144,8 @@ _FIXUP_TABLE = _line_table([0.5, 1.5], [0.0, 1.0 + 2.0 ** -52])
 @example(_line_table(sorted(GRID[::2] * 2)[:9], [1.0, 0.5, 1.0]))  # N = 9
 @example(_line_table(GRID[:10], [0.0, PI / 2, PI, 3 * PI / 2]))
 @example(_FIXUP_TABLE)
+# the last angle below 2*pi, whose line wraps below the first row's
+@example(_line_table([0.0, 0.0, _LAST_BELOW_TWO_PI], [PI / 6]))
 def test_padded_line_order_matches_heap_merge(args):
     _line_order_matches_heap_merge(args)
 
