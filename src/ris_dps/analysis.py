@@ -153,10 +153,21 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     One union pass takes every row of a batch; each row's fields have the
     bits of sorting and merging its own arcs and of adding its widths left
     to right, as a Python loop adds (np.sum adds pairwise).
+
+    Raises:
+        ValueError: naming the first line (n, c), and its row in a batch,
+            with a non-finite center or a negative or non-finite width.
     """
     *trials, n, l = regions.half_width.shape
     widths = regions.half_width.reshape(math.prod(trials), n * l)
     centers = regions.lines.args.reshape(widths.shape)
+    bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
+    if bad.any():
+        row, i = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{f'row {row}: ' if trials else ''}line ({i // l}, {i % l}) "
+            f"needs a finite center and a finite half-width >= 0, got "
+            f"{float(centers[row, i])!r} and {float(widths[row, i])!r}")
     union = _union_lengths(centers - widths, centers + widths)
     summed = 2.0 * (np.cumsum(widths, axis=1)[:, -1] if n * l
                     else np.zeros(len(widths)))

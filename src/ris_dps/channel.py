@@ -8,7 +8,6 @@ as complex numbers.
 """
 
 import functools
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -16,7 +15,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import TWO_PI, wrap_angles
+from .geometry import ANGLE_EPS, TWO_PI, wrap_angles
 
 SCHEMA_VERSION = 1
 
@@ -30,7 +29,9 @@ SeedLike = Union[int, Sequence[int], Tuple[int, range]]
 class PhaseShiftSet:
     """The K candidate phase shifts shared by all RIS elements.
 
-    Phases are radians, strictly increasing within [0, 2*pi).
+    Phases are radians, strictly increasing within [0, 2*pi), every
+    cyclic gap (the last wraps to the first phase) at least ANGLE_EPS, so
+    that each element's separation lines are distinct and in column order.
     """
 
     phases: tuple
@@ -47,6 +48,13 @@ class PhaseShiftSet:
             if not lo < hi:
                 raise ValueError("phases must be strictly increasing")
         object.__setattr__(self, "phases", phases)
+        gaps = self.cyclic_gaps()
+        i = int(gaps.argmin())
+        if gaps[i] < ANGLE_EPS:
+            raise ValueError(
+                f"phases must lie at least ANGLE_EPS = {ANGLE_EPS:g} rad "
+                f"apart, cyclically: phases {i} and {(i + 1) % self.k} are "
+                f"{gaps[i]:.3g} rad apart")
 
     @property
     def k(self) -> int:
@@ -183,15 +191,6 @@ class ChannelRealization:
         v = [_complex_from_json(e, f"v[{i}]")
              for i, e in enumerate(json_list(doc["v"], "v"))]
         return cls(h_d, v)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "ChannelRealization":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

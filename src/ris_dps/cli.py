@@ -84,7 +84,6 @@ def _cmd_run(args) -> int:
     path = args.scenario if os.path.isfile(args.scenario) else None
     scenarios = ([_read_json(path, Scenario.from_json)] if path
                  else get_builtin(args.scenario))
-    os.makedirs(args.out, exist_ok=True)
     for scenario in scenarios:
         if args.seed is not None:
             scenario.seed = args.seed
@@ -93,6 +92,9 @@ def _cmd_run(args) -> int:
         if args.trials is not None:
             scenario.trials = args.trials
         scenario.validate()  # the file passed at load; a fault is an option
+    # every scenario is valid before --out is made, so a fault leaves none
+    os.makedirs(args.out, exist_ok=True)
+    for scenario in scenarios:
         with _naming(path):  # a preset has no file to name
             csv_path = os.path.join(args.out, f"{scenario.name}.csv")
             meta_path = os.path.join(args.out, f"{scenario.name}.meta.json")

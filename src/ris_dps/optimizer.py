@@ -15,11 +15,12 @@ contributions, first lines, read-out) reads or writes one contiguous
 (T, N) plane.  One sort orders the lines, a cumulative sum of
 contributions gathered by line position from one table forms the
 candidate chain (a line's ending choice is the next column's starting
-choice), and the winning configuration is read off the line arguments,
-as each element's last line below the winning line's argument.  One
-sorter serves both sorts (elements by angle, lines by argument): it
-gives the order of a stable argsort, as flat positions that one take or
-put applies to a whole block, by one value sort of keys that carry each
+choice), and the winning configuration is read off line counts: an
+element meets its lines in cyclic column order, so one that has crossed
+k of its L lines, counting from its first, holds the starting choice of
+column (first + k) mod L.  One sorter serves both sorts (elements by
+angle, lines by argument): it gives the order of a stable argsort, as
+flat positions that one take or put applies to a whole block, by one value sort of keys that carry each
 value's rank in their low bits and a stable argsort of the rare row that
 comes out unsorted.  A line's rank is its row-major index with the
 column count padded to a power of two, n*Lp + c, so the sorted ranks map
@@ -281,27 +282,6 @@ def _argsort_planes(a: np.ndarray):
     return pos, _gather_sorted(a, pos)
 
 
-def _config_before(args: np.ndarray, crossed: np.ndarray,
-                   col_end: np.ndarray, cfg0: np.ndarray) -> np.ndarray:
-    """Each element's choice once the lines marked in `crossed` are behind.
-
-    args and crossed are (..., L, N) plane tables; crossed must mark a
-    prefix of the sweep order, the lines before some point in ascending
-    (argument, element, column) order.  Every element then holds the
-    ending choice of its crossed line of largest (argument, column),
-    which it crossed last, or its starting choice cfg0 (..., N) if it has
-    crossed none.
-    """
-    cfg = cfg0.copy()
-    latest = np.full(cfg0.shape, -1.0)
-    for c in range(args.shape[-2]):
-        # >=: of two equal arguments, the higher column is crossed later
-        later = crossed[..., c, :] & (args[..., c, :] >= latest)
-        np.copyto(latest, args[..., c, :], where=later)
-        np.copyto(cfg, col_end[c], where=later)
-    return cfg
-
-
 def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
                    g: np.ndarray) -> None:
     """Fill g (T, L, N) with each element's contribution per column's choice.
@@ -322,27 +302,25 @@ def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
             np.multiply(vv, units[choice], out=g[..., c, :])
 
 
-def _first_lines(args: np.ndarray, g_start: np.ndarray,
-                 col_start: np.ndarray, h_d: np.ndarray):
+def _first_lines(args: np.ndarray, g_start: np.ndarray, h_d: np.ndarray):
     """Each element's first line, of least (argument, column).
 
     A loop over the (T, L, N) tables' planes whose strict < keeps the
     lower column of two equal arguments, as argmin does, carrying each
-    element's starting choice and contribution along.  Returns (cfg0,
-    h0): each element's starting choice at its first line, (T, N), and
-    the direct path plus the sum of those lines' starting contributions,
-    (T,), summed over a contiguous (T, N) array as a gather of them would
-    be.
+    element's starting contribution along.  Returns (first, h0): the
+    column of each element's first line, (T, N), and the direct path plus
+    the sum of those lines' starting contributions, (T,), summed over a
+    contiguous (T, N) array as a gather of them would be.
     """
     first_arg = args[:, 0].copy()
-    cfg0 = np.full(first_arg.shape, col_start[0])
+    first = np.zeros(first_arg.shape, dtype=np.intp)
     g0 = g_start[:, 0].copy()
     for c in range(1, args.shape[1]):
         lower = args[:, c] < first_arg
         np.copyto(first_arg, args[:, c], where=lower)
-        np.copyto(cfg0, col_start[c], where=lower)
+        np.copyto(first, c, where=lower)
         np.copyto(g0, g_start[:, c], where=lower)
-    return cfg0, h_d + g0.sum(axis=1)
+    return first, h_d + g0.sum(axis=1)
 
 
 def _result(single: bool, config: np.ndarray, h_star: np.ndarray,
@@ -370,9 +348,10 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     contributions: a line's starting contribution in its column's plane,
     its ending one in the next plane.  The candidate chain (one
     cumulative sum) takes N + 2*N*L additions.  In the winning sector,
-    each element holds the ending choice of its last line of smaller
-    argument than the winning line, or its starting choice if it has
-    none; that configuration is mapped back to the input element order.
+    an element whose first line is in column `first` and that has
+    crossed k lines (those of smaller argument than the winning line)
+    holds column (first + k) mod L's starting choice; that configuration
+    is mapped back to the input element order.
     A RealizationBatch is solved as one block, every row exactly as the
     single call would solve it.
 
@@ -408,7 +387,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
             result.cycle_h = real.h_d
         return result
 
-    offsets, col_start, col_end = _column_templates(phase_set)
+    offsets, col_start, _ = _column_templates(phase_set)
     l = offsets.size
     m = n * l
     order, angles = _argsort_planes(batch.element_angles()[:, None])
@@ -442,8 +421,9 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # (wrapping), so each element starts in the starting choice of its
     # first line, the one of least (argument, column).  Reading it off the
     # table keeps the chain consistent even when that sector is narrower
-    # than the angle tolerance.
-    cfg0, h0 = _first_lines(args, g, col_start, batch.h_d)
+    # than the angle tolerance.  Its lines follow in cyclic column order,
+    # distinct, since PhaseShiftSet keeps its phases ANGLE_EPS apart.
+    first, h0 = _first_lines(args, g, batch.h_d)
 
     # chain[:, j] is the candidate of sector j (chain[:, m]: back in sector
     # 0).  Each line j takes its element's start contribution out and puts
@@ -471,11 +451,11 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
         drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
         for stop in stops:
             # The lines crossed at a checkpoint are the first `stop` in
-            # sweep order, which already breaks ties by (element, column).
-            crossed = np.zeros((l, n), dtype=bool)
-            crossed.flat[pos[0, :stop]] = True
+            # sweep order; row 0's positions are c*N + n, so % n gives
+            # each crossed line's element.
+            crossed = np.bincount(pos[0, :stop] % n, minlength=n)
             _check_drift(real.h_d, vv[0], units,
-                         _config_before(args[0], crossed, col_end, cfg0[0]),
+                         col_start[(first[0] + crossed) % l],
                          complex(chain[0, stop]), drift_scale)
 
     # Zero-width sectors (a line at its predecessor's argument) are skipped.
@@ -487,7 +467,8 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     # its argument, and the lines crossed before it are exactly those of
     # smaller argument.
     a_best = sorted_args[np.arange(t), best]
-    cfg = _config_before(args, args < a_best[:, None, None], col_end, cfg0)
+    crossed = (args < a_best[:, None, None]).sum(axis=1)
+    cfg = col_start[(first + crossed) % l]
     config = np.empty((t, n), dtype=int)
     config.put(order, cfg, mode="clip")
 

@@ -13,10 +13,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def random_phase_set(rng, k, min_sep=1e-6):
-    """Strictly increasing phases in [0, 2*pi), re-drawn until well separated."""
+    """Strictly increasing phases in [0, 2*pi), re-drawn until every cyclic
+    gap, the last-to-first one included, is at least min_sep."""
     while True:
         ph = np.sort(rng.uniform(0.0, TWO_PI, size=k))
-        if k == 1 or np.min(np.diff(ph)) >= min_sep:
+        if np.min(np.diff(ph, append=ph[0] + TWO_PI)) >= min_sep:
             return PhaseShiftSet(ph)
 
 

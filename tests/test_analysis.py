@@ -448,8 +448,10 @@ def test_empty_ratio_block_equals_rows(t, n, l, data):
     # all three report fields, bit for bit, row by row
     centers = np.array(data.draw(st.lists(STARTS, min_size=t * n * l,
                                           max_size=t * n * l)))
-    widths = np.array(data.draw(st.lists(WIDTHS, min_size=t * n * l,
-                                         max_size=t * n * l)))
+    # a negative width is no input of measured_empty_ratio
+    widths = np.array(data.draw(st.lists(
+        WIDTHS.filter(lambda w: not w < 0.0), min_size=t * n * l,
+        max_size=t * n * l)))
     if data.draw(st.booleans()) and centers.size:  # equal centers
         centers[:] = centers[0]
     table = LineTable(centers.reshape(t, n, l), np.arange(1, l + 1),
@@ -462,6 +464,23 @@ def test_empty_ratio_block_equals_rows(t, n, l, data):
                                "overlap_fraction")):
         assert _bits(getattr(report, field)).tolist() == \
             _bits(want[:, i]).tolist()
+
+
+@pytest.mark.parametrize("center, width", [
+    (math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1), (0.5, math.inf),
+    (-math.inf, 0.1), (0.5, -0.2)])
+def test_empty_ratio_rejects_a_bad_line(center, width):
+    # a finite arc beside the bad one, so the union would run on the rest
+    centers, widths = np.array([[1.0, center]]), np.array([[0.1, width]])
+    table = LineTable(centers, np.array([1, 2]), np.array([2, 1]))
+    with pytest.raises(ValueError, match=r"^line \(0, 1\) needs a finite"):
+        measured_empty_ratio(EmptyRegions(table, widths))
+    # in a batch, the first bad line's row is named
+    table = LineTable(np.stack([np.ones((1, 2)), centers]),
+                      table.starting, table.ending)
+    with pytest.raises(ValueError, match=r"^row 1: line \(0, 1\) needs"):
+        measured_empty_ratio(EmptyRegions(
+            table, np.stack([np.full((1, 2), 0.1), widths])))
 
 
 @pytest.mark.parametrize("arcs", [

@@ -38,7 +38,8 @@ def realization_file(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 6,
                               (123, 0))
     path = tmp_path / "real.json"
-    real.save(path)
+    with open(path, "w") as fh:
+        json.dump(real.to_json(), fh)
     return path
 
 
@@ -315,6 +316,25 @@ def test_run_time_error_names_the_scenario_file_once(tmp_path, capsys):
                                        "between 1 and 2**32, got 0\n")
 
 
+@pytest.mark.parametrize("override", [["--trials", "0"], ["--seed", "-3"],
+                                      ["--fast", "--trials", "4294967297"]])
+def test_bad_override_leaves_no_out_directory(tmp_path, capsys, override):
+    # every scenario of the preset is checked before --out is made
+    out = tmp_path / "new" / "x"
+    assert main(["run", "--scenario", "fig15", "--out", str(out),
+                 *override]) == 1
+    assert capsys.readouterr().err.startswith("ris-dps: error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_solve_rejects_phases_closer_than_angle_eps(realization_file, capsys):
+    assert main(["solve", "--input", str(realization_file), "--phases",
+                 "0,1e-12", "--solver", "sweep"]) == 1
+    assert capsys.readouterr().err == (
+        "ris-dps: error: phases must lie at least ANGLE_EPS = 1e-09 rad "
+        "apart, cyclically: phases 0 and 1 are 1e-12 rad apart\n")
+
+
 def test_budget_overflow_is_an_error_not_a_traceback(realization_file,
                                                      tmp_path, capsys):
     doc = scenario_doc()
@@ -426,7 +446,8 @@ def test_module_entry_point(tmp_path):
     real = sample_realization(LinkBudget(-80.0, -60.0, -140.0, 100.0), 3,
                               (5, 0))
     path = tmp_path / "real.json"
-    real.save(path)
+    with open(path, "w") as fh:
+        json.dump(real.to_json(), fh)
     proc = subprocess.run(
         [sys.executable, "-m", "ris_dps", "solve", "--input", str(path),
          "--phases", "pi/6,5pi/6", "--solver", "sweep"],

@@ -93,6 +93,19 @@ class TestScenarioValidation:
                           phases=None).validate()
         tiny_scenario(axis="phase_gap", values=(PI / 3,), phases=None).validate()
 
+    @pytest.mark.parametrize("axis, values, bad", [
+        ("phase_gap", (1.0, 5e-10), "sweep.values[1]: phases 0 and 1"),
+        ("phase_gap", (2 * PI - 1e-12,), "sweep.values[0]: phases 1 and 0"),
+        ("phase_gap_pair", ((1.0, 1.0), (1.0, 1e-10)),
+         "sweep.values[1]: phases 1 and 2")])
+    def test_gap_axis_keeps_phases_angle_eps_apart(self, axis, values, bad):
+        scenario = tiny_scenario(axis=axis, values=values, phases=None)
+        with pytest.raises(ValueError) as info:
+            scenario.validate()
+        assert str(info.value).startswith(
+            bad.replace(": phases", ": phases must lie at least ANGLE_EPS "
+                        "= 1e-09 rad apart, cyclically: phases"))
+
     def test_missing_phases(self):
         with pytest.raises(ValueError, match="phase set"):
             tiny_scenario(phases=None).validate()

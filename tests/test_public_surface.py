@@ -3,10 +3,12 @@
 A name counts as used when code reaches it from the CLI, a demo, the
 benchmark or the acceptance tests, directly or through library
 definitions that are themselves reached, so a helper that only other
-tests call fails.  References are read from the syntax tree, so a
-docstring or comment that mentions a name does not count, and neither
-does a library function that only its own unused callers call.  Every name a library module imports is likewise read in
-that module or exported through its __all__.
+tests call fails; so does a method or property of a library class that
+nothing reached calls by name.  References are read from the syntax
+tree, so a docstring or comment that mentions a name does not count,
+and neither does a library function that only its own unused callers
+call.  Every name a library module imports is likewise read in that
+module or exported through its __all__.
 """
 
 import ast
@@ -49,23 +51,46 @@ def _definitions() -> dict:
     return defs
 
 
-def test_every_public_name_is_used_by_what_runs():
+def _used(defs: dict) -> set:
+    """Names the entry points reach, directly or through the definitions
+    they reach."""
     entry_points = [LIBRARY / "cli.py", *ROOT.glob("demos/*.py"),
                     *ROOT.glob("perfbench/**/*.py"),
                     ROOT / "tests" / "test_acceptance.py"]
     assert len(entry_points) > 4
     used = set().union(*(_references(ast.parse(p.read_text()))
                          for p in entry_points))
-    defs = _definitions()
     todo = list(used)
     while todo:
         for node in defs.get(todo.pop(), ()):
             new = _references(node) - used
             used |= new
             todo.extend(new)
+    return used
+
+
+def test_every_public_name_is_used_by_what_runs():
+    defs = _definitions()
+    used = _used(defs)
     names = sorted(set(ris_dps.__all__) | set(defs))
     assert len(names) > len(ris_dps.__all__)
     assert [name for name in names if name not in used] == []
+
+
+def test_every_method_is_used_by_what_runs():
+    # Methods and properties of the library's classes, dunders aside;
+    # a dataclass field is no method and stays out.
+    defs = _definitions()
+    methods = sorted({
+        f"{cls.name}.{node.name}"
+        for nodes in defs.values() for cls in nodes
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))})
+    assert len(methods) > 10
+    used = _used(defs)
+    assert [m for m in methods if m.split(".")[1] not in used] == []
 
 
 def _imported(tree: ast.AST) -> list:
