@@ -24,8 +24,8 @@ from .optimizer import LineTable, separation_lines
 class EmptyRegions:
     """Arcs around every separation line that cannot contain arg(h*).
 
-    The arc around line (n, c) is centered on lines.args[n, c] and has
-    half-width half_width[n, c]: both (N, L), or (T, N, L) for a batch.
+    The arc around line (n, c) is centered on lines.args[c, n] and has
+    half-width half_width[c, n]: both (L, N), or (T, L, N) for a batch.
     """
 
     lines: LineTable
@@ -54,7 +54,7 @@ def _check_h_star(h_star_amp) -> None:
 
 
 def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
-    """The empty region of every separation line of the realization.
+    """The empty region of every separation line, in the lines' layout.
 
     Each width has the bits of the scalar omega_small_gap /
     omega_large_gap in tests/scalar_reference.py: the ratio is formed in
@@ -83,7 +83,7 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     factors = np.array([
         0.5 if OFF in (s, e)
         else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
-        for s, e in zip(lines.starting.tolist(), lines.ending.tolist())])
+        for s, e in lines._choice_pairs()])[:, None]
     amps, index = np.abs(real.v), None
     if amps.size:
         lo = amps.min(axis=-1, keepdims=True)
@@ -92,15 +92,13 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
         w = (int(((hi - lo) / ulp).max()) + 1
              if (np.spacing(hi) == ulp).all() else amps.shape[-1])
         if w < amps.shape[-1]:
-            # k plus each row's offset into the flat (T * W, L) widths
-            rows = np.arange(0, lo.size * w, w).reshape(lo.shape)
-            index = ((amps - lo) / ulp).astype(np.intp) + rows
+            index = ((amps - lo) / ulp).astype(np.intp)[..., None, :]  # k
             amps = lo + np.arange(w) * ulp
-    ratio = np.minimum(amps[..., None] * factors / h_star, 1.0)
+    ratio = np.minimum(amps[..., None, :] * factors / h_star, 1.0)
     half_width = np.fromiter(map(math.asin, ratio.ravel().tolist()), float,
                              ratio.size).reshape(ratio.shape)
     if index is not None:
-        half_width = half_width.reshape(-1, factors.size).take(index, axis=0)
+        half_width = np.take_along_axis(half_width, index, axis=-1)
     return EmptyRegions(lines, half_width)
 
 
@@ -151,25 +149,27 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap.
 
     One union pass takes every row of a batch; each row's fields have the
-    bits of sorting and merging its own arcs and of adding its widths left
-    to right, as a Python loop adds (np.sum adds pairwise).
+    bits of sorting and merging its arcs, in any order, and of adding its
+    widths by element, then column, as a loop does (np.sum adds pairwise).
 
     Raises:
         ValueError: naming the first line (n, c), and its row in a batch,
             with a non-finite center or a negative or non-finite width.
     """
-    *trials, n, l = regions.half_width.shape
-    widths = regions.half_width.reshape(math.prod(trials), n * l)
+    *trials, l, n = regions.half_width.shape
+    widths = regions.half_width.reshape(math.prod(trials), l * n)
     centers = regions.lines.args.reshape(widths.shape)
     bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
     if bad.any():
-        row, i = np.argwhere(bad)[0]
+        row, i, c = np.argwhere(bad.reshape(-1, l, n).swapaxes(1, 2))[0]
         raise ValueError(
-            f"{f'row {row}: ' if trials else ''}line ({i // l}, {i % l}) "
+            f"{f'row {row}: ' if trials else ''}line ({i}, {c}) "
             f"needs a finite center and a finite half-width >= 0, got "
-            f"{float(centers[row, i])!r} and {float(widths[row, i])!r}")
+            f"{float(centers[row, c * n + i])!r} and "
+            f"{float(widths[row, c * n + i])!r}")
     union = _union_lengths(centers - widths, centers + widths)
-    summed = 2.0 * (np.cumsum(widths, axis=1)[:, -1] if n * l
+    by_element = regions.half_width.swapaxes(-1, -2).reshape(widths.shape)
+    summed = 2.0 * (np.cumsum(by_element, axis=1)[:, -1] if n * l
                     else np.zeros(len(widths)))
     # A summed width of 0 leaves the quotient 1.0: an overlap of 0.0.
     overlap = 1.0 - np.divide(union, summed, out=np.ones_like(union),
@@ -200,11 +200,11 @@ def write_regions_csv(regions: EmptyRegions, fh) -> None:
     lines = regions.lines
     if lines.args.ndim != 2:
         raise ValueError("write_regions_csv writes one realization's regions")
-    kinds = ["off_boundary" if OFF in (s, e) else "between_phases"
-             for s, e in zip(lines.starting.tolist(), lines.ending.tolist())]
+    kinds = ["off_boundary" if OFF in pair else "between_phases"
+             for pair in lines._choice_pairs()]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["center_rad", "half_width_rad", "element", "kind"])
     for element, (centers, widths) in enumerate(
-            zip(lines.args.tolist(), regions.half_width.tolist())):
+            zip(lines.args.T.tolist(), regions.half_width.T.tolist())):
         writer.writerows([repr(c), repr(w), element, kind]
                          for c, w, kind in zip(centers, widths, kinds))

@@ -53,20 +53,24 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 24
 class LineTable:
     """All N*L separation lines of a realization, or of a batch, as arrays.
 
-    Line (n, c) is the direction at which element n's optimal choice
-    changes from starting[c] to ending[c] as the direction of the optimal
-    channel rotates counterclockwise across it.
+    Line (n, c) is where element n's optimal choice changes from
+    starting[c] to the next column's, starting[(c + 1) % L], as the
+    direction of the optimal channel rotates counterclockwise across it.
 
     Attributes:
-        args: (N, L) line directions in [0, 2*pi), rows in element order;
-            (T, N, L) for a RealizationBatch.
+        args: (L, N) line directions in [0, 2*pi), plane c holding column
+            c's line of every element in element order; (T, L, N) for a
+            RealizationBatch.
         starting: (L,) each column's choice just before its line.
-        ending: (L,) each column's choice just past its line.
     """
 
     args: np.ndarray
     starting: np.ndarray
-    ending: np.ndarray
+
+    def _choice_pairs(self):
+        """Each column's (starting, ending) choices, as Python ints."""
+        start = self.starting.tolist()
+        return list(zip(start, start[1:] + start[:1]))
 
 
 @dataclass
@@ -132,11 +136,11 @@ def _column_templates(phase_set: PhaseShiftSet):
     """Per-column separation-line recipe shared by all elements.
 
     For element n, column c's line sits at (angle(v_n) + offsets[c]) mod
-    2*pi with the given starting/ending choices.  One line bisects each
-    phase gap below pi; a gap above pi contributes an off region bracketed
-    by two lines; a gap of exactly pi (within tolerance) collapses the
-    zero-width off region into a single boundary.  A line's ending
-    choice is the next column's starting choice.
+    2*pi with the given starting choice.  One line bisects each phase gap
+    below pi; a gap above pi contributes an off region bracketed by two
+    lines; a gap of exactly pi (within tolerance) collapses the zero-width
+    off region into a single boundary.  A line's ending choice is the next
+    column's starting choice.  Returns (offsets, starting), (L,) each.
     """
     phases = phase_set.phases
     gaps = phase_set.cyclic_gaps()
@@ -153,25 +157,21 @@ def _column_templates(phase_set: PhaseShiftSet):
         if gaps[i] > math.pi + ANGLE_EPS:
             offsets.append(phi_hi - HALF_PI)
             starting.append(OFF)
-    start = np.asarray(starting, dtype=int)
-    return np.asarray(offsets), start, np.roll(start, -1)
+    return np.asarray(offsets), np.asarray(starting, dtype=int)
 
 
 def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
-    """All separation lines, one row per element, L columns.
+    """All separation lines: L columns, one plane of N lines each.
 
     L is K when every cyclic phase gap is at most pi and K+1 when one gap
     exceeds pi; it is identical across elements because the gaps depend
-    only on the shared phase set.  A RealizationBatch gives (T, N, L) args:
-    the sweep's plane table (see _line_args), transposed into a
-    contiguous array.
+    only on the shared phase set.  args is the sweep's plane table (see
+    _line_args), (L, N), or (T, L, N) for a RealizationBatch.
     """
     if real.n < 1:
         raise ValueError("need at least one element")
-    offsets, starting, ending = _column_templates(phase_set)
-    args = _line_args(real.element_angles(), offsets)
-    return LineTable(np.ascontiguousarray(np.swapaxes(args, -1, -2)),
-                     starting, ending)
+    offsets, starting = _column_templates(phase_set)
+    return LineTable(_line_args(real.element_angles(), offsets), starting)
 
 
 def _line_args(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -387,7 +387,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
             result.cycle_h = real.h_d
         return result
 
-    offsets, col_start, _ = _column_templates(phase_set)
+    offsets, col_start = _column_templates(phase_set)
     l = offsets.size
     m = n * l
     order, angles = _argsort_planes(batch.element_angles()[:, None])

@@ -262,7 +262,8 @@ def sorted_line_order(args: np.ndarray,
 
 def sweep_line_args(real: ChannelRealization,
                     phase_set: PhaseShiftSet) -> np.ndarray:
-    """The (N, L) line arguments with the elements in the sweep's order.
+    """The (N, L) line arguments with the elements in the sweep's order:
+    separation_lines' (L, N) plane table, transposed.
 
     The elements are ordered by the sweep's own sorter (a stable argsort
     of their angles, as one plane), so these are the arguments
@@ -270,7 +271,7 @@ def sweep_line_args(real: ChannelRealization,
     """
     order = _argsort_planes(real.element_angles()[None, None])[0][0]
     return separation_lines(ChannelRealization(real.h_d, real.v[order]),
-                            phase_set).args
+                            phase_set).args.T
 
 
 def line_positions(flat: np.ndarray, n: int, l: int) -> np.ndarray:

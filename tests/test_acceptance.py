@@ -198,7 +198,7 @@ def test_operation_budget():
             v = np.exp(1j * rng.uniform(0, 2 * PI, n))
             real = ChannelRealization(1e-3 + 0j, v)
             res = sweep_optimize(real, ps, instrument=True)
-            l = separation_lines(real, ps).args.shape[1]
+            l = separation_lines(real, ps).starting.size
             adds = res.counters.vector_additions
             ok &= adds == n + 2 * n * l
             counts = SortComparisons()

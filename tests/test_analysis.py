@@ -31,9 +31,9 @@ def union_length(arcs) -> float:
 
 def regions_at(centers, widths):
     """EmptyRegions of one-column lines at the given centers and widths."""
-    table = LineTable(np.array(centers, dtype=float).reshape(-1, 1),
-                      np.array([1]), np.array([2]))
-    return EmptyRegions(table, np.array(widths, dtype=float).reshape(-1, 1))
+    table = LineTable(np.array(centers, dtype=float).reshape(1, -1),
+                      np.array([1]))
+    return EmptyRegions(table, np.array(widths, dtype=float).reshape(1, -1))
 
 
 class TestOmega:
@@ -86,12 +86,13 @@ class TestEmptyRegions:
         real = ChannelRealization(1 + 0j, [1 + 0j])
         regions = empty_regions(real, ps, 4.0)
         lines = regions.lines
-        assert lines.args[0] == pytest.approx([PI / 2, 4 * PI / 3, 5 * PI / 3])
+        assert lines.args[:, 0] == pytest.approx(
+            [PI / 2, 4 * PI / 3, 5 * PI / 3])
         # the line between the phases, then the two bracketing the off region
         assert lines.starting.tolist() == [1, 2, OFF]
-        assert lines.ending.tolist() == [2, OFF, 1]
+        assert lines._choice_pairs() == [(1, 2), (2, OFF), (OFF, 1)]
         # widths follow the two formulas
-        between, *off = regions.half_width[0]
+        between, *off = regions.half_width[:, 0]
         assert between == pytest.approx(
             omega_small_gap(1.0, PI / 6, 5 * PI / 6, 4.0))
         assert off == pytest.approx([omega_large_gap(1.0, 4.0)] * 2)
@@ -101,7 +102,7 @@ class TestEmptyRegions:
         rng = np.random.default_rng(2)
         v = np.exp(1j * rng.uniform(0, 2 * PI, 50))
         real = ChannelRealization(1 + 0j, v)
-        assert empty_regions(real, ps, 30.0).half_width.shape == (50, 3)
+        assert empty_regions(real, ps, 30.0).half_width.shape == (3, 50)
 
     def test_widths_vanish_for_large_h_star(self):
         ps = PhaseShiftSet.uniform(3)
@@ -230,16 +231,17 @@ def test_array_widths_equal_scalar_omegas(inst, h_star_amp):
     regions = empty_regions(real, ps, h_star_amp)
     lines = regions.lines
     np.testing.assert_array_equal(lines.args, separation_lines(real, ps).args)
-    cols = list(zip(lines.starting.tolist(), lines.ending.tolist()))
+    cols = lines._choice_pairs()
     want = [[omega_large_gap(v, h_star_amp) if OFF in (s, e)
              else omega_small_gap(v, ps.phases[s - 1], ps.phases[e - 1],
                                   h_star_amp)
              for s, e in cols]
             for v in np.abs(real.v).tolist()]
-    assert regions.half_width.tolist() == want
-    # the report adds in line order, as a loop over the lines would
+    assert regions.half_width.T.tolist() == want  # (L, N) planes
+    # the report adds by element, then column, as a loop over the lines
+    # would
     flat = [w for row in want for w in row]
-    intervals = [(c - w, c + w) for c, w in zip(lines.args.ravel().tolist(),
+    intervals = [(c - w, c + w) for c, w in zip(lines.args.T.ravel().tolist(),
                                                 flat)]
     summed = 2.0 * sum(flat)
     union = union_by_sort_and_merge(intervals)
@@ -297,8 +299,7 @@ def test_table_and_per_line_widths_equal_scalar_omegas(ps, t, n, data):
         min_size=rows, max_size=rows)))
     real = (ChannelRealization(1 + 0j, v[0]) if t is None
             else RealizationBatch(np.ones(rows, dtype=complex), v))
-    lines = separation_lines(real, ps)
-    cols = list(zip(lines.starting.tolist(), lines.ending.tolist()))
+    cols = separation_lines(real, ps)._choice_pairs()
     amps = np.abs(v).tolist()
     want = [[[omega_large_gap(a, h) if OFF in (s, e)
               else omega_small_gap(a, ps.phases[s - 1], ps.phases[e - 1], h)
@@ -316,7 +317,8 @@ def test_table_and_per_line_widths_equal_scalar_omegas(ps, t, n, data):
     with mock.patch.object(math, "asin", counted_asin):
         regions = empty_regions(real, ps, h_star[0] if t is None else h_star)
     got = regions.half_width if t is not None else regions.half_width[None]
-    assert got.shape == (rows, n, len(cols))
+    assert got.shape == (rows, len(cols), n)
+    got = got.swapaxes(1, 2)  # by element, then column, as want
     assert _bits(got).tolist() == _bits(np.reshape(want, got.shape)).tolist()
     assert len(calls) == rows * (w if w < n else n) * len(cols)
 
@@ -454,10 +456,11 @@ def test_empty_ratio_block_equals_rows(t, n, l, data):
         max_size=t * n * l)))
     if data.draw(st.booleans()) and centers.size:  # equal centers
         centers[:] = centers[0]
-    table = LineTable(centers.reshape(t, n, l), np.arange(1, l + 1),
-                      np.arange(2, l + 2))
-    report = measured_empty_ratio(EmptyRegions(table,
-                                               widths.reshape(t, n, l)))
+    # drawn by element, then column, and laid out as (T, L, N) planes
+    table = LineTable(centers.reshape(t, n, l).swapaxes(1, 2),
+                      np.arange(1, l + 1))
+    report = measured_empty_ratio(EmptyRegions(
+        table, widths.reshape(t, n, l).swapaxes(1, 2)))
     want = np.array([empty_ratio_of_row(c, w) for c, w in zip(
         centers.reshape(t, n * l), widths.reshape(t, n * l))]).reshape(t, 3)
     for i, field in enumerate(("measured_ratio", "sum_ratio_ub",
@@ -466,21 +469,77 @@ def test_empty_ratio_block_equals_rows(t, n, l, data):
             _bits(want[:, i]).tolist()
 
 
+#: Centers that tie often and arcs that wrap past 0 or 2*pi.
+EDGE_CENTERS = st.one_of(
+    st.sampled_from([0.0, 1e-3, 0.05, PI, TWO_PI - 0.05,
+                     math.nextafter(TWO_PI, 0.0)]), STARTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 3),
+       st.sampled_from(["free", "tied centers", "shared starts"]), st.data())
+def test_union_ignores_the_order_of_a_rows_arcs(t, n, l, kind, data):
+    # measured_empty_ratio merges the arcs in plane order, not by element
+    # then column, so the union must not depend on their order in a row:
+    # tied centers, tied starts, zero widths and wrapping arcs included
+    m = n * l
+    if kind == "shared starts":  # dyadic, so start + width - width = start
+        starts = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 3.0, 6.25]), min_size=t * m,
+            max_size=t * m)))
+        widths = np.array(data.draw(st.lists(
+            st.integers(0, 64), min_size=t * m, max_size=t * m))) / 64.0
+        centers = starts + widths
+    else:
+        centers = np.array(data.draw(st.lists(
+            EDGE_CENTERS, min_size=t * m, max_size=t * m)))
+        widths = np.array(data.draw(st.lists(
+            WIDTHS.filter(lambda w: not w < 0.0), min_size=t * m,
+            max_size=t * m)))
+    centers, widths = centers.reshape(t, m), widths.reshape(t, m)
+    if kind == "tied centers":  # each row's centers tie in pairs
+        centers[:, 1::2] = centers[:, :-1:2]
+    perms = [data.draw(st.permutations(range(m))) for _ in range(t)]
+    shuffled = [np.take_along_axis(a, np.array(perms), axis=1)
+                for a in (centers, widths)]
+
+    def ratio(centers, widths):
+        planes = (len(centers), l, n)
+        table = LineTable(centers.reshape(planes), np.arange(1, l + 1))
+        return measured_empty_ratio(EmptyRegions(
+            table, widths.reshape(planes))).measured_ratio
+
+    assert _bits(ratio(*shuffled)).tolist() == \
+        _bits(ratio(centers, widths)).tolist()
+
+
 @pytest.mark.parametrize("center, width", [
     (math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1), (0.5, math.inf),
     (-math.inf, 0.1), (0.5, -0.2)])
 def test_empty_ratio_rejects_a_bad_line(center, width):
-    # a finite arc beside the bad one, so the union would run on the rest
-    centers, widths = np.array([[1.0, center]]), np.array([[0.1, width]])
-    table = LineTable(centers, np.array([1, 2]), np.array([2, 1]))
+    # a finite arc beside the bad one, so the union would run on the rest;
+    # line (0, 1) is plane 1's element 0
+    centers, widths = np.array([[1.0], [center]]), np.array([[0.1], [width]])
+    _assert_names_line_0_1(centers, widths)
+    # two bad lines, (0, 1) and (1, 0): the first by element, then column,
+    # is named, though (1, 0) comes first in plane order
+    centers = np.array([[1.0, center], [center, 2.0]])
+    widths = np.array([[0.1, width], [width, 0.1]])
+    _assert_names_line_0_1(centers, widths)
+
+
+def _assert_names_line_0_1(centers, widths):
+    """measured_empty_ratio names line (0, 1) of the (L, N) tables, alone
+    and as row 1 of a batch."""
+    table = LineTable(centers, np.arange(1, len(centers) + 1))
     with pytest.raises(ValueError, match=r"^line \(0, 1\) needs a finite"):
         measured_empty_ratio(EmptyRegions(table, widths))
     # in a batch, the first bad line's row is named
-    table = LineTable(np.stack([np.ones((1, 2)), centers]),
-                      table.starting, table.ending)
+    table = LineTable(np.stack([np.ones_like(centers), centers]),
+                      table.starting)
     with pytest.raises(ValueError, match=r"^row 1: line \(0, 1\) needs"):
         measured_empty_ratio(EmptyRegions(
-            table, np.stack([np.full((1, 2), 0.1), widths])))
+            table, np.stack([np.full_like(widths, 0.1), widths])))
 
 
 @pytest.mark.parametrize("arcs", [
@@ -525,8 +584,10 @@ def test_width_digests():
                 0.1, 2.0, (t, n)) * np.exp(1j * rng.uniform(0, TWO_PI, (t, n))))
         ps = sets[name]
         regions = empty_regions(batch, ps, sweep_optimize(batch, ps).amplitude)
-        assert regions.half_width.shape[:2] == (t, n)
-        assert hashlib.sha256(regions.half_width.tobytes()).hexdigest() == \
+        # hashed by element, then column: the (T, N, L) view of the planes
+        widths = np.ascontiguousarray(regions.half_width.swapaxes(1, 2))
+        assert widths.shape[:2] == (t, n)
+        assert hashlib.sha256(widths.tobytes()).hexdigest() == \
             digest, (kind, t, n, name)
     buf = io.StringIO()
     write_regions_csv(regions_dump(get_builtin("fig14")[0]), buf)

@@ -558,6 +558,6 @@ def test_fig13_grid_contains_uniform_point():
 def test_regions_dump_matches_line_count():
     s = get_builtin("fig14")[0]
     regions = regions_dump(s)
-    assert regions.half_width.shape == (50, 3)  # K+1 = 3 lines each
+    assert regions.half_width.shape == (3, 50)  # K+1 = 3 lines each
     with pytest.raises(ValueError):
         regions_dump(tiny_scenario())

@@ -116,7 +116,7 @@ def test_line_arguments_stay_in_the_fast_domain():
     # phase + 1.5*pi.  Added to an element angle just below 2*pi, it stays
     # below the fast domain's upper end, 6*pi.
     below = np.nextafter(TWO_PI, 0.0)
-    offsets, _, _ = _column_templates(PhaseShiftSet((below,)))
+    offsets, _ = _column_templates(PhaseShiftSet((below,)))
     assert offsets.max() <= 3.5 * math.pi
     assert below + offsets.max() < 3 * TWO_PI
 

@@ -11,11 +11,6 @@ from ris_dps import OFF, ChannelRealization, PhaseShiftSet, separation_lines
 PI = math.pi
 
 
-def columns(table):
-    """(starting, ending) of every column of a line table."""
-    return list(zip(table.starting.tolist(), table.ending.tolist()))
-
-
 class TestConfigGivenDirection:
     def setup_method(self):
         self.ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
@@ -51,8 +46,9 @@ class TestSeparationLines:
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         real = ChannelRealization(1 + 0j, [1 + 0j])
         table = separation_lines(real, ps)
-        assert table.args[0] == pytest.approx([PI / 2, 4 * PI / 3, 5 * PI / 3])
-        assert columns(table) == [(1, 2), (2, OFF), (OFF, 1)]
+        assert table.args[:, 0] == pytest.approx(
+            [PI / 2, 4 * PI / 3, 5 * PI / 3])
+        assert table._choice_pairs() == [(1, 2), (2, OFF), (OFF, 1)]
         with pytest.raises(TypeError):
             table[0]  # a record, not the old list of rows
 
@@ -60,38 +56,40 @@ class TestSeparationLines:
         ps = PhaseShiftSet.uniform(3)
         real = ChannelRealization(1 + 0j, [1 + 0j])
         table = separation_lines(real, ps)
-        assert table.args[0] == pytest.approx([PI / 3, PI, 5 * PI / 3])
-        assert all(OFF not in col for col in columns(table))
+        assert table.args[:, 0] == pytest.approx([PI / 3, PI, 5 * PI / 3])
+        assert all(OFF not in col for col in table._choice_pairs())
 
     def test_single_phase_brackets_off_half_plane(self):
         ps = PhaseShiftSet((0.0,))
         real = ChannelRealization(1 + 0j, [1 + 0j])
         table = separation_lines(real, ps)
-        assert table.args[0] == pytest.approx([PI / 2, 3 * PI / 2])
-        assert columns(table) == [(1, OFF), (OFF, 1)]
+        assert table.args[:, 0] == pytest.approx([PI / 2, 3 * PI / 2])
+        assert table._choice_pairs() == [(1, OFF), (OFF, 1)]
 
     def test_gap_of_exactly_pi_collapses_off_sector(self):
         ps = PhaseShiftSet.uniform(2)  # gaps are exactly pi
         real = ChannelRealization(1 + 0j, [np.exp(0.4j)])
         table = separation_lines(real, ps)
-        assert table.args.shape == (1, 2)
-        assert table.args[0] == pytest.approx([0.4 + PI / 2, 0.4 + 3 * PI / 2])
-        assert columns(table) == [(1, 2), (2, 1)]
+        assert table.args.shape == (2, 1)  # (L, N): one plane per column
+        assert table.args[:, 0] == pytest.approx(
+            [0.4 + PI / 2, 0.4 + 3 * PI / 2])
+        assert table._choice_pairs() == [(1, 2), (2, 1)]
 
     def test_column_count_shared_across_elements(self):
         rng = np.random.default_rng(5)
         for k in (1, 2, 3, 4):
             real, ps = random_instance(rng, 6, k)
             table = separation_lines(real, ps)
-            n, l = table.args.shape
+            l, n = table.args.shape
             assert n == 6
             assert l in (k, k + 1)
-            assert table.starting.shape == table.ending.shape == (l,)
+            assert table.starting.shape == (l,)
+            assert len(table._choice_pairs()) == l
 
     def test_line_arguments_offset_by_element_angle(self):
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         real = ChannelRealization(1 + 0j, [1 + 0j, np.exp(1.1j)])
-        base, shifted = separation_lines(real, ps).args
+        base, shifted = separation_lines(real, ps).args.T
         assert shifted == pytest.approx((base + 1.1) % (2 * PI))
 
     def test_empty_realization_rejected(self):

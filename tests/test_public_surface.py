@@ -9,12 +9,22 @@ tree, so a docstring or comment that mentions a name does not count,
 and neither does a library function that only its own unused callers
 call.  Every name a library module imports is likewise read in that
 module or exported through its __all__.
+
+The syntax tree matches names, not objects: a method whose name reached
+code reads for another object (json.load for a load method) passes.  So
+the entry points are also run, in a fresh interpreter under a profile
+hook (tests/entry_points.py), and every library function and method
+must be called there.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import ris_dps
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "ris_dps"
@@ -91,6 +101,38 @@ def test_every_method_is_used_by_what_runs():
     assert len(methods) > 10
     used = _used(defs)
     assert [m for m in methods if m.split(".")[1] not in used] == []
+
+
+def _functions() -> dict:
+    """Every library function and method, dunders included, by its code
+    object's (file name, first line): the first decorator's or the def's
+    line."""
+    found = {}
+    for path in LIBRARY.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for fn in node.body if owner else [node]:
+                if isinstance(fn, ast.FunctionDef):
+                    first = min([fn.lineno]
+                                + [d.lineno for d in fn.decorator_list])
+                    found[(path.name, first)] = \
+                        f"{path.name}:{owner}{fn.name}"
+    return found
+
+
+def test_every_function_runs_from_the_entry_points(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "entry_points.py"),
+         str(tmp_path)], capture_output=True, text=True, timeout=600,
+        env={**child_env(), "MPLBACKEND": "Agg"})
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "ran.json").read_text())
+    assert Path(doc["library"]) == LIBRARY.resolve()
+    ran = {tuple(key) for key in doc["ran"]}
+    functions = _functions()
+    assert len(functions) > 90
+    assert sorted(name for key, name in functions.items()
+                  if key not in ran) == []
 
 
 def _imported(tree: ast.AST) -> list:

@@ -10,7 +10,7 @@ rank is the element index.  These properties pin the element sort to the
 stable argsort, the line order, read as row-major (element, column), to
 the paper's rotation + min-heap merge (tests/scalar_reference.py) on the
 sweep's own element order and on plane tables of one to four columns, the
-plane table to separation_lines' (N, L) table, the read-out of the winning
+plane table to separation_lines' table, the read-out of the winning
 and every checkpoint configuration to the position-table read-out there,
 the column-by-column contribution table, first lines and per-element rule
 to their broadcast forms there, the zero-width mask to the read-out of a
@@ -239,7 +239,8 @@ def test_readout_matches_position_table(inst):
     position = line_positions(
         _row_major(optimizer._argsort_planes(_planes(args))[0], n, l)[0],
         n, l)
-    _, col_start, col_end = optimizer._column_templates(ps)
+    _, col_start = optimizer._column_templates(ps)
+    col_end = np.roll(col_start, -1)
     order = optimizer._argsort_planes(real.element_angles()[None, None])[0][0]
     winner = np.empty(n, dtype=int)
     winner[order] = config_before(position, res.sector_index, col_start,
@@ -473,7 +474,7 @@ _TIED_ROW_PHASES = np.array([0.0, 1e-16, 2e-16])
 @example(_coinciding(_TIED, COINCIDING_SETS[1]))
 def test_first_lines_match_argmin(block):
     batch, ps = block
-    offsets, col_start, _ = optimizer._column_templates(ps)
+    offsets, col_start = optimizer._column_templates(ps)
     _, vv, args = _sorted_elements(batch, offsets)
     units = np.zeros(ps.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(ps.phases))
@@ -492,10 +493,10 @@ def test_first_lines_match_argmin(block):
 @example(_coinciding(_V, COINCIDING_SETS[0]))
 @example(_coinciding(_TIED, COINCIDING_SETS[1]))
 def test_plane_table_is_the_line_table(block):
-    # The sweep's (T, L, N) arguments, transposed and put back through
-    # the element order, are separation_lines' (T, N, L) table.
+    # The sweep's (T, L, N) arguments, put back through the element
+    # order, are separation_lines' (T, L, N) table.
     batch, ps = block
-    offsets, _, _ = optimizer._column_templates(ps)
+    offsets, _ = optimizer._column_templates(ps)
     order, _, args = _sorted_elements(batch, offsets)
     t, l, n = args.shape
     if n == 0:  # the sweep returns before it sorts no lines
@@ -504,7 +505,8 @@ def test_plane_table_is_the_line_table(block):
         return
     back = np.empty((t, n, l))
     back.reshape(t * n, l)[order.ravel()] = _planes(args).reshape(t * n, l)
-    assert back.tobytes() == separation_lines(batch, ps).args.tobytes()
+    assert _planes(back).tobytes() == \
+        separation_lines(batch, ps).args.tobytes()
 
 
 def _toward(batch, ps, theta):
