@@ -97,8 +97,9 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     ratio = np.minimum(amps[..., None, :] * factors / h_star, 1.0)
     half_width = np.fromiter(map(math.asin, ratio.ravel().tolist()), float,
                              ratio.size).reshape(ratio.shape)
-    if index is not None:
-        half_width = np.take_along_axis(half_width, index, axis=-1)
+    if index is not None:  # one flat take from each (row, column)'s start
+        starts = np.arange(0, ratio.size, w).reshape(ratio.shape[:-1] + (1,))
+        half_width = half_width.take(index + starts, mode="clip")
     return EmptyRegions(lines, half_width)
 
 

@@ -10,19 +10,20 @@ single subtract/add, so one pass over the sorted lines evaluates every
 sector.
 
 The sweep is one array program over the line table, stored plane by
-plane as (T, L, N), so every per-column pass (line arguments,
-contributions, first lines, read-out) reads or writes one contiguous
-(T, N) plane.  One sort orders the lines, a cumulative sum of
-contributions gathered by line position from one table forms the
-candidate chain (a line's ending choice is the next column's starting
-choice), and the winning configuration is read off line counts: an
-element meets its lines in cyclic column order, so one that has crossed
-k of its L lines, counting from its first, holds the starting choice of
-column (first + k) mod L.  One sorter serves both sorts (elements by
-angle, lines by argument): it gives the order of a stable argsort, as
-flat positions that one take or put applies to a whole block, by one value sort of keys that carry each
-value's rank in their low bits and a stable argsort of the rare row that
-comes out unsorted.  A line's rank is its row-major index with the
+plane as (T, L, N), so a broadcast over the planes or a pass over one
+column writes contiguous (T, N) planes.  One sort orders the lines, a
+cumulative sum of contributions gathered by line position from one
+table forms the candidate chain (a line's ending choice is the next
+column's starting choice), and every configuration is read off line
+counts: an element meets its lines in cyclic column order, so its first
+line is in the column that counts its lines at or above column 0's, and
+one that has crossed k of its L lines, counting from its first, holds
+the starting choice of column (first + k) mod L.  One sorter serves
+both sorts (elements by angle, lines by argument): it gives the order of
+a stable argsort, as flat positions that one take or put applies to a
+whole block, by one value sort of keys that carry each value's rank in
+their low bits and a stable argsort of the rare row that comes out
+unsorted.  A line's rank is its row-major index with the
 column count padded to a power of two, n*Lp + c, so the sorted ranks map
 to plane positions with a mask, a shift and a multiply; the element sort
 is the one-plane case, whose rank is the element index itself.  Every
@@ -175,35 +176,26 @@ def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
 
 
 def _line_args(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Wrapped line arguments (..., L, N) of element angles (..., N).
-
-    Plane c is angles + offsets[c], one add per column into a contiguous
-    plane (each add rounds once, as a broadcast add does).
-    """
-    args = np.empty(angles.shape[:-1] + offsets.shape + angles.shape[-1:])
-    for c, offset in enumerate(offsets):
-        np.add(angles, offset, out=args[..., c, :])
-    return wrap_angles(args)
+    """Wrapped line arguments (..., L, N) of element angles (..., N):
+    plane c is angles + offsets[c], one broadcast add (one rounding)."""
+    return wrap_angles(angles[..., None, :] + offsets[:, None])
 
 
 def _config_for_direction(element_angles: np.ndarray, phases: np.ndarray,
                           theta, always_on: bool = False) -> np.ndarray:
     """Per-element choices toward theta; angles (..., N), theta (...).
 
-    Row c of a (K, ..., N) table holds the angle between each element's
-    candidate under phase c and the direction: (angle + phase) - theta,
-    two roundings as in a broadcast, then wrapped.  A loop over the rows
-    keeps each element's nearest phase; its strict < leaves a tie to the
-    lowest phase index.
+    Row c of a (K, ..., N) table holds (angle + phase c) - theta, one
+    broadcast add and one subtract, wrapped: the angle between each
+    element's candidate and the direction.  A loop over the rows keeps
+    each element's nearest phase, its strict < leaving a tie to the
+    lowest index; argmin(axis=0) took 1.7-2.5x as long at T = 100, N = 50.
+    The sweep's read-out does not serve: its lines share neither CPP's
+    ties to the lowest phase nor its ANGLE_EPS band at the off test.
     """
-    theta = np.asarray(theta)[..., None]
-    x = np.empty(phases.shape + element_angles.shape)
-    for c, phase in enumerate(phases):
-        np.add(element_angles, phase, out=x[c])
-        x[c] -= theta
+    x = element_angles + phases.reshape((-1,) + (1,) * element_angles.ndim)
+    x -= np.asarray(theta)[..., None]
     x = wrap_angles(x)
-    # A float modulo can return exactly 2*pi, which the wrap maps to 0;
-    # both give an angle of +0.0, so ang keeps the modulo's bits.
     ang = np.minimum(x, TWO_PI - x, out=x)
     smallest = ang[0]
     best = np.ones(smallest.shape, dtype=int)
@@ -293,7 +285,9 @@ def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
     layout, so every row has the bits of the one-realization product and
     of the (T*N, 1) x (1, L) broadcast product
     (test_sweep_paths.py::test_column_products_match_the_broadcast pins
-    this).
+    this).  A broadcast into the sweep's strided view of its block makes
+    NumPy buffer the product (~100 KB at T = 4, N = 200, K = 3), past
+    the sweep's peak bound, so the loop writes one plane at a time.
     """
     for c, choice in enumerate(choices):
         if choice == OFF:
@@ -302,25 +296,21 @@ def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
             np.multiply(vv, units[choice], out=g[..., c, :])
 
 
-def _first_lines(args: np.ndarray, g_start: np.ndarray, h_d: np.ndarray):
+def _first_lines(args: np.ndarray, g: np.ndarray, h_d: np.ndarray):
     """Each element's first line, of least (argument, column).
 
-    A loop over the (T, L, N) tables' planes whose strict < keeps the
-    lower column of two equal arguments, as argmin does, carrying each
-    element's starting contribution along.  Returns (first, h0): the
-    column of each element's first line, (T, N), and the direct path plus
-    the sum of those lines' starting contributions, (T,), summed over a
-    contiguous (T, N) array as a gather of them would be.
+    An element's lines ascend within one turn (its column offsets ascend
+    and span less than 2*pi), so the columns from the wrap onward lie
+    below column 0's line and the rest at or above it: first counts the
+    latter, mod L.  Returns (first, h0): first (T, N), and h_d plus the
+    first lines' starting contributions, one take from the table g,
+    (T, L, N) or (T, L + 1, N), summed over a (T, N) array, (T,).
     """
-    first_arg = args[:, 0].copy()
-    first = np.zeros(first_arg.shape, dtype=np.intp)
-    g0 = g_start[:, 0].copy()
-    for c in range(1, args.shape[1]):
-        lower = args[:, c] < first_arg
-        np.copyto(first_arg, args[:, c], where=lower)
-        np.copyto(first, c, where=lower)
-        np.copyto(g0, g_start[:, c], where=lower)
-    return first, h_d + g0.sum(axis=1)
+    t, l, n = args.shape
+    first = (args >= args[:, :1]).sum(axis=1) % l
+    pos = first * n + np.arange(n)
+    pos += np.arange(t)[:, None] * (g.shape[1] * n)
+    return first, h_d + g.take(pos).sum(axis=1)
 
 
 def _result(single: bool, config: np.ndarray, h_star: np.ndarray,
@@ -347,13 +337,10 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
     gathered by line position from one (L + 1, N) plane table of
     contributions: a line's starting contribution in its column's plane,
     its ending one in the next plane.  The candidate chain (one
-    cumulative sum) takes N + 2*N*L additions.  In the winning sector,
-    an element whose first line is in column `first` and that has
-    crossed k lines (those of smaller argument than the winning line)
-    holds column (first + k) mod L's starting choice; that configuration
-    is mapped back to the input element order.
-    A RealizationBatch is solved as one block, every row exactly as the
-    single call would solve it.
+    cumulative sum) takes N + 2*N*L additions.  The winning sector's
+    configuration is read off line counts (see the module docstring) and
+    mapped back to the input element order.  A RealizationBatch is
+    solved as one block, every row exactly as the single call would.
 
     Args:
         real: a ChannelRealization, or a RealizationBatch for one result
@@ -419,10 +406,9 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
 
     # The first sector lies between the last and the first sorted lines
     # (wrapping), so each element starts in the starting choice of its
-    # first line, the one of least (argument, column).  Reading it off the
-    # table keeps the chain consistent even when that sector is narrower
-    # than the angle tolerance.  Its lines follow in cyclic column order,
-    # distinct, since PhaseShiftSet keeps its phases ANGLE_EPS apart.
+    # first line (see _first_lines; PhaseShiftSet keeps an element's lines
+    # distinct).  Reading it off the table keeps the chain consistent even
+    # when that sector is narrower than the angle tolerance.
     first, h0 = _first_lines(args, g, batch.h_d)
 
     # chain[:, j] is the candidate of sector j (chain[:, m]: back in sector
@@ -446,9 +432,7 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
         recheck = max(1, math.ceil(n / 4))
         stops = range(recheck, m + 1, recheck)
         counters = SweepCounters(n + 2 * m, len(stops))
-        # Drift is judged against the scale of the summed vectors; the
-        # channel itself can pass arbitrarily close to zero mid-sweep.
-        drift_scale = abs(real.h_d) + float(np.abs(vv[0]).sum())
+        drift_scale = continuous_upper_bound(real)
         for stop in stops:
             # The lines crossed at a checkpoint are the first `stop` in
             # sweep order; row 0's positions are c*N + n, so % n gives

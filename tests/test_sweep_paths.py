@@ -10,7 +10,8 @@ rank is the element index.  These properties pin the element sort to the
 stable argsort, the line order, read as row-major (element, column), to
 the paper's rotation + min-heap merge (tests/scalar_reference.py) on the
 sweep's own element order and on plane tables of one to four columns, the
-plane table to separation_lines' table, the read-out of the winning
+plane table to separation_lines' table and each line to the scalar wrap,
+each element's lines to their cyclic column order, the read-out of the winning
 and every checkpoint configuration to the position-table read-out there,
 the column-by-column contribution table, first lines and per-element rule
 to their broadcast forms there, the zero-width mask to the read-out of a
@@ -38,6 +39,7 @@ from scalar_reference import (broadcast_contributions, config_before,
 from ris_dps import (ANGLE_EPS, OFF, ChannelRealization, PhaseShiftSet,
                      RealizationBatch, exhaustive_optimize, overall_h,
                      separation_lines, sweep_optimize)
+from ris_dps.geometry import wrap_angle
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -507,6 +509,82 @@ def test_plane_table_is_the_line_table(block):
     back.reshape(t * n, l)[order.ravel()] = _planes(args).reshape(t * n, l)
     assert _planes(back).tobytes() == \
         separation_lines(batch, ps).args.tobytes()
+
+
+#: Element angles: on the grid, off it, and the largest, just below 2*pi.
+_ANGLES = st.one_of(st.sampled_from(GRID),
+                    st.floats(0.0, TWO_PI, exclude_max=True),
+                    st.just(_LAST_BELOW_TWO_PI))
+
+
+@st.composite
+def _angle_rows(draw):
+    """(T, N) element angles, T = 1..3 and N = 0..6."""
+    t, n = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_ANGLES, min_size=n, max_size=n),
+                         min_size=t, max_size=t))
+    return np.array(rows, dtype=float).reshape(t, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_angle_rows(),
+       # column offsets run up to 3.5*pi (K = 1, its phase below 2*pi)
+       st.lists(st.one_of(st.sampled_from(GRID), st.floats(0.0, 3.5 * PI),
+                          st.just(3.5 * PI)), min_size=1, max_size=4))
+@example(np.array([[0.0, _LAST_BELOW_TWO_PI]]), [0.0, PI, 3.5 * PI])
+def test_line_args_match_the_scalar_wrap(angles, offsets):
+    args = optimizer._line_args(angles, np.array(offsets))
+    expected = [[[wrap_angle(float(a) + float(o)) for a in row]
+                 for o in offsets] for row in angles]
+    assert args.tobytes() == np.array(expected, dtype=float).tobytes()
+    assert args.shape == angles.shape[:1] + (len(offsets),) + angles.shape[1:]
+
+
+def _phase_set_or_none(phases):
+    try:
+        return PhaseShiftSet(sorted(phases))
+    except ValueError:
+        return None
+
+
+#: K = 1; gaps of pi +- 0.5e-9 (one line) and pi +- 2e-9 (an off region
+#: 2e-9 wide); the narrowest gaps a PhaseShiftSet takes, last to first too.
+_EDGE_SETS = [PhaseShiftSet(p) for p in (
+    (0.0,), (_LAST_BELOW_TWO_PI,), (0.0, PI - 0.5e-9), (0.0, PI + 0.5e-9),
+    (1.0, 1.0 + PI - 2e-9), (1.0, 1.0 + PI + 2e-9), (0.0, 1.5e-9),
+    (2.0, 2.0 + 1.5e-9, 5.0), (0.0, 3.0, TWO_PI - 1.51e-9))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    phase_sets(), st.sampled_from(_EDGE_SETS),
+    st.sets(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1,
+            max_size=5).map(_phase_set_or_none).filter(
+                lambda ps: ps is not None)),
+    st.lists(_ANGLES, min_size=1, max_size=8))
+@example(_EDGE_SETS[0], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[1], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[2], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[3], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[4], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[5], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[6], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[7], [0.0, _LAST_BELOW_TWO_PI])
+@example(_EDGE_SETS[8], [0.0, _LAST_BELOW_TWO_PI])
+def test_lines_ascend_cyclically_from_the_first(ps, angles):
+    # Both count read-outs rely on it: the first line's column is the
+    # count of lines at or above column 0's, and an element that has
+    # crossed k lines holds column (first + k) mod L's starting choice.
+    offsets, _ = optimizer._column_templates(ps)
+    args = optimizer._line_args(np.array(angles), offsets)
+    l, n = args.shape
+    first = args.argmin(axis=0)
+    cyclic = np.take_along_axis(args, (first + np.arange(l)[:, None]) % l,
+                                axis=0)
+    assert (np.diff(cyclic, axis=0) > 0.0).all()
+    counted, _ = optimizer._first_lines(
+        args[None], np.zeros((1, l, n), complex), np.zeros(1, complex))
+    np.testing.assert_array_equal(counted[0], first)
 
 
 def _toward(batch, ps, theta):
