@@ -32,6 +32,17 @@ class PhaseShiftSet:
     Phases are radians, strictly increasing within [0, 2*pi), every
     cyclic gap (the last wraps to the first phase) at least ANGLE_EPS, so
     that each element's separation lines are distinct and in column order.
+    The set's tables are read-only arrays, built once with the set:
+    - units (K+1,): the unit vector each choice applies, 0 at OFF, then
+      np.exp(1j * phase), which has the bits of (cos, sin) of the phase;
+    - line_offsets and line_starting (L,): the separation-line recipe
+      shared by all elements.  Element n's column-c line sits at
+      (angle(v_n) + line_offsets[c]) mod 2*pi with starting choice
+      line_starting[c]; its ending choice is the next column's starting
+      choice.  One line bisects each phase gap below pi; a gap above pi
+      contributes an off region bracketed by two lines (L = K + 1); a gap
+      of exactly pi (within tolerance) collapses the zero-width off region
+      into a single boundary.
     """
 
     phases: tuple
@@ -55,6 +66,29 @@ class PhaseShiftSet:
                 f"phases must lie at least ANGLE_EPS = {ANGLE_EPS:g} rad "
                 f"apart, cyclically: phases {i} and {(i + 1) % self.k} are "
                 f"{gaps[i]:.3g} rad apart")
+        offsets, starting = [], []
+        for i in range(self.k):
+            phi_lo = phases[i]
+            phi_hi = phi_lo + gaps[i]  # next phase, unwrapped past 2*pi
+            starting.append(i + 1)
+            if gaps[i] < math.pi - ANGLE_EPS:
+                offsets.append((phi_lo + phi_hi) / 2.0)
+            else:
+                offsets.append(phi_lo + math.pi / 2.0)
+            if gaps[i] > math.pi + ANGLE_EPS:
+                offsets.append(phi_hi - math.pi / 2.0)
+                starting.append(OFF)
+        units = np.zeros(self.k + 1, dtype=complex)
+        units[1:] = np.exp(1j * np.asarray(phases))
+        tables = {"units": units, "line_offsets": np.asarray(offsets),
+                  "line_starting": np.asarray(starting, dtype=int)}
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+    def __reduce__(self):
+        # Rebuilt from the phases: an unpickled array would be writeable.
+        return PhaseShiftSet, (self.phases,)
 
     @property
     def k(self) -> int:
@@ -83,14 +117,6 @@ class PhaseShiftSet:
         for g in gaps:
             phases.append(phases[-1] + float(g))
         return cls(phases)
-
-    @property
-    def units(self) -> np.ndarray:
-        """The (K+1,) unit vector each choice applies: 0 at OFF, then
-        np.exp(1j * phase), which has the bits of (cos, sin) of the phase."""
-        units = np.zeros(self.k + 1, dtype=complex)
-        units[1:] = np.exp(1j * np.asarray(self.phases))
-        return units
 
 
 @dataclass(frozen=True)
@@ -207,7 +233,8 @@ class RealizationBatch:
         h_d: (T,) direct paths, finite.
         v: (T, N) element coefficients, finite and nonzero (a zero one has
             no argument); each row's bound |h_d| + sum |v_n|, above every
-            candidate |h|, is finite.
+            candidate |h|, is finite.  The (T,) bounds are kept, read-only,
+            for continuous_upper_bound.
     """
 
     h_d: np.ndarray
@@ -240,10 +267,9 @@ class RealizationBatch:
             zero = np.flatnonzero(amp[t] == 0.0)
             raise ValueError(f"{row}element coefficients must be nonzero: "
                              f"{zero.size} zero, the first at index {zero[0]}")
-        h_d.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "h_d", h_d)
-        object.__setattr__(self, "v", v)
+        for name, array in (("h_d", h_d), ("v", v), ("_bound", bound)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:

@@ -37,7 +37,7 @@ result never depends on the switch.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -133,46 +133,18 @@ class SweepResult:
         return doc
 
 
-def _column_templates(phase_set: PhaseShiftSet):
-    """Per-column separation-line recipe shared by all elements.
-
-    For element n, column c's line sits at (angle(v_n) + offsets[c]) mod
-    2*pi with the given starting choice.  One line bisects each phase gap
-    below pi; a gap above pi contributes an off region bracketed by two
-    lines; a gap of exactly pi (within tolerance) collapses the zero-width
-    off region into a single boundary.  A line's ending choice is the next
-    column's starting choice.  Returns (offsets, starting), (L,) each.
-    """
-    phases = phase_set.phases
-    gaps = phase_set.cyclic_gaps()
-    offsets: List[float] = []
-    starting: List[int] = []
-    for i in range(phase_set.k):
-        phi_lo = phases[i]
-        phi_hi = phi_lo + gaps[i]  # next phase, unwrapped past 2*pi
-        starting.append(i + 1)
-        if gaps[i] < math.pi - ANGLE_EPS:
-            offsets.append((phi_lo + phi_hi) / 2.0)
-        else:
-            offsets.append(phi_lo + HALF_PI)
-        if gaps[i] > math.pi + ANGLE_EPS:
-            offsets.append(phi_hi - HALF_PI)
-            starting.append(OFF)
-    return np.asarray(offsets), np.asarray(starting, dtype=int)
-
-
 def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
     """All separation lines: L columns, one plane of N lines each.
 
     L is K when every cyclic phase gap is at most pi and K+1 when one gap
     exceeds pi; it is identical across elements because the gaps depend
-    only on the shared phase set.  args is the sweep's plane table (see
-    _line_args), (L, N), or (T, L, N) for a RealizationBatch.
+    only on the shared phase set, whose line_starting is starting.  args,
+    (L, N) or (T, L, N) for a batch, is the sweep's plane table (_line_args).
     """
     if real.n < 1:
         raise ValueError("need at least one element")
-    offsets, starting = _column_templates(phase_set)
-    return LineTable(_line_args(real.element_angles(), offsets), starting)
+    return LineTable(_line_args(real.element_angles(), phase_set.line_offsets),
+                     phase_set.line_starting)
 
 
 def _line_args(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -302,12 +274,13 @@ def _first_lines(args: np.ndarray, g: np.ndarray, h_d: np.ndarray):
     An element's lines ascend within one turn (its column offsets ascend
     and span less than 2*pi), so the columns from the wrap onward lie
     below column 0's line and the rest at or above it: first counts the
-    latter, mod L.  Returns (first, h0): first (T, N), and h_d plus the
-    first lines' starting contributions, one take from the table g,
-    (T, L, N) or (T, L + 1, N), summed over a (T, N) array, (T,).
+    latter, L of them being column 0.  Returns (first, h0): first (T, N),
+    and h_d plus the first lines' starting contributions, one take from
+    the table g, (T, L, N) or (T, L + 1, N), summed over a (T, N) array.
     """
     t, l, n = args.shape
-    first = (args >= args[:, :1]).sum(axis=1) % l
+    first = np.add.reduce(args >= args[:, :1], axis=1, dtype=np.intp)
+    np.putmask(first, first == l, 0)
     pos = first * n + np.arange(n)
     pos += np.arange(t)[:, None] * (g.shape[1] * n)
     return first, h_d + g.take(pos).sum(axis=1)
@@ -374,12 +347,13 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
             result.cycle_h = real.h_d
         return result
 
-    offsets, col_start = _column_templates(phase_set)
-    l = offsets.size
+    col_start = phase_set.line_starting
+    l = col_start.size
+    doubled = np.tile(col_start, 2)  # doubled[j] == col_start[j % L], j < 2L
     m = n * l
     order, angles = _argsort_planes(batch.element_angles()[:, None])
     vv = batch.v.take(order, mode="clip")
-    args = _line_args(angles, offsets)
+    args = _line_args(angles, phase_set.line_offsets)
     pos, sorted_args = _argsort_planes(args)
 
     # The per-line complex tables are views of one allocation of
@@ -438,23 +412,23 @@ def sweep_optimize(real, phase_set: PhaseShiftSet, *,
             # sweep order; row 0's positions are c*N + n, so % n gives
             # each crossed line's element.
             crossed = np.bincount(pos[0, :stop] % n, minlength=n)
-            _check_drift(real.h_d, vv[0], units,
-                         col_start[(first[0] + crossed) % l],
+            _check_drift(real.h_d, vv[0], units, doubled[first[0] + crossed],
                          complex(chain[0, stop]), drift_scale)
 
     # Zero-width sectors (a line at its predecessor's argument) are skipped.
     amp = np.abs(chain[:, :m])
-    amp[:, 1:][sorted_args[:, 1:] == sorted_args[:, :-1]] = -math.inf
+    np.putmask(amp[:, 1:], sorted_args[:, 1:] == sorted_args[:, :-1],
+               -math.inf)
     best = amp.argmax(axis=1)  # first max: lowest sector index
 
     # Sector 0 is valid, so best is too: no line before line best shares
     # its argument, and the lines crossed before it are exactly those of
     # smaller argument.
     a_best = sorted_args[np.arange(t), best]
-    crossed = (args < a_best[:, None, None]).sum(axis=1)
-    cfg = col_start[(first + crossed) % l]
+    crossed = first + np.add.reduce(args < a_best[:, None, None], axis=1,
+                                    dtype=np.intp)
     config = np.empty((t, n), dtype=int)
-    config.put(order, cfg, mode="clip")
+    config.put(order, doubled[crossed], mode="clip")
 
     result = _result(single, config, chain[np.arange(t), best], best)
     if instrument:
@@ -549,9 +523,8 @@ def cpp_optimize(real, phase_set: PhaseShiftSet,
 def continuous_upper_bound(real):
     """|h| when every path aligns perfectly with a continuous phase shift.
 
-    A float for one realization, a (T,) array for a RealizationBatch.
+    A float for one realization; for a RealizationBatch, the read-only
+    (T,) bounds |h_d| + sum |v_n| that the batch kept when checked.
     """
     batch, single = as_batch(real)
-    bound = (np.hypot(batch.h_d.real, batch.h_d.imag)
-             + np.abs(batch.v).sum(axis=1))
-    return float(bound[0]) if single else bound
+    return float(batch._bound[0]) if single else batch._bound

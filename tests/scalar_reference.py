@@ -12,6 +12,7 @@ and empty_regions say so):
     omega_small_gap, omega_large_gap  one empty-region half-width
     stack                             realizations as the rows of a batch
     sorted_line_order                 the paper's counted line sort
+    column_templates                  the separation-line recipe of a set
     sweep_line_args                   the line table in the sweep's row order
     line_positions, config_before     the sweep's read-out by sweep position
     broadcast_contributions           the contribution table as one product
@@ -24,7 +25,7 @@ and empty_regions say so):
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ris_dps import (ANGLE_EPS, OFF, TWO_PI, ChannelRealization,
                      separation_lines, wrap_angle)
 from ris_dps.analysis import _check_h_star
 from ris_dps.geometry import wrap_angles
-from ris_dps.optimizer import _argsort_planes, _config_for_direction
+from ris_dps.optimizer import HALF_PI, _argsort_planes, _config_for_direction
 
 
 def unit_from_arg(theta: float) -> complex:
@@ -258,6 +259,34 @@ def sorted_line_order(args: np.ndarray,
         if pos[c] < n:
             heapq.heappush(heap, entry(c))
     return rows, cols
+
+
+def column_templates(phase_set: PhaseShiftSet):
+    """Per-column separation-line recipe shared by all elements.
+
+    For element n, column c's line sits at (angle(v_n) + offsets[c]) mod
+    2*pi with the given starting choice.  One line bisects each phase gap
+    below pi; a gap above pi contributes an off region bracketed by two
+    lines; a gap of exactly pi (within tolerance) collapses the zero-width
+    off region into a single boundary.  A line's ending choice is the next
+    column's starting choice.  Returns (offsets, starting), (L,) each.
+    """
+    phases = phase_set.phases
+    gaps = phase_set.cyclic_gaps()
+    offsets: List[float] = []
+    starting: List[int] = []
+    for i in range(phase_set.k):
+        phi_lo = phases[i]
+        phi_hi = phi_lo + gaps[i]  # next phase, unwrapped past 2*pi
+        starting.append(i + 1)
+        if gaps[i] < math.pi - ANGLE_EPS:
+            offsets.append((phi_lo + phi_hi) / 2.0)
+        else:
+            offsets.append(phi_lo + HALF_PI)
+        if gaps[i] > math.pi + ANGLE_EPS:
+            offsets.append(phi_hi - HALF_PI)
+            starting.append(OFF)
+    return np.asarray(offsets), np.asarray(starting, dtype=int)
 
 
 def sweep_line_args(real: ChannelRealization,

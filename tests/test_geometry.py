@@ -8,7 +8,6 @@ from scalar_reference import angle_between, unit_from_arg
 from ris_dps import PhaseShiftSet, TWO_PI, arg_mod_2pi, wrap_angle
 from ris_dps import geometry
 from ris_dps.geometry import wrap_angles
-from ris_dps.optimizer import _column_templates
 
 nonzero_vectors = st.builds(
     complex,
@@ -116,7 +115,7 @@ def test_line_arguments_stay_in_the_fast_domain():
     # phase + 1.5*pi.  Added to an element angle just below 2*pi, it stays
     # below the fast domain's upper end, 6*pi.
     below = np.nextafter(TWO_PI, 0.0)
-    offsets, _ = _column_templates(PhaseShiftSet((below,)))
+    offsets = PhaseShiftSet((below,)).line_offsets
     assert offsets.max() <= 3.5 * math.pi
     assert below + offsets.max() < 3 * TWO_PI
 

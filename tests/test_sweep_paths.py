@@ -10,6 +10,7 @@ rank is the element index.  These properties pin the element sort to the
 stable argsort, the line order, read as row-major (element, column), to
 the paper's rotation + min-heap merge (tests/scalar_reference.py) on the
 sweep's own element order and on plane tables of one to four columns, the
+phase set's tables to the scalar recipe, built once and read-only, the
 plane table to separation_lines' table and each line to the scalar wrap,
 each element's lines to their cyclic column order, the read-out of the winning
 and every checkpoint configuration to the position-table read-out there,
@@ -21,6 +22,7 @@ exactly pi, K = 1, N = 1 and a zero direct path.
 """
 
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -31,11 +33,11 @@ from hypothesis import strategies as st
 
 import ris_dps.optimizer as optimizer
 from conftest import (COINCIDING_SETS, GRID, batches, coinciding_blocks,
-                      instances, phase_sets)
-from scalar_reference import (broadcast_contributions, config_before,
-                              config_toward, first_lines_by_argmin,
-                              line_positions, sorted_line_order, stack,
-                              sweep_line_args)
+                      instances, phase_sets, random_phase_set)
+from scalar_reference import (broadcast_contributions, column_templates,
+                              config_before, config_toward,
+                              first_lines_by_argmin, line_positions,
+                              sorted_line_order, stack, sweep_line_args)
 from ris_dps import (ANGLE_EPS, OFF, ChannelRealization, PhaseShiftSet,
                      RealizationBatch, exhaustive_optimize, overall_h,
                      separation_lines, sweep_optimize)
@@ -241,7 +243,7 @@ def test_readout_matches_position_table(inst):
     position = line_positions(
         _row_major(optimizer._argsort_planes(_planes(args))[0], n, l)[0],
         n, l)
-    _, col_start = optimizer._column_templates(ps)
+    col_start = ps.line_starting
     col_end = np.roll(col_start, -1)
     order = optimizer._argsort_planes(real.element_angles()[None, None])[0][0]
     winner = np.empty(n, dtype=int)
@@ -424,7 +426,7 @@ def test_sweep_peak_stays_below_twice_its_complex_block(t, n, phase_set, l):
     v = rng.uniform(0.1, 2.0, (t, n)) * np.exp(
         1j * rng.uniform(0.0, TWO_PI, (t, n)))
     batch = RealizationBatch(rng.normal(size=t) + 1j * rng.normal(size=t), v)
-    assert optimizer._column_templates(phase_set)[0].size == l
+    assert phase_set.line_offsets.size == l
     block = 16 * t * (4 * n * l + n + 1)
     sweep_optimize(batch, phase_set)
     tracemalloc.start()
@@ -476,7 +478,7 @@ _TIED_ROW_PHASES = np.array([0.0, 1e-16, 2e-16])
 @example(_coinciding(_TIED, COINCIDING_SETS[1]))
 def test_first_lines_match_argmin(block):
     batch, ps = block
-    offsets, col_start = optimizer._column_templates(ps)
+    offsets, col_start = ps.line_offsets, ps.line_starting
     _, vv, args = _sorted_elements(batch, offsets)
     units = np.zeros(ps.k + 1, dtype=complex)
     units[1:] = np.exp(1j * np.asarray(ps.phases))
@@ -498,7 +500,7 @@ def test_plane_table_is_the_line_table(block):
     # The sweep's (T, L, N) arguments, put back through the element
     # order, are separation_lines' (T, L, N) table.
     batch, ps = block
-    offsets, _ = optimizer._column_templates(ps)
+    offsets = ps.line_offsets
     order, _, args = _sorted_elements(batch, offsets)
     t, l, n = args.shape
     if n == 0:  # the sweep returns before it sorts no lines
@@ -575,7 +577,7 @@ def test_lines_ascend_cyclically_from_the_first(ps, angles):
     # Both count read-outs rely on it: the first line's column is the
     # count of lines at or above column 0's, and an element that has
     # crossed k lines holds column (first + k) mod L's starting choice.
-    offsets, _ = optimizer._column_templates(ps)
+    offsets = ps.line_offsets
     args = optimizer._line_args(np.array(angles), offsets)
     l, n = args.shape
     first = args.argmin(axis=0)
@@ -585,6 +587,33 @@ def test_lines_ascend_cyclically_from_the_first(ps, angles):
     counted, _ = optimizer._first_lines(
         args[None], np.zeros((1, l, n), complex), np.zeros(1, complex))
     np.testing.assert_array_equal(counted[0], first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    phase_sets(), st.sampled_from(_EDGE_SETS),
+    st.builds(lambda seed, k: random_phase_set(np.random.default_rng(seed), k),
+              st.integers(0, 2 ** 32 - 1), st.integers(1, 6))))
+@example(PhaseShiftSet((0.0, PI)))  # a gap of exactly pi
+def test_set_tables_are_the_reference_recipe_built_once(ps):
+    offsets, starting = column_templates(ps)
+    assert ps.line_offsets.tobytes() == offsets.tobytes()
+    assert ps.line_starting.tobytes() == starting.tobytes()
+    units = np.concatenate(([0j], np.exp(1j * np.asarray(ps.phases))))
+    assert ps.units.tobytes() == units.tobytes()
+    # Read-only, also after a trip to a worker process: the solvers share
+    # the set's arrays.
+    back = pickle.loads(pickle.dumps(ps))
+    assert back == ps
+    for name in ("units", "line_offsets", "line_starting"):
+        for table in (getattr(ps, name), getattr(back, name)):
+            assert table.tobytes() == getattr(ps, name).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[0]
+    real = ChannelRealization(0j, [1 + 0j, 1j])
+    assert separation_lines(real, ps).starting is ps.line_starting
+    assert separation_lines(stack([real, real]), ps).starting \
+        is ps.line_starting
 
 
 def _toward(batch, ps, theta):
