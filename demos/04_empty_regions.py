@@ -29,7 +29,7 @@ regions = empty_regions(real, phases, res.amplitude)
 report = measured_empty_ratio(regions)
 theta_star = arg_mod_2pi(res.h_star)
 # one arc per separation line: its center and half-width
-centers = regions.lines.args.ravel()
+centers = regions.centers.ravel()
 widths = regions.half_width.ravel()
 
 print(f"one draw, N=50, K=2 (plus off): {centers.size} separation lines")

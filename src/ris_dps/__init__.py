@@ -23,8 +23,8 @@ from .experiments import (ResultRow, Scenario, builtin_scenarios, get_builtin,
                           regions_dump, run_scenario, write_meta_json,
                           write_rows_csv)
 from .metrics import CapacityReport, capacity, performance_gain
-from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, LineTable, SweepCounters,
-                        SweepResult, continuous_upper_bound, cpp_optimize,
+from .optimizer import (DEFAULT_EXHAUSTIVE_CAP, SweepCounters, SweepResult,
+                        continuous_upper_bound, cpp_optimize,
                         exhaustive_optimize, separation_lines, sweep_optimize)
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "arg_mod_2pi", "circular_distance", "wrap_angle",
     "ChannelRealization", "LinkBudget", "PhaseShiftSet", "RealizationBatch",
     "overall_h", "sample_realization",
-    "LineTable", "SweepCounters", "SweepResult",
+    "SweepCounters", "SweepResult",
     "continuous_upper_bound", "cpp_optimize",
     "exhaustive_optimize", "separation_lines", "sweep_optimize",
     "CapacityReport", "capacity", "performance_gain",

@@ -17,19 +17,27 @@ import numpy as np
 
 from .channel import OFF, PhaseShiftSet
 from .geometry import TWO_PI, wrap_angles
-from .optimizer import LineTable, separation_lines
+from .optimizer import separation_lines
 
 
 @dataclass(frozen=True)
 class EmptyRegions:
     """Arcs around every separation line that cannot contain arg(h*).
 
-    The arc around line (n, c) is centered on lines.args[c, n] and has
-    half-width half_width[c, n]: both (L, N), or (T, L, N) for a batch.
+    The arc around line (n, c) is centered on centers[c, n] and has
+    half-width half_width[c, n]: both (L, N), or (T, L, N) for a batch;
+    any other pair of shapes raises ValueError.
     """
 
-    lines: LineTable
+    centers: np.ndarray
     half_width: np.ndarray
+
+    def __post_init__(self):
+        shape, widths = np.shape(self.centers), np.shape(self.half_width)
+        if shape != widths or len(shape) not in (2, 3):
+            raise ValueError(
+                f"centers and half_width need one (L, N) or (T, L, N) "
+                f"shape, got {shape} and {widths}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,9 @@ def _check_h_star(h_star_amp) -> None:
 
 
 def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
-    """The empty region of every separation line, in the lines' layout.
+    """The empty region of every separation line, in the lines' layout:
+    the centers are separation_lines' table, and column c's widths scale
+    with phase_set.line_factors[c].
 
     Each width has the bits of the scalar omega_small_gap /
     omega_large_gap in tests/scalar_reference.py: the ratio is formed in
@@ -77,13 +87,8 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     """
     h_star = np.broadcast_to(h_star_amp, np.shape(real.h_d))[..., None, None]
     _check_h_star(h_star)
-    lines = separation_lines(real, phase_set)
-    phases = phase_set.phases
-    # Per column: |sin(gap/2)| between two phases, 0.5 at the off region.
-    factors = np.array([
-        0.5 if OFF in (s, e)
-        else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
-        for s, e in lines._choice_pairs()])[:, None]
+    centers = separation_lines(real, phase_set)
+    factors = phase_set.line_factors[:, None]
     amps, index = np.abs(real.v), None
     if amps.size:
         lo = amps.min(axis=-1, keepdims=True)
@@ -100,7 +105,7 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
     if index is not None:  # one flat take from each (row, column)'s start
         starts = np.arange(0, ratio.size, w).reshape(ratio.shape[:-1] + (1,))
         half_width = half_width.take(index + starts, mode="clip")
-    return EmptyRegions(lines, half_width)
+    return EmptyRegions(centers, half_width)
 
 
 def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """
     *trials, l, n = regions.half_width.shape
     widths = regions.half_width.reshape(math.prod(trials), l * n)
-    centers = regions.lines.args.reshape(widths.shape)
+    centers = regions.centers.reshape(widths.shape)
     bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
     if bad.any():
         row, i, c = np.argwhere(bad.reshape(-1, l, n).swapaxes(1, 2))[0]
@@ -191,21 +196,27 @@ def empty_ratio_upper_bound_approx(k: int) -> float:
     return k * math.sin(math.pi / k) / math.pi
 
 
-def write_regions_csv(regions: EmptyRegions, fh) -> None:
+def write_regions_csv(regions: EmptyRegions, phase_set: PhaseShiftSet,
+                      fh) -> None:
     """Dump regions as CSV rows (center_rad, half_width_rad, element, kind).
 
     kind is "off_boundary" for a line bordering the off region, else
-    "between_phases"; rows go by element, then column.  One realization's
-    regions only: a batch's raise ValueError.
+    "between_phases", read off phase_set's line_starting and line_ending;
+    rows go by element, then column.  One realization's regions only, of
+    phase_set's L columns: else ValueError.
     """
-    lines = regions.lines
-    if lines.args.ndim != 2:
+    if regions.centers.ndim != 2:
         raise ValueError("write_regions_csv writes one realization's regions")
+    l = phase_set.line_starting.size
+    if l != len(regions.centers):
+        raise ValueError(f"the phase set has L = {l} columns, the regions "
+                         f"{len(regions.centers)}")
     kinds = ["off_boundary" if OFF in pair else "between_phases"
-             for pair in lines._choice_pairs()]
+             for pair in zip(phase_set.line_starting.tolist(),
+                             phase_set.line_ending.tolist())]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["center_rad", "half_width_rad", "element", "kind"])
     for element, (centers, widths) in enumerate(
-            zip(lines.args.T.tolist(), regions.half_width.T.tolist())):
+            zip(regions.centers.T.tolist(), regions.half_width.T.tolist())):
         writer.writerows([repr(c), repr(w), element, kind]
                          for c, w, kind in zip(centers, widths, kinds))

@@ -35,14 +35,17 @@ class PhaseShiftSet:
     The set's tables are read-only arrays, built once with the set:
     - units (K+1,): the unit vector each choice applies, 0 at OFF, then
       np.exp(1j * phase), which has the bits of (cos, sin) of the phase;
-    - line_offsets and line_starting (L,): the separation-line recipe
-      shared by all elements.  Element n's column-c line sits at
-      (angle(v_n) + line_offsets[c]) mod 2*pi with starting choice
-      line_starting[c]; its ending choice is the next column's starting
-      choice.  One line bisects each phase gap below pi; a gap above pi
-      contributes an off region bracketed by two lines (L = K + 1); a gap
-      of exactly pi (within tolerance) collapses the zero-width off region
-      into a single boundary.
+    - line_offsets, line_starting and line_ending (L,): the
+      separation-line recipe shared by all elements.  Element n's
+      column-c line sits at (angle(v_n) + line_offsets[c]) mod 2*pi,
+      where its choice changes from line_starting[c] to line_ending[c],
+      the next column's starting choice.  One line bisects each phase gap
+      below pi; a gap above pi contributes an off region bracketed by two
+      lines (L = K + 1); a gap of exactly pi (within tolerance) collapses
+      the zero-width off region into a single boundary;
+    - line_factors (L,): each column's empty-region width factor,
+      |sin(gap/2)| of its two phases, or 0.5 where it borders the off
+      region.
     """
 
     phases: tuple
@@ -78,10 +81,17 @@ class PhaseShiftSet:
             if gaps[i] > math.pi + ANGLE_EPS:
                 offsets.append(phi_hi - math.pi / 2.0)
                 starting.append(OFF)
+        ending = starting[1:] + starting[:1]
+        factors = [
+            0.5 if OFF in (s, e)
+            else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
+            for s, e in zip(starting, ending)]
         units = np.zeros(self.k + 1, dtype=complex)
         units[1:] = np.exp(1j * np.asarray(phases))
         tables = {"units": units, "line_offsets": np.asarray(offsets),
-                  "line_starting": np.asarray(starting, dtype=int)}
+                  "line_starting": np.asarray(starting, dtype=int),
+                  "line_ending": np.asarray(ending, dtype=int),
+                  "line_factors": np.asarray(factors)}
         for name, table in tables.items():
             table.flags.writeable = False
             object.__setattr__(self, name, table)

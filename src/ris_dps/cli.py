@@ -104,7 +104,7 @@ def _cmd_run(args) -> int:
             if scenario.mode == "regions":
                 regions = regions_dump(scenario)
                 with open(csv_path, "w") as fh:
-                    write_regions_csv(regions, fh)
+                    write_regions_csv(regions, scenario.phases, fh)
             else:
                 rows = run_scenario(scenario, jobs=args.jobs)
                 with open(csv_path, "w") as fh:
@@ -150,9 +150,9 @@ def _cmd_regions(args) -> int:
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:
-            write_regions_csv(regions, fh)
+            write_regions_csv(regions, phases, fh)
     else:
-        write_regions_csv(regions, sys.stdout)
+        write_regions_csv(regions, phases, sys.stdout)
     return 0
 
 

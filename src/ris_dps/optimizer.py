@@ -50,30 +50,6 @@ HALF_PI = math.pi / 2.0
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 24
 
 
-@dataclass(frozen=True)
-class LineTable:
-    """All N*L separation lines of a realization, or of a batch, as arrays.
-
-    Line (n, c) is where element n's optimal choice changes from
-    starting[c] to the next column's, starting[(c + 1) % L], as the
-    direction of the optimal channel rotates counterclockwise across it.
-
-    Attributes:
-        args: (L, N) line directions in [0, 2*pi), plane c holding column
-            c's line of every element in element order; (T, L, N) for a
-            RealizationBatch.
-        starting: (L,) each column's choice just before its line.
-    """
-
-    args: np.ndarray
-    starting: np.ndarray
-
-    def _choice_pairs(self):
-        """Each column's (starting, ending) choices, as Python ints."""
-        start = self.starting.tolist()
-        return list(zip(start, start[1:] + start[:1]))
-
-
 @dataclass
 class SweepCounters:
     """Operation counts recorded by an instrumented sweep."""
@@ -133,18 +109,18 @@ class SweepResult:
         return doc
 
 
-def separation_lines(real, phase_set: PhaseShiftSet) -> LineTable:
-    """All separation lines: L columns, one plane of N lines each.
+def separation_lines(real, phase_set: PhaseShiftSet) -> np.ndarray:
+    """All N*L separation-line arguments in [0, 2*pi), as the sweep's
+    plane table (_line_args): (L, N), plane c holding column c's line of
+    every element in element order; (T, L, N) for a RealizationBatch.
 
-    L is K when every cyclic phase gap is at most pi and K+1 when one gap
-    exceeds pi; it is identical across elements because the gaps depend
-    only on the shared phase set, whose line_starting is starting.  args,
-    (L, N) or (T, L, N) for a batch, is the sweep's plane table (_line_args).
+    Line (n, c) is where element n's choice changes from
+    phase_set.line_starting[c] to line_ending[c] as the direction of the
+    optimal channel rotates counterclockwise across it.
     """
     if real.n < 1:
         raise ValueError("need at least one element")
-    return LineTable(_line_args(real.element_angles(), phase_set.line_offsets),
-                     phase_set.line_starting)
+    return _line_args(real.element_angles(), phase_set.line_offsets)
 
 
 def _line_args(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:

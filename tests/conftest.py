@@ -29,6 +29,11 @@ def random_instance(rng, n, k, hd_max=2.0):
     return ChannelRealization(h_d, v), phases
 
 
+def choice_pairs(ps):
+    """Each column's (starting, ending) choices, as Python ints."""
+    return list(zip(ps.line_starting.tolist(), ps.line_ending.tolist()))
+
+
 def child_env() -> dict:
     """Environment for a child Python that must import this same package.
 

@@ -13,6 +13,7 @@ and empty_regions say so):
     stack                             realizations as the rows of a batch
     sorted_line_order                 the paper's counted line sort
     column_templates                  the separation-line recipe of a set
+    column_factors                    each column's empty-region factor
     sweep_line_args                   the line table in the sweep's row order
     line_positions, config_before     the sweep's read-out by sweep position
     broadcast_contributions           the contribution table as one product
@@ -289,6 +290,19 @@ def column_templates(phase_set: PhaseShiftSet):
     return np.asarray(offsets), np.asarray(starting, dtype=int)
 
 
+def column_factors(phase_set: PhaseShiftSet) -> np.ndarray:
+    """Each column's empty-region width factor, (L,): |sin(gap/2)| between
+    its starting and ending phases, 0.5 for a line bordering the off
+    region.  A line's ending choice is the next column's starting choice.
+    """
+    phases = phase_set.phases
+    start = column_templates(phase_set)[1].tolist()
+    return np.array([
+        0.5 if OFF in (s, e)
+        else abs(math.sin(((phases[e - 1] - phases[s - 1]) % TWO_PI) / 2.0))
+        for s, e in zip(start, start[1:] + start[:1])])
+
+
 def sweep_line_args(real: ChannelRealization,
                     phase_set: PhaseShiftSet) -> np.ndarray:
     """The (N, L) line arguments with the elements in the sweep's order:
@@ -300,7 +314,7 @@ def sweep_line_args(real: ChannelRealization,
     """
     order = _argsort_planes(real.element_angles()[None, None])[0][0]
     return separation_lines(ChannelRealization(real.h_d, real.v[order]),
-                            phase_set).args.T
+                            phase_set).T
 
 
 def line_positions(flat: np.ndarray, n: int, l: int) -> np.ndarray:
@@ -387,7 +401,7 @@ def sector_oracle(real: ChannelRealization,
     that coincide but round apart, and holds no direction.  O(N**2 * L)
     per realization.
     """
-    lines = np.sort(separation_lines(real, phase_set).args.ravel())
+    lines = np.sort(separation_lines(real, phase_set).ravel())
     ends = np.append(lines[1:], lines[0] + TWO_PI)
     wide = ends - lines >= 1e-9
     mid = (lines[wide] + ends[wide]) / 2.0

@@ -19,7 +19,7 @@ from ris_dps import (OFF, ChannelRealization, LinkBudget, PhaseShiftSet,
                      arg_mod_2pi, circular_distance,
                      empty_ratio_upper_bound_approx, empty_regions,
                      exhaustive_optimize, measured_empty_ratio,
-                     sample_realization, separation_lines, sweep_optimize)
+                     sample_realization, sweep_optimize)
 from ris_dps.experiments import get_builtin, run_scenario, write_rows_csv
 
 PI = math.pi
@@ -123,7 +123,7 @@ def test_exclusion_property():
         res = sweep_optimize(real, TWO_PHASES)
         theta = arg_mod_2pi(res.h_star)
         regions = empty_regions(real, TWO_PHASES, res.amplitude)
-        for center, half_width in zip(regions.lines.args.ravel(),
+        for center, half_width in zip(regions.centers.ravel(),
                                       regions.half_width.ravel()):
             margin = circular_distance(theta, center) - half_width
             worst_margin = min(worst_margin, margin)
@@ -198,7 +198,7 @@ def test_operation_budget():
             v = np.exp(1j * rng.uniform(0, 2 * PI, n))
             real = ChannelRealization(1e-3 + 0j, v)
             res = sweep_optimize(real, ps, instrument=True)
-            l = separation_lines(real, ps).starting.size
+            l = ps.line_starting.size
             adds = res.counters.vector_additions
             ok &= adds == n + 2 * n * l
             counts = SortComparisons()

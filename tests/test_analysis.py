@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import GRID, instances, phase_sets, random_instance
+from conftest import (GRID, choice_pairs, instances, phase_sets,
+                      random_instance)
 from scalar_reference import (empty_ratio_of_row, omega_large_gap,
                               omega_small_gap, union_of_row)
 from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
-                     LineTable, PhaseShiftSet, RealizationBatch, arg_mod_2pi,
+                     PhaseShiftSet, RealizationBatch, arg_mod_2pi,
                      circular_distance, empty_ratio_upper_bound_approx,
                      empty_regions, measured_empty_ratio, sample_realization,
                      separation_lines, sweep_optimize, wrap_angle,
@@ -31,9 +32,8 @@ def union_length(arcs) -> float:
 
 def regions_at(centers, widths):
     """EmptyRegions of one-column lines at the given centers and widths."""
-    table = LineTable(np.array(centers, dtype=float).reshape(1, -1),
-                      np.array([1]))
-    return EmptyRegions(table, np.array(widths, dtype=float).reshape(1, -1))
+    return EmptyRegions(np.array(centers, dtype=float).reshape(1, -1),
+                        np.array(widths, dtype=float).reshape(1, -1))
 
 
 class TestOmega:
@@ -85,12 +85,11 @@ class TestEmptyRegions:
         ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
         real = ChannelRealization(1 + 0j, [1 + 0j])
         regions = empty_regions(real, ps, 4.0)
-        lines = regions.lines
-        assert lines.args[:, 0] == pytest.approx(
+        assert regions.centers[:, 0] == pytest.approx(
             [PI / 2, 4 * PI / 3, 5 * PI / 3])
         # the line between the phases, then the two bracketing the off region
-        assert lines.starting.tolist() == [1, 2, OFF]
-        assert lines._choice_pairs() == [(1, 2), (2, OFF), (OFF, 1)]
+        assert ps.line_starting.tolist() == [1, 2, OFF]
+        assert choice_pairs(ps) == [(1, 2), (2, OFF), (OFF, 1)]
         # widths follow the two formulas
         between, *off = regions.half_width[:, 0]
         assert between == pytest.approx(
@@ -171,7 +170,7 @@ def test_exclusion_property_small():
         res = sweep_optimize(real, ps)
         theta = arg_mod_2pi(res.h_star)
         regions = empty_regions(real, ps, res.amplitude)
-        for center, half_width in zip(regions.lines.args.ravel(),
+        for center, half_width in zip(regions.centers.ravel(),
                                       regions.half_width.ravel()):
             assert circular_distance(theta, center) > half_width - 1e-9
 
@@ -207,7 +206,7 @@ def test_regions_csv_format():
     real = ChannelRealization(1 + 0j, [1 + 0j, 1j])
     regions = empty_regions(real, ps, 5.0)
     buf = io.StringIO()
-    write_regions_csv(regions, buf)
+    write_regions_csv(regions, ps, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "center_rad,half_width_rad,element,kind"
     assert len(lines) == 1 + regions.half_width.size
@@ -229,9 +228,8 @@ def test_array_widths_equal_scalar_omegas(inst, h_star_amp):
     # ratio report built from them
     real, ps = inst
     regions = empty_regions(real, ps, h_star_amp)
-    lines = regions.lines
-    np.testing.assert_array_equal(lines.args, separation_lines(real, ps).args)
-    cols = lines._choice_pairs()
+    np.testing.assert_array_equal(regions.centers, separation_lines(real, ps))
+    cols = choice_pairs(ps)
     want = [[omega_large_gap(v, h_star_amp) if OFF in (s, e)
              else omega_small_gap(v, ps.phases[s - 1], ps.phases[e - 1],
                                   h_star_amp)
@@ -241,8 +239,8 @@ def test_array_widths_equal_scalar_omegas(inst, h_star_amp):
     # the report adds by element, then column, as a loop over the lines
     # would
     flat = [w for row in want for w in row]
-    intervals = [(c - w, c + w) for c, w in zip(lines.args.T.ravel().tolist(),
-                                                flat)]
+    intervals = [(c - w, c + w) for c, w in zip(
+        regions.centers.T.ravel().tolist(), flat)]
     summed = 2.0 * sum(flat)
     union = union_by_sort_and_merge(intervals)
     assert measured_empty_ratio(regions) == EmptyRatioReport(
@@ -299,7 +297,7 @@ def test_table_and_per_line_widths_equal_scalar_omegas(ps, t, n, data):
         min_size=rows, max_size=rows)))
     real = (ChannelRealization(1 + 0j, v[0]) if t is None
             else RealizationBatch(np.ones(rows, dtype=complex), v))
-    cols = separation_lines(real, ps)._choice_pairs()
+    cols = choice_pairs(ps)
     amps = np.abs(v).tolist()
     want = [[[omega_large_gap(a, h) if OFF in (s, e)
               else omega_small_gap(a, ps.phases[s - 1], ps.phases[e - 1], h)
@@ -457,10 +455,9 @@ def test_empty_ratio_block_equals_rows(t, n, l, data):
     if data.draw(st.booleans()) and centers.size:  # equal centers
         centers[:] = centers[0]
     # drawn by element, then column, and laid out as (T, L, N) planes
-    table = LineTable(centers.reshape(t, n, l).swapaxes(1, 2),
-                      np.arange(1, l + 1))
     report = measured_empty_ratio(EmptyRegions(
-        table, widths.reshape(t, n, l).swapaxes(1, 2)))
+        centers.reshape(t, n, l).swapaxes(1, 2),
+        widths.reshape(t, n, l).swapaxes(1, 2)))
     want = np.array([empty_ratio_of_row(c, w) for c, w in zip(
         centers.reshape(t, n * l), widths.reshape(t, n * l))]).reshape(t, 3)
     for i, field in enumerate(("measured_ratio", "sum_ratio_ub",
@@ -505,9 +502,8 @@ def test_union_ignores_the_order_of_a_rows_arcs(t, n, l, kind, data):
 
     def ratio(centers, widths):
         planes = (len(centers), l, n)
-        table = LineTable(centers.reshape(planes), np.arange(1, l + 1))
         return measured_empty_ratio(EmptyRegions(
-            table, widths.reshape(planes))).measured_ratio
+            centers.reshape(planes), widths.reshape(planes))).measured_ratio
 
     assert _bits(ratio(*shuffled)).tolist() == \
         _bits(ratio(centers, widths)).tolist()
@@ -531,15 +527,32 @@ def test_empty_ratio_rejects_a_bad_line(center, width):
 def _assert_names_line_0_1(centers, widths):
     """measured_empty_ratio names line (0, 1) of the (L, N) tables, alone
     and as row 1 of a batch."""
-    table = LineTable(centers, np.arange(1, len(centers) + 1))
     with pytest.raises(ValueError, match=r"^line \(0, 1\) needs a finite"):
-        measured_empty_ratio(EmptyRegions(table, widths))
+        measured_empty_ratio(EmptyRegions(centers, widths))
     # in a batch, the first bad line's row is named
-    table = LineTable(np.stack([np.ones_like(centers), centers]),
-                      table.starting)
     with pytest.raises(ValueError, match=r"^row 1: line \(0, 1\) needs"):
         measured_empty_ratio(EmptyRegions(
-            table, np.stack([np.full_like(widths, 0.1), widths])))
+            np.stack([np.ones_like(centers), centers]),
+            np.stack([np.full_like(widths, 0.1), widths])))
+
+
+@pytest.mark.parametrize("centers, widths", [
+    (np.ones((3, 2)), np.full((2, 3), 0.1)),  # paired by flat index before
+    (np.ones((2, 3)), np.full((1, 2, 3), 0.1)),
+    (np.ones(6), np.full(6, 0.1)),  # one line per element, but no planes
+    (np.ones((1, 1, 2, 3)), np.full((1, 1, 2, 3), 0.1))])
+def test_regions_reject_tables_of_another_shape(centers, widths):
+    with pytest.raises(ValueError, match=r"one \(L, N\) or \(T, L, N\) shape"):
+        EmptyRegions(centers, widths)
+
+
+def test_regions_csv_rejects_a_set_of_another_l():
+    # 6 columns of lines against a set of L = 3: each element's rows would
+    # be cut to 3
+    ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
+    regions = EmptyRegions(np.ones((6, 2)), np.full((6, 2), 0.1))
+    with pytest.raises(ValueError, match="L = 3 columns, the regions 6"):
+        write_regions_csv(regions, ps, io.StringIO())
 
 
 @pytest.mark.parametrize("arcs", [
@@ -590,5 +603,6 @@ def test_width_digests():
         assert hashlib.sha256(widths.tobytes()).hexdigest() == \
             digest, (kind, t, n, name)
     buf = io.StringIO()
-    write_regions_csv(regions_dump(get_builtin("fig14")[0]), buf)
+    fig14 = get_builtin("fig14")[0]
+    write_regions_csv(regions_dump(fig14), fig14.phases, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FIG14_DIGEST

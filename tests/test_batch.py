@@ -96,8 +96,7 @@ def _same_exhaustive_and_empty_rows(reals, ps, amplitudes, cap=2 ** 12):
     report = measured_empty_ratio(regions)
     for i, t in enumerate(rows):
         one = empty_regions(reals[t], ps, float(amplitudes[t]))
-        assert _bits(regions.lines.args[i]) == _bits(one.lines.args)
-        assert np.array_equal(regions.lines.starting, one.lines.starting)
+        assert _bits(regions.centers[i]) == _bits(one.centers)
         assert _bits(regions.half_width[i]) == _bits(one.half_width)
         single = measured_empty_ratio(one)
         for field in ("measured_ratio", "sum_ratio_ub", "overlap_fraction"):
@@ -185,7 +184,7 @@ def test_batch_regions_take_one_amplitude_per_row():
                    ChannelRealization(0.5, [1, 1j])])
     ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
     regions = empty_regions(batch, ps, np.array([3.0, 2.0]))
-    assert regions.half_width.shape == regions.lines.args.shape == (2, 3, 2)
+    assert regions.half_width.shape == regions.centers.shape == (2, 3, 2)
     assert measured_empty_ratio(regions).measured_ratio.shape == (2,)
     with pytest.raises(ValueError, match="positive and finite, got 0.0"):
         empty_regions(batch, ps, np.array([3.0, 0.0]))
@@ -194,7 +193,7 @@ def test_batch_regions_take_one_amplitude_per_row():
     with pytest.raises(ValueError):  # and one for one realization
         empty_regions(ChannelRealization(1, [1j, 2]), ps, np.ones(2))
     with pytest.raises(ValueError, match="one realization's regions"):
-        write_regions_csv(regions, io.StringIO())
+        write_regions_csv(regions, ps, io.StringIO())
 
 
 def test_zero_trials_give_empty_fields():
@@ -210,7 +209,7 @@ def test_zero_trials_give_empty_fields():
     assert sweep_optimize(batch, ps).sector_index.shape == (0,)
     assert continuous_upper_bound(batch).shape == (0,)
     regions = empty_regions(batch, ps, np.ones(0))
-    assert regions.half_width.shape == regions.lines.args.shape == (0, 4, n)
+    assert regions.half_width.shape == regions.centers.shape == (0, 4, n)
     report = measured_empty_ratio(regions)
     for field in ("measured_ratio", "sum_ratio_ub", "overlap_fraction"):
         assert getattr(report, field).shape == (0,)

@@ -84,7 +84,7 @@ def test_sector_count_and_candidates():
     for k in (1, 2, 3):
         real, ps = random_instance(rng, 5, k)
         res = sweep_optimize(real, ps, instrument=True)
-        l = separation_lines(real, ps).starting.size
+        l = ps.line_starting.size
         assert res.candidates.shape == (5 * l,)
         assert np.all(np.isfinite(res.candidates))
         assert res.candidates[res.sector_index] == pytest.approx(res.amplitude)
@@ -94,7 +94,7 @@ def test_sector_count_and_candidates():
 def test_config_constant_within_sectors():
     rng = np.random.default_rng(41)
     real, ps = random_instance(rng, 4, 2)
-    args = np.sort(separation_lines(real, ps).args, axis=None)
+    args = np.sort(separation_lines(real, ps), axis=None)
     for j in range(len(args)):
         lo = args[j - 1] if j > 0 else args[-1] - 2 * PI
         hi = args[j]
@@ -120,7 +120,7 @@ def test_vector_addition_budget():
     for n, k in ((5, 1), (12, 2), (30, 3)):
         real, ps = random_instance(rng, n, k)
         res = sweep_optimize(real, ps, instrument=True)
-        l = separation_lines(real, ps).starting.size
+        l = ps.line_starting.size
         assert res.counters.vector_additions == n + 2 * n * l
 
 

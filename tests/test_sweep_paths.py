@@ -34,8 +34,8 @@ from hypothesis import strategies as st
 import ris_dps.optimizer as optimizer
 from conftest import (COINCIDING_SETS, GRID, batches, coinciding_blocks,
                       instances, phase_sets, random_phase_set)
-from scalar_reference import (broadcast_contributions, column_templates,
-                              config_before, config_toward,
+from scalar_reference import (broadcast_contributions, column_factors,
+                              column_templates, config_before, config_toward,
                               first_lines_by_argmin, line_positions,
                               sorted_line_order, stack, sweep_line_args)
 from ris_dps import (ANGLE_EPS, OFF, ChannelRealization, PhaseShiftSet,
@@ -510,7 +510,7 @@ def test_plane_table_is_the_line_table(block):
     back = np.empty((t, n, l))
     back.reshape(t * n, l)[order.ravel()] = _planes(args).reshape(t * n, l)
     assert _planes(back).tobytes() == \
-        separation_lines(batch, ps).args.tobytes()
+        separation_lines(batch, ps).tobytes()
 
 
 #: Element angles: on the grid, off it, and the largest, just below 2*pi.
@@ -599,21 +599,21 @@ def test_set_tables_are_the_reference_recipe_built_once(ps):
     offsets, starting = column_templates(ps)
     assert ps.line_offsets.tobytes() == offsets.tobytes()
     assert ps.line_starting.tobytes() == starting.tobytes()
+    # a line's ending choice is the next column's starting choice
+    assert ps.line_ending.tobytes() == np.roll(starting, -1).tobytes()
+    assert ps.line_factors.tobytes() == column_factors(ps).tobytes()
     units = np.concatenate(([0j], np.exp(1j * np.asarray(ps.phases))))
     assert ps.units.tobytes() == units.tobytes()
     # Read-only, also after a trip to a worker process: the solvers share
     # the set's arrays.
     back = pickle.loads(pickle.dumps(ps))
     assert back == ps
-    for name in ("units", "line_offsets", "line_starting"):
+    for name in ("units", "line_offsets", "line_starting", "line_ending",
+                 "line_factors"):
         for table in (getattr(ps, name), getattr(back, name)):
             assert table.tobytes() == getattr(ps, name).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[0]
-    real = ChannelRealization(0j, [1 + 0j, 1j])
-    assert separation_lines(real, ps).starting is ps.line_starting
-    assert separation_lines(stack([real, real]), ps).starting \
-        is ps.line_starting
 
 
 def _toward(batch, ps, theta):
