@@ -180,6 +180,11 @@ class LinkBudget:
         """|h_d| implied by the direct-path gain."""
         return 10.0 ** (self.gain_direct_db / 20.0)
 
+    @property
+    def direct_path(self) -> complex:
+        """h_d of every draw: the direct amplitude at argument 0."""
+        return complex(self.direct_amplitude, 0.0)
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -429,10 +434,11 @@ def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike
     """Draw a random channel realization, or a block of them.
 
     Every |v_n| equals the budget's element amplitude, with arguments
-    i.i.d. uniform on [0, 2*pi); the direct path has the budget's direct
-    amplitude and argument 0.  Deterministic given (budget, n, rng_seed);
-    pass a (master_seed, trial_index) tuple to derive independent
-    per-trial streams.
+    i.i.d. uniform on [0, 2*pi); the direct path is budget.direct_path.
+    Deterministic given (budget, n, rng_seed); its elements are the first
+    n of the same draw at any larger n, bit for bit, which run_scenario
+    relies on.  Pass a (master_seed, trial_index) tuple to derive
+    independent per-trial streams.
 
     With rng_seed = (master_seed, trials) and trials a range, the result
     is a RealizationBatch whose row i is bit-identical to
@@ -452,10 +458,9 @@ def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike
     else:
         angles = np.random.default_rng(rng_seed).uniform(0.0, TWO_PI, size=n)
     v = budget.element_amplitude * np.exp(1j * angles)
-    h_d = complex(budget.direct_amplitude, 0.0)
     if block:
-        return RealizationBatch(np.full(len(v), h_d), v)
-    return ChannelRealization(h_d, v)
+        return RealizationBatch(np.full(len(v), budget.direct_path), v)
+    return ChannelRealization(budget.direct_path, v)
 
 
 # --- the block sampler ----------------------------------------------------

@@ -4,13 +4,13 @@ A Scenario fixes a link budget, a phase-shift set (or a gap-parameterized
 family), the solvers to compare, and a sweep axis; run_scenario samples
 `trials` seeded realizations per axis point, solves each with every
 requested solver, and aggregates spectral-efficiency statistics into
-ResultRows.  The trials of a point are sampled and solved in blocks: one
-sample_realization call draws a block's range of trials as a
-RealizationBatch, and one call of each solver and of the empty ratio takes
-it, bit-identical to sampling and solving the trials one at a time.  The
-blocks of every point form one task list, mapped in this process or over
-one worker pool.  Output is CSV plus a JSON metadata sidecar; the CSV is a
-pure function of (scenario, seed) so repeated runs are byte-identical.
+ResultRows.  A task is one block of trials: one sample_realization call
+draws its range of trials as a RealizationBatch for every point of the
+run, and one call of each solver and of the empty ratio takes it at each
+point, bit-identical to sampling and solving the trials one at a time.
+The tasks are mapped in this process or over one worker pool.  Output is
+CSV plus a JSON metadata sidecar; the CSV is a pure function of (scenario,
+seed) so repeated runs are byte-identical.
 """
 
 import json
@@ -163,6 +163,9 @@ class Scenario:
                 _check_capacity(budget, n)
             except ValueError as exc:
                 raise ValueError(f"{what}: {exc}") from exc
+            if budget.element_amplitude != self.budget.element_amplitude:
+                raise ValueError(f"{what}: every point must keep the element "
+                                 "amplitude, as each block is drawn once")
             plan.append((budget, n, phases, tuple(
                 s for s in self.solvers if s != "exhaustive"
                 or exhaustive_fits(phases.k, n, self.exhaustive_cap))))
@@ -284,27 +287,29 @@ def solve(solver: str, real, phase_set: PhaseShiftSet,
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _solve_trial(scenario: Scenario, point: tuple, trials: range
-                 ) -> Dict[str, np.ndarray]:
-    """Columns for a block of trials: |h| per solver, and "empty_ratio".
-
-    The block is sampled by one call, each row from its own (seed, trial)
-    stream, and solved by one call of each solver the plan's point runs;
-    one call of empty_regions and measured_empty_ratio gives the empty
-    ratio of every row.  Each column has shape (T,).
-    """
-    budget, n, phases, solvers = point
-    batch = sample_realization(budget, n, (scenario.seed, trials))
-    cols: Dict[str, np.ndarray] = {}
-    for solver in solvers:
-        cols[solver] = (continuous_upper_bound(batch)
-                        if solver == "continuous_ub" else
-                        solve(solver, batch, phases,
-                              scenario.exhaustive_cap).amplitude)
-    if scenario.empty_ratio:
-        cols["empty_ratio"] = measured_empty_ratio(
-            empty_regions(batch, phases, cols["sweep"])).measured_ratio
-    return cols
+def _solve_block(scenario: Scenario, plan: Sequence[tuple], trials: range
+                 ) -> List[Dict[str, np.ndarray]]:
+    """Per point of the plan, the block's (T,) columns: |h| per solver,
+    and "empty_ratio".  The block is drawn once, at the plan's largest N;
+    a point takes the draw's first N columns (a trial's draw at N) and its
+    own direct path, or the draw as is, and one call of each solver and of
+    the empty ratio solves every row."""
+    n_max = max(point[1] for point in plan)
+    drawn = sample_realization(plan[0][0], n_max, (scenario.seed, trials))
+    columns = []
+    for budget, n, phases, solvers in plan:
+        batch = drawn
+        if (n, budget.direct_path) != (n_max, plan[0][0].direct_path):
+            batch = replace(drawn, v=drawn.v[:, :n], h_d=np.full(
+                len(trials), budget.direct_path))
+        cols = {s: continuous_upper_bound(batch) if s == "continuous_ub"
+                else solve(s, batch, phases, scenario.exhaustive_cap).amplitude
+                for s in solvers}
+        if scenario.empty_ratio:
+            cols["empty_ratio"] = measured_empty_ratio(
+                empty_regions(batch, phases, cols["sweep"])).measured_ratio
+        columns.append(cols)
+    return columns
 
 
 def __getattr__(name: str):
@@ -323,11 +328,12 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     """Run every axis point of a curve scenario.
 
     Trials are deterministic per (scenario seed, trial index), shared
-    across axis points, and aggregated in trial order.  Each point's
-    trials are cut into blocks of at most _BLOCK_LINES separation lines,
-    each solved as one batch.  The blocks of the whole run are mapped in
-    order, in this process or, at `jobs` > 1, over one pool of at most
-    `jobs` workers, so the result is independent of `jobs`.  The channel
+    across axis points, and aggregated in trial order.  They are cut into
+    near-equal blocks of at most _BLOCK_LINES separation lines at the
+    run's widest point, their count a multiple of `jobs` where the trials
+    allow, and each block is one task serving every point.  The tasks are
+    mapped in this process or, at `jobs` > 1, over one pool of at most
+    `jobs` workers; the result is independent of `jobs`.  The channel
     does not depend on the SNR budget, so an snr_budget_db axis solves
     its first point only.
     """
@@ -338,37 +344,29 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
         raise ValueError("run_scenario handles curve scenarios; "
                          "use regions_dump for regions mode")
     solved = plan[:1] if scenario.axis == "snr_budget_db" else plan
-    tasks = []  # (point index, point, block of trials), in point order
-    for i, point in enumerate(solved):
-        # K+1 lines per element bounds L, so no block exceeds _BLOCK_LINES.
-        size = max(1, _BLOCK_LINES // max(1, point[1] * (point[2].k + 1)))
-        tasks += [(i, point, range(lo, min(lo + size, scenario.trials)))
-                  for lo in range(0, scenario.trials, size)]
-    _, points, blocks = zip(*tasks)
-    worker = partial(_solve_trial, scenario)
+    lines = max(n * phases.line_offsets.size for _, n, phases, _ in solved)
+    size = max(1, _BLOCK_LINES // max(1, lines))
+    t = scenario.trials
+    count = min(t, -(-t // (size * jobs)) * jobs)
+    blocks = [range(t * i // count, t * (i + 1) // count) for i in range(count)]
+    worker = partial(_solve_block, scenario, solved)
     if jobs > 1:
         pool_class = (globals().get("ProcessPoolExecutor")
                       or __getattr__("ProcessPoolExecutor"))
-        with pool_class(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(worker, points, blocks))
+        with pool_class(max_workers=min(jobs, count)) as pool:
+            results = list(pool.map(worker, blocks))
     else:
-        results = list(map(worker, points, blocks))
-    parts = [[r for (j, _, _), r in zip(tasks, results) if j == i]
-             for i in range(len(solved))]
+        results = list(map(worker, blocks))
     rows = []
     for i, (x, (budget, *_)) in enumerate(zip(scenario.values, plan)):
-        part = parts[min(i, len(parts) - 1)]  # an snr axis reuses point 0
+        part = [r[min(i, len(solved) - 1)] for r in results]  # snr: point 0
         cols = {k: np.concatenate([r[k] for r in part]) for k in part[0]}
         snr_scale = 10.0 ** (budget.snr_budget_db / 10.0)
-        mean_se: Dict[str, Optional[float]] = {}
-        std_se: Dict[str, Optional[float]] = {}
-        for solver in scenario.solvers:
-            if solver not in cols:  # exhaustive over its cap at this point
-                mean_se[solver] = std_se[solver] = None
-                continue
+        mean_se = dict.fromkeys(scenario.solvers)  # None: exhaustive over
+        std_se = dict.fromkeys(scenario.solvers)  # its cap at this point
+        for solver in cols.keys() & scenario.solvers:
             se = np.log2(1.0 + snr_scale * cols[solver] ** 2)
-            mean_se[solver] = float(se.mean())
-            std_se[solver] = float(se.std())
+            mean_se[solver], std_se[solver] = float(se.mean()), float(se.std())
         gain = None
         if mean_se.get("sweep") is not None and mean_se.get("cpp") is not None:
             if mean_se["cpp"] <= 0.0:
@@ -377,9 +375,8 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
                     f"to 0 at snr_budget_db = {budget.snr_budget_db!r} dB, "
                     f"so gain_pct is undefined")
             gain = performance_gain(mean_se["sweep"], mean_se["cpp"])
-        ratio = None
-        if scenario.empty_ratio:
-            ratio = float(np.mean(cols["empty_ratio"]))
+        ratio = (float(np.mean(cols["empty_ratio"])) if scenario.empty_ratio
+                 else None)
         rows.append(ResultRow(
             x=x if isinstance(x, tuple) else (x,),
             mean_se=mean_se, std_se=std_se, gain_pct=gain, empty_ratio=ratio))
@@ -455,11 +452,9 @@ def write_meta_json(scenario: Scenario, fh, jobs: int = 1) -> None:
     fh.write("\n")
 
 
-def _base_budget(snr_budget_db: float = 100.0,
-                 gain_direct_db: float = -140.0) -> LinkBudget:
-    return LinkBudget(gain_tx_ris_db=-80.0, gain_ris_rx_db=-60.0,
-                      gain_direct_db=gain_direct_db,
-                      snr_budget_db=snr_budget_db, bandwidth_hz=1.0)
+#: The link budget of every preset.
+_BASE_BUDGET = LinkBudget(gain_tx_ris_db=-80.0, gain_ris_rx_db=-60.0,
+                          gain_direct_db=-140.0, snr_budget_db=100.0)
 
 
 #: The two-phase set used by the capacity and gain studies.
@@ -473,34 +468,34 @@ def builtin_scenarios() -> List[Scenario]:
     pair_grid = tuple((a * pi / 6.0, b * pi / 6.0)
                       for a in range(1, 11) for b in range(1, 12 - a))
     return [
-        Scenario(name="fig9", budget=_base_budget(), n_elements=0,
+        Scenario(name="fig9", budget=_BASE_BUDGET, n_elements=0,
                  phases=TWO_PHASE_SET, axis="n_elements",
                  values=(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64),
                  trials=1000, seed=1009,
                  solvers=("sweep", "cpp", "exhaustive"),
                  exhaustive_cap=3 ** 8),
-        Scenario(name="fig10", budget=_base_budget(), n_elements=50,
+        Scenario(name="fig10", budget=_BASE_BUDGET, n_elements=50,
                  phases=TWO_PHASE_SET, axis="gain_direct_db",
                  values=tuple(range(-140, -99, 5)),
                  trials=1000, seed=1010, solvers=("sweep", "cpp")),
-        Scenario(name="fig11", budget=_base_budget(), n_elements=50,
+        Scenario(name="fig11", budget=_BASE_BUDGET, n_elements=50,
                  phases=TWO_PHASE_SET, axis="snr_budget_db",
                  values=tuple(range(100, 131, 2)),
                  trials=1000, seed=1011, solvers=("sweep", "cpp")),
-        Scenario(name="fig12", budget=_base_budget(), n_elements=50,
+        Scenario(name="fig12", budget=_BASE_BUDGET, n_elements=50,
                  phases=None, axis="phase_gap", values=tuple(gap_grid),
                  trials=1000, seed=1012, solvers=("sweep", "cpp")),
-        Scenario(name="fig13", budget=_base_budget(), n_elements=50,
+        Scenario(name="fig13", budget=_BASE_BUDGET, n_elements=50,
                  phases=None, axis="phase_gap_pair", values=pair_grid,
                  trials=1000, seed=1013, solvers=("sweep", "cpp")),
-        Scenario(name="fig14", budget=_base_budget(), n_elements=50,
+        Scenario(name="fig14", budget=_BASE_BUDGET, n_elements=50,
                  phases=TWO_PHASE_SET, axis="n_elements", values=(),
                  trials=1, seed=1014, solvers=("sweep",), mode="regions"),
-        Scenario(name="fig15_k2", budget=_base_budget(), n_elements=0,
+        Scenario(name="fig15_k2", budget=_BASE_BUDGET, n_elements=0,
                  phases=PhaseShiftSet.uniform(2), axis="n_elements",
                  values=(25, 50, 100, 150, 200), trials=1000, seed=1015,
                  solvers=("sweep",), empty_ratio=True),
-        Scenario(name="fig15_k3", budget=_base_budget(), n_elements=0,
+        Scenario(name="fig15_k3", budget=_BASE_BUDGET, n_elements=0,
                  phases=PhaseShiftSet.uniform(3), axis="n_elements",
                  values=(25, 50, 100, 150, 200), trials=1000, seed=1015,
                  solvers=("sweep",), empty_ratio=True),

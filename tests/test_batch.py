@@ -11,6 +11,7 @@ run_scenario to a plain per-trial loop kept in this file.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,22 +277,29 @@ def _per_trial_rows(scenario):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_scenario_equals_a_per_trial_loop(monkeypatch, jobs):
-    scenario = Scenario(
+    # a prefix of the block's draw on the n axis, a rebuilt direct path on
+    # the direct-gain axis, and one draw under changing phase sets
+    base = Scenario(
         name="oracle", budget=LinkBudget(-80.0, -60.0, -120.0, 100.0),
         n_elements=0, phases=PhaseShiftSet((PI / 6, 5 * PI / 6)),
         axis="n_elements", values=(1, 4, 9), trials=12, seed=5,
         solvers=("sweep", "cpp", "cpp_always_on", "exhaustive",
                  "continuous_ub"),
         empty_ratio=True, exhaustive_cap=3 ** 8)
-    # K+1 = 3 lines per element: 13, 3 and 1 trials per block
-    monkeypatch.setattr(experiments, "_BLOCK_LINES", 40)
+    scenarios = [base, replace(base, axis="gain_direct_db", n_elements=8,
+                               values=(-130.0, -120.0, -110.0)),
+                 replace(base, axis="phase_gap", n_elements=8, phases=None,
+                         values=(PI / 3, PI, 3 * PI / 2))]
+    # L = 3 at the widest point: 27 lines a trial at N = 9, 24 at N = 8,
+    # so 3 trials a block and 4 blocks a run, also when split for 2 jobs
+    monkeypatch.setattr(experiments, "_BLOCK_LINES", 81)
     blocks = []
     if jobs == 1:  # a pool could not pickle the counting wrapper
-        solve = experiments._solve_trial
-        monkeypatch.setattr(experiments, "_solve_trial",
+        solve = experiments._solve_block
+        monkeypatch.setattr(experiments, "_solve_block",
                             lambda *a: blocks.append(a[-1]) or solve(*a))
-    rows = run_scenario(scenario, jobs=jobs)
-    assert rows == _per_trial_rows(scenario)
-    assert rows[2].mean_se["exhaustive"] is None  # 3**9 is over the cap
+    runs = [run_scenario(scenario, jobs=jobs) for scenario in scenarios]
+    assert runs == [_per_trial_rows(scenario) for scenario in scenarios]
+    assert runs[0][2].mean_se["exhaustive"] is None  # 3**9 is over the cap
     if jobs == 1:
-        assert [len(b) for b in blocks] == [12] + [3] * 4 + [1] * 12
+        assert [len(b) for b in blocks] == [3] * 12

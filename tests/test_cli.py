@@ -422,10 +422,15 @@ def test_capacity_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
 
 
 def test_run_jobs_do_not_change_csv_bytes(tmp_path):
-    for jobs in ("1", "2"):
-        assert main(["run", "--scenario", "fig15", "--fast", "--jobs", jobs,
-                     "--out", str(tmp_path / jobs)]) == 0
-    for name in ("fig15_k2.csv", "fig15_k3.csv"):
+    # the n, direct-gain and gap-pair axes, each split into blocks by jobs
+    for preset in ("fig9", "fig10", "fig13", "fig15"):
+        for jobs in ("1", "2"):
+            assert main(["run", "--scenario", preset, "--fast", "--jobs",
+                         jobs, "--out", str(tmp_path / jobs)]) == 0
+    names = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert names == ["fig10.csv", "fig13.csv", "fig15_k2.csv", "fig15_k3.csv",
+                     "fig9.csv"]
+    for name in names:
         assert ((tmp_path / "1" / name).read_bytes()
                 == (tmp_path / "2" / name).read_bytes())
 

@@ -359,11 +359,13 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
     serial = run_scenario(s, jobs=1)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor",
                         partial(RecordingPool, made))
-    # N=4 and K+1=3: 12 lines a trial, 2 trials a block, 3 blocks
+    # N=4 and L=3: 12 lines a trial, at most 2 trials a block; the block
+    # count is a multiple of jobs up to one a trial: 6 blocks at jobs=8
+    # and 4 at jobs=2
     monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
     assert run_scenario(s, jobs=8) == serial
     assert run_scenario(s, jobs=2) == serial
-    assert made == [3, 2]
+    assert made == [6, 2]
     with pytest.raises(ValueError, match="jobs"):
         run_scenario(s, jobs=0)
 
@@ -374,13 +376,39 @@ def test_one_pool_serves_every_point_of_a_run(monkeypatch):
     serial = run_scenario(s, jobs=1)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor",
                         partial(RecordingPool, made))
-    # K+1=3 lines an element and 24 lines a block: 4, 2 and 2 trials a
-    # block at N = 2, 3, 4, so 1 + 2 + 2 = 5 blocks in the run
+    # L=3 lines an element and 24 lines a block: 2 trials a block at the
+    # widest point, N = 4; at jobs=8 the 4 trials make 4 blocks, each
+    # serving all 3 points
     monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
     assert run_scenario(s, jobs=1) == serial
     assert made == []
     assert run_scenario(s, jobs=8) == serial
-    assert made == [5]
+    assert made == [4]
+
+
+def test_a_block_is_drawn_once_for_every_point(monkeypatch):
+    s = tiny_scenario(axis="phase_gap", values=(PI / 2, PI, 3 * PI / 2),
+                      phases=None, solvers=("sweep", "cpp"), trials=7)
+    rows = run_scenario(s)
+    draws = []
+    draw = experiments.sample_realization
+    monkeypatch.setattr(experiments, "sample_realization",
+                        lambda *a: draws.append(a[-1][1]) or draw(*a))
+    # N=4 and L=3 at 3*pi/2: 12 lines a trial, 2 trials a block, 4 blocks
+    monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
+    assert run_scenario(s) == rows
+    assert draws == [range(0, 1), range(1, 3), range(3, 5), range(5, 7)]
+
+
+def test_every_point_keeps_the_element_amplitude(monkeypatch):
+    # an axis of a hop gain would change |v_n|, which a block draws once
+    monkeypatch.setattr(experiments, "AXES",
+                        experiments.AXES + ("gain_tx_ris_db",))
+    s = tiny_scenario(axis="gain_tx_ris_db", solvers=("sweep",),
+                      values=(BUDGET.gain_tx_ris_db, -70.0))
+    with pytest.raises(ValueError, match=r"^sweep.values\[1\]: every point "
+                                         r"must keep the element amplitude"):
+        s.validate()
 
 
 def test_empty_ratio_column():

@@ -3,8 +3,9 @@
 sample_realization(budget, n, (seed, trials)) replays NumPy's SeedSequence
 and PCG64 for every trial of the range together.  These tests pin it to
 default_rng((seed, t)) and to the one-trial call, over seeds that take
-one to five entropy words, and pin every preset's CSV to digests taken
-from the one-trial sampler.
+one to five entropy words, pin a draw at n to the first n elements of a
+larger draw, and pin every preset's CSV to digests taken from the
+one-trial sampler.
 """
 
 import hashlib
@@ -66,6 +67,19 @@ def test_block_replays_default_rng(seed, trials, n):
         one = sample_realization(BUDGET, n, (seed, t))
         assert np.asarray(one.h_d).tobytes() == h_d.tobytes()
         assert one.v.tobytes() == v.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, trial_ranges(), st.integers(0, 60), st.data())
+def test_a_draw_at_n_is_a_prefix_of_a_larger_draw(seed, trials, big, data):
+    n = data.draw(st.one_of(st.just(0), st.integers(0, big)))
+    block = sample_realization(BUDGET, big, (seed, trials)).v
+    assert (sample_realization(BUDGET, n, (seed, trials)).v.tobytes()
+            == block[:, :n].tobytes())
+    for rng_seed in [seed] + [(seed, t) for t in trials[:2]]:
+        one = sample_realization(BUDGET, big, rng_seed).v
+        assert (sample_realization(BUDGET, n, rng_seed).v.tobytes()
+                == one[:n].tobytes())
 
 
 def test_block_refuses_what_one_seed_word_cannot_hold():
