@@ -443,7 +443,10 @@ def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike
     With rng_seed = (master_seed, trials) and trials a range, the result
     is a RealizationBatch whose row i is bit-identical to
     sample_realization(budget, n, (master_seed, trials[i])).  The block
-    replays NumPy's SeedSequence and PCG64 for all its trials at once.
+    takes its angles from whichever of two generators with those bits is
+    cheaper for its size: a block of at least _REPLAY_MIN_TRIALS trials
+    replays NumPy's SeedSequence and PCG64 for all its trials at once, and
+    a smaller one calls default_rng((master_seed, t)) once per trial.
 
     Raises:
         ValueError: for a negative n; for a block, for a negative seed or
@@ -454,7 +457,16 @@ def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike
     block = (isinstance(rng_seed, tuple) and len(rng_seed) == 2
              and isinstance(rng_seed[1], range))
     if block:
-        angles = _uniform_angles(*rng_seed, n)
+        seed, trials = rng_seed
+        words = _seed_words(seed)  # both paths refuse what the replay cannot
+        _check_trials(trials)      # hold, with the same messages
+        if len(trials) >= _REPLAY_MIN_TRIALS:
+            angles = _uniform_angles(words, _trial_words(trials), n)
+        else:
+            angles = np.empty((len(trials), n))
+            for row, i in zip(angles, trials):
+                np.random.default_rng((seed, i)).random(out=row)
+            angles *= TWO_PI  # uniform(0, 2*pi) draws 0 + 2*pi * random()
     else:
         angles = np.random.default_rng(rng_seed).uniform(0.0, TWO_PI, size=n)
     v = budget.element_amplitude * np.exp(1j * angles)
@@ -464,6 +476,18 @@ def sample_realization(budget: LinkBudget, n: int, rng_seed: SeedLike
 
 
 # --- the block sampler ----------------------------------------------------
+#
+# A block's angles come from one of two generators with the same bits,
+# chosen by its trial count alone.  default_rng((seed, t)) per trial pays
+# ~11 us a trial to set up SeedSequence and PCG64, then ~4 ns an element.
+# The replay below pays ~95 us a block for its ~110 NumPy calls on (T,)
+# seed words, then ~40-55 ns an element, more as the block outgrows the
+# cache.  Timed best of 15-31 in process (2 vCPUs, NumPy 2.4), it overtakes
+# the loop at 9 trials for N = 1 and at 17 for N = 240; the grid is in
+# ROADMAP ("Measured and set aside: Removing the block sampler").  Past
+# N ~ 215-265 the loop is also faster at the runner's own block sizes, but
+# no workload draws such blocks, so they keep the replay.
+_REPLAY_MIN_TRIALS = 12
 #
 # default_rng((seed, t)) seeds PCG64 from SeedSequence((seed, t)); the
 # helpers below replay both for a whole vector of trial indices t, in
@@ -538,29 +562,32 @@ def _seed_words(seed) -> list:
     return words
 
 
-def _trial_words(trials: range) -> np.ndarray:
-    """The trial indices as uint32; each must fit one SeedSequence word."""
-    if not trials:
-        return np.empty(0, dtype=_U32)
-    first, last = trials[0], trials[-1]
-    for t in (first, last):
+def _check_trials(trials: range) -> None:
+    """Each trial index must fit one SeedSequence word."""
+    for t in (trials[0], trials[-1]) if trials else ():
         if not 0 <= t <= _MASK32:
             raise ValueError(f"trials must lie in 0..{_MASK32}, got index {t}")
+
+
+def _trial_words(trials: range) -> np.ndarray:
+    """The trial indices, checked by _check_trials, as uint32."""
+    if not trials:
+        return np.empty(0, dtype=_U32)
     step = trials.step if len(trials) > 1 else 1
-    return np.arange(first, last + (1 if step > 0 else -1), step,
+    return np.arange(trials[0], trials[-1] + (1 if step > 0 else -1), step,
                      dtype=np.int64).astype(_U32)
 
 
-def _pcg_seeds(seed, trials: range):
+def _pcg_seeds(seed_words: list, t: np.ndarray):
     """(a_hi, a_lo, inc_hi, inc_lo): each trial's PCG64 stream, as (T, 1).
+
+    seed_words and t are _seed_words(seed) and _trial_words(trials).
 
     inc is the stream's odd increment and a = initstate + inc, so that
     PCG64's seeded state is a * M + inc and its j-th state (the one the
     j-th draw outputs) is M**(j+1) * a + C_(j+1) * inc, with
     C_j = sum of M**i over i < j.
     """
-    seed_words = _seed_words(seed)
-    t = _trial_words(trials)
     words = len(seed_words) + 1
     entropy = np.empty((words, t.size), dtype=_U32)
     entropy[:-1] = np.array(seed_words, dtype=_U32)[:, None]
@@ -633,9 +660,10 @@ def _jump_table(n: int):
     return split(m_pows), split(c_sums)
 
 
-def _uniform_angles(seed, trials: range, n: int) -> np.ndarray:
-    """(T, n) angles; row i is default_rng((seed, trials[i])).uniform(0, 2*pi, n)."""
-    a_hi, a_lo, inc_hi, inc_lo = _pcg_seeds(seed, trials)
+def _uniform_angles(seed_words: list, t: np.ndarray, n: int) -> np.ndarray:
+    """(T, n) angles; row i is default_rng((seed, t[i])).uniform(0, 2*pi, n),
+    given seed_words = _seed_words(seed)."""
+    a_hi, a_lo, inc_hi, inc_lo = _pcg_seeds(seed_words, t)
     m, c = _jump_table(n)
     hi, lo = _add128(*_mul128(a_hi, a_lo, m), *_mul128(inc_hi, inc_lo, c))
     # PCG64's XSL-RR output: hi ^ lo rotated right by the top six bits

@@ -17,8 +17,8 @@ from typing import List, Optional
 
 from .analysis import empty_regions, write_regions_csv
 from .channel import ChannelRealization, LinkBudget, PhaseShiftSet
-from .experiments import (SOLVERS, Scenario, get_builtin, regions_dump,
-                          run_scenario, solve, write_meta_json,
+from .experiments import (SOLVERS, Scenario, check_trial_lines, get_builtin,
+                          regions_dump, run_scenario, solve, write_meta_json,
                           write_rows_csv)
 from .optimizer import continuous_upper_bound, sweep_optimize
 
@@ -121,6 +121,7 @@ def _cmd_solve(args) -> int:
     real = _read_json(args.input, ChannelRealization.from_json)
     phases = parse_phases(args.phases)
     with _naming(args.input):
+        check_trial_lines(real.n, phases)
         result = solve(args.solver, real, phases)
     budget = None
     if args.snr_budget_db is not None:
@@ -142,6 +143,7 @@ def _cmd_regions(args) -> int:
     real = _read_json(args.input, ChannelRealization.from_json)
     phases = parse_phases(args.phases)
     with _naming(args.input):
+        check_trial_lines(real.n, phases)
         if args.use_upper_bound:
             h_amp = continuous_upper_bound(real)
         else:

@@ -113,7 +113,7 @@ class Scenario:
                 raise ValueError("regions mode needs an explicit phase set")
             if self.n_elements < 1:
                 raise ValueError("regions mode needs at least one element")
-            _check_trial_lines(self.n_elements, self.phases)
+            check_trial_lines(self.n_elements, self.phases)
             return []
         if self.axis not in AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
@@ -159,7 +159,7 @@ class Scenario:
                     phases = PhaseShiftSet.from_gaps(coords)
                 elif self.axis != "n_elements":  # a LinkBudget field
                     budget = replace(budget, **{self.axis: coords[0]})
-                _check_trial_lines(n, phases)
+                check_trial_lines(n, phases)
                 _check_capacity(budget, n)
             except ValueError as exc:
                 raise ValueError(f"{what}: {exc}") from exc
@@ -227,8 +227,12 @@ class Scenario:
         return scenario
 
 
-def _check_trial_lines(n: int, phases: PhaseShiftSet) -> None:
-    """Raise ValueError if one trial has more than _MAX_TRIAL_LINES lines."""
+def check_trial_lines(n: int, phases: PhaseShiftSet) -> None:
+    """Raise ValueError if one trial has more than _MAX_TRIAL_LINES lines.
+
+    The scenarios and the CLI's solve and regions check every trial with
+    it before anything the size of its lines is allocated.
+    """
     lines = n * (phases.k + 1)
     if lines > _MAX_TRIAL_LINES:
         raise ValueError(

@@ -16,17 +16,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import COINCIDING_SETS, batches, coinciding_blocks
+from conftest import COINCIDING_SETS, batches, coinciding_blocks, phase_sets
 from scalar_reference import stack
 from ris_dps import (ChannelRealization, LinkBudget, PhaseShiftSet,
-                     RealizationBatch, continuous_upper_bound, cpp_optimize,
-                     empty_regions, exhaustive_optimize, measured_empty_ratio,
-                     overall_h, performance_gain, sample_realization,
-                     sweep_optimize, write_regions_csv)
+                     RealizationBatch, arg_mod_2pi, continuous_upper_bound,
+                     cpp_optimize, empty_regions, exhaustive_optimize,
+                     measured_empty_ratio, overall_h, performance_gain,
+                     sample_realization, sweep_optimize, write_regions_csv)
 from ris_dps import experiments
 from ris_dps.experiments import ResultRow, Scenario, run_scenario
-from ris_dps.optimizer import exhaustive_fits
+from ris_dps.optimizer import _config_for_direction, exhaustive_fits
 
 PI = math.pi
 
@@ -78,6 +79,37 @@ def test_batch_rows_equal_single_calls(inst):
             one = cpp_optimize(real, ps, always_on=always_on)
             assert np.array_equal(cpp.config[t], one.config)
             assert _bits(cpp.h_star[t]) == _bits(one.h_star)
+
+
+#: Direct paths on the axes with each signed zero: pairs that compare
+#: (and hash) equal though their bits differ.
+SIGNED_ZERO_PATHS = [complex(a, b) for a, b in (
+    (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0),
+    (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (0.5, -0.0), (-0.5, 0.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_sets(), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_cpp_aims_each_row_at_its_own_direct_path(ps, n, seed, data):
+    # rows drawn from a few paths, so most blocks repeat some; the
+    # reference takes one arg_mod_2pi per row
+    free = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    pool = data.draw(st.lists(st.one_of(st.sampled_from(SIGNED_ZERO_PATHS),
+                                        free.filter(bool)),
+                              min_size=1, max_size=4))
+    h_d = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    rng = np.random.default_rng(seed)
+    v = np.exp(1j * rng.uniform(0.0, 2 * PI, (len(h_d), n)))
+    batch = RealizationBatch(np.array(h_d), v)
+    theta = [arg_mod_2pi(h) for h in h_d]
+    for always_on in (False, True):
+        cfg = _config_for_direction(batch.element_angles(),
+                                    np.asarray(ps.phases), theta,
+                                    always_on=always_on)
+        cpp = cpp_optimize(batch, ps, always_on=always_on)
+        assert np.array_equal(cpp.config, cfg)
+        assert _bits(cpp.h_star) == _bits(overall_h(batch, ps, cfg))
 
 
 def _same_exhaustive_and_empty_rows(reals, ps, amplitudes, cap=2 ** 12):

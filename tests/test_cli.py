@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import child_env
-from ris_dps import LinkBudget, sample_realization
+from ris_dps import LinkBudget, cli, sample_realization
 from ris_dps.cli import main, parse_phases
 
 PI = math.pi
@@ -376,6 +376,30 @@ def test_unusable_realization_names_the_file(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"ris-dps: error: {path}: {message}\n"
+
+
+def test_solve_and_regions_refuse_a_trial_past_the_line_cap(
+        tmp_path, capsys, monkeypatch):
+    # N = 4096 and K = 4097 give N*(K+1) = 16,785,408 lines, past 2**24;
+    # a sweep that ran would take ~1.9 GB, so nothing past the check may
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved past the cap")
+
+    for name in ("solve", "sweep_optimize", "continuous_upper_bound",
+                 "empty_regions"):
+        monkeypatch.setattr(cli, name, unreachable)
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(_realization_doc(1.0, [1.0] * 4096)))
+    phases = ",".join(repr(2 * math.pi * i / 4097) for i in range(4097))
+    for cmd in (["solve", "--solver", "sweep"], ["solve", "--solver", "cpp"],
+                ["regions"], ["regions", "--use-upper-bound"]):
+        assert main(cmd + ["--input", str(path), "--phases", phases]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ris-dps: error: {path}: n_elements = 4096 gives N*(K+1) = "
+            f"16785408 separation lines per trial at K = 4097, more than "
+            f"2**24\n")
 
 
 def test_solve_and_regions_errors_name_the_input(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The block sampler: a range of trials drawn at once, bit for bit.
 
-sample_realization(budget, n, (seed, trials)) replays NumPy's SeedSequence
-and PCG64 for every trial of the range together.  These tests pin it to
-default_rng((seed, t)) and to the one-trial call, over seeds that take
-one to five entropy words, pin a draw at n to the first n elements of a
-larger draw, and pin every preset's CSV to digests taken from the
-one-trial sampler.
+sample_realization(budget, n, (seed, trials)) draws the range's angles
+either by replaying NumPy's SeedSequence and PCG64 for every trial of the
+range together or by one default_rng((seed, t)) per trial, whichever its
+trial count makes cheaper.  These tests pin the replay kernel and both
+paths to default_rng((seed, t)) and to the one-trial call, over seeds that
+take one to five entropy words, pin the choice of path on both sides of
+its threshold, pin a draw at n to the first n elements of a larger draw,
+and pin every preset's CSV to digests taken from the one-trial sampler.
 """
 
 import hashlib
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_dps import LinkBudget, RealizationBatch, sample_realization
-from ris_dps.channel import _uniform_angles
+from ris_dps import LinkBudget, RealizationBatch, channel, sample_realization
+from ris_dps.channel import (_REPLAY_MIN_TRIALS, _seed_words, _trial_words,
+                             _uniform_angles)
 from ris_dps.experiments import (builtin_scenarios, run_scenario,
                                  write_rows_csv)
 
@@ -43,7 +46,7 @@ def trial_ranges(draw):
                           st.sampled_from((1000003, -2 ** 31, 2 ** 31))))
     room = (LAST_TRIAL - start) // step if step > 0 else start // -step
     empty = draw(st.integers(0, 9)) == 0
-    count = 0 if empty else draw(st.integers(1, min(6, room + 1)))
+    count = 0 if empty else draw(st.integers(1, min(20, room + 1)))
     sign = 1 if step > 0 else -1
     # any stop past the last index that falls short of the next one
     past = draw(st.integers(0, abs(step) - 1))
@@ -52,10 +55,14 @@ def trial_ranges(draw):
     return range(start, stop, step)
 
 
+#: Element counts up to 300, with a few small ones sampled often.
+SIZES = st.one_of(st.sampled_from((0, 1, 2, 50)), st.integers(0, 300))
+
+
 @settings(max_examples=200, deadline=None)
-@given(SEEDS, trial_ranges(), st.sampled_from((0, 1, 2, 50)))
+@given(SEEDS, trial_ranges(), SIZES)
 def test_block_replays_default_rng(seed, trials, n):
-    angles = _uniform_angles(seed, trials, n)
+    angles = _uniform_angles(_seed_words(seed), _trial_words(trials), n)
     assert angles.shape == (len(trials), n)
     for row, t in zip(angles, trials):
         ref = np.random.default_rng((seed, t)).uniform(0.0, TWO_PI, n)
@@ -67,6 +74,28 @@ def test_block_replays_default_rng(seed, trials, n):
         one = sample_realization(BUDGET, n, (seed, t))
         assert np.asarray(one.h_d).tobytes() == h_d.tobytes()
         assert one.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("count, n", [
+    (_REPLAY_MIN_TRIALS - 1, 0), (_REPLAY_MIN_TRIALS, 0),
+    (_REPLAY_MIN_TRIALS - 1, 50), (_REPLAY_MIN_TRIALS, 50),
+    (_REPLAY_MIN_TRIALS - 1, 300), (_REPLAY_MIN_TRIALS, 300), (100, 300)])
+def test_each_path_draws_default_rng_rows(count, n, monkeypatch):
+    replays = []
+
+    def replay(*args):
+        replays.append(args[2])
+        return _uniform_angles(*args)
+
+    monkeypatch.setattr(channel, "_uniform_angles", replay)
+    seed, trials = 2 ** 64 + 9, range(2 ** 32 - 1, 2 ** 32 - 1 - 3 * count, -3)
+    batch = sample_realization(BUDGET, n, (seed, trials))
+    assert replays == ([n] if count >= _REPLAY_MIN_TRIALS else [])
+    assert batch.v.shape == (count, n)
+    ref = [np.random.default_rng((seed, t)).uniform(0.0, TWO_PI, n)
+           for t in trials]
+    amp = BUDGET.element_amplitude
+    assert batch.v.tobytes() == (amp * np.exp(1j * np.array(ref))).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,15 +112,20 @@ def test_a_draw_at_n_is_a_prefix_of_a_larger_draw(seed, trials, big, data):
 
 
 def test_block_refuses_what_one_seed_word_cannot_hold():
+    # the ranges of 3 or 4 trials take default_rng, those of 20 or more
+    # the replay, and range(2 ** 70) is too long for len()
     for trials in (range(LAST_TRIAL - 1, LAST_TRIAL + 2), range(2 ** 40, 0, -1),
-                   range(-1, 3)):
+                   range(-1, 3), range(LAST_TRIAL - 20, LAST_TRIAL + 2),
+                   range(-1, 20), range(2 ** 32 + 40, 2 ** 32, -1),
+                   range(2 ** 70)):
         with pytest.raises(ValueError, match=r"trials must lie in "
                                              r"0\.\.4294967295, got index"):
             sample_realization(BUDGET, 4, (7, trials))
     for seed in (-1, True, 2.0):
-        with pytest.raises(ValueError, match="seed must be a non-negative "
-                                             "integer"):
-            sample_realization(BUDGET, 4, (seed, range(3)))
+        for trials in (range(3), range(20)):
+            with pytest.raises(ValueError, match="seed must be a "
+                                                 "non-negative integer"):
+                sample_realization(BUDGET, 4, (seed, trials))
     assert sample_realization(BUDGET, 4, (7, range(0))).v.shape == (0, 4)
 
 
