@@ -151,6 +151,21 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return total
 
 
+def _check_lines(regions: EmptyRegions) -> None:
+    """Raise ValueError naming the first line (n, c), by element, then
+    column, and its row in a batch, with a non-finite center or a negative
+    or non-finite width."""
+    centers, widths = regions.centers, regions.half_width
+    bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
+    if bad.any():
+        *row, i, c = np.argwhere(bad.swapaxes(-1, -2))[0]
+        at = (*row, c, i)
+        raise ValueError(
+            f"{f'row {row[0]}: ' if row else ''}line ({i}, {c}) "
+            f"needs a finite center and a finite half-width >= 0, got "
+            f"{float(centers[at])!r} and {float(widths[at])!r}")
+
+
 def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap.
 
@@ -162,17 +177,10 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
         ValueError: naming the first line (n, c), and its row in a batch,
             with a non-finite center or a negative or non-finite width.
     """
+    _check_lines(regions)
     *trials, l, n = regions.half_width.shape
     widths = regions.half_width.reshape(math.prod(trials), l * n)
     centers = regions.centers.reshape(widths.shape)
-    bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
-    if bad.any():
-        row, i, c = np.argwhere(bad.reshape(-1, l, n).swapaxes(1, 2))[0]
-        raise ValueError(
-            f"{f'row {row}: ' if trials else ''}line ({i}, {c}) "
-            f"needs a finite center and a finite half-width >= 0, got "
-            f"{float(centers[row, c * n + i])!r} and "
-            f"{float(widths[row, c * n + i])!r}")
     union = _union_lengths(centers - widths, centers + widths)
     by_element = regions.half_width.swapaxes(-1, -2).reshape(widths.shape)
     summed = 2.0 * (np.cumsum(by_element, axis=1)[:, -1] if n * l
@@ -203,7 +211,8 @@ def write_regions_csv(regions: EmptyRegions, phase_set: PhaseShiftSet,
     kind is "off_boundary" for a line bordering the off region, else
     "between_phases", read off phase_set's line_starting and line_ending;
     rows go by element, then column.  One realization's regions only, of
-    phase_set's L columns: else ValueError.
+    phase_set's L columns, with every line as measured_empty_ratio takes
+    it: else ValueError, before any row is written.
     """
     if regions.centers.ndim != 2:
         raise ValueError("write_regions_csv writes one realization's regions")
@@ -211,6 +220,7 @@ def write_regions_csv(regions: EmptyRegions, phase_set: PhaseShiftSet,
     if l != len(regions.centers):
         raise ValueError(f"the phase set has L = {l} columns, the regions "
                          f"{len(regions.centers)}")
+    _check_lines(regions)
     kinds = ["off_boundary" if OFF in pair else "between_phases"
              for pair in zip(phase_set.line_starting.tolist(),
                              phase_set.line_ending.tolist())]

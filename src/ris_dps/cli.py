@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import List, Optional
 
 from .analysis import empty_regions, write_regions_csv
@@ -20,6 +21,7 @@ from .channel import ChannelRealization, LinkBudget, PhaseShiftSet
 from .experiments import (SOLVERS, Scenario, check_trial_lines, get_builtin,
                           regions_dump, run_scenario, solve, write_meta_json,
                           write_rows_csv)
+from .metrics import capacity
 from .optimizer import continuous_upper_bound, sweep_optimize
 
 _PHASE_TOKEN = re.compile(r"^(\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))?$")
@@ -73,6 +75,17 @@ def _naming(path: Optional[str]):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+@contextmanager
+def _output(path: Optional[str]):
+    """The file `path`, its directory made, or stdout if there is none."""
+    if not path:
+        yield sys.stdout
+        return
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        yield fh
+
+
 def _read_json(path: str, parse):
     """parse() of a JSON file's document; a ValueError names the file."""
     with open(path) as fh, _naming(path):
@@ -123,19 +136,19 @@ def _cmd_solve(args) -> int:
     with _naming(args.input):
         check_trial_lines(real.n, phases)
         result = solve(args.solver, real, phases)
-    budget = None
+    doc = {
+        "schema_version": 1,
+        "config": [int(c) for c in result.config],
+        "h_star": {"re": result.h_star.real, "im": result.h_star.imag},
+        "amplitude": result.amplitude,
+    }
     if args.snr_budget_db is not None:
         budget = LinkBudget(0.0, 0.0, 0.0, args.snr_budget_db,
                             args.bandwidth_hz)
-    doc = result.to_json(budget)
+        doc.update(asdict(capacity(result.h_star, budget)))
     doc["solver"] = args.solver
-    out = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -149,12 +162,8 @@ def _cmd_regions(args) -> int:
         else:
             h_amp = sweep_optimize(real, phases).amplitude
         regions = empty_regions(real, phases, h_amp)
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            write_regions_csv(regions, phases, fh)
-    else:
-        write_regions_csv(regions, phases, sys.stdout)
+    with _output(args.out) as fh:
+        write_regions_csv(regions, phases, fh)
     return 0
 
 

@@ -334,12 +334,13 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     Trials are deterministic per (scenario seed, trial index), shared
     across axis points, and aggregated in trial order.  They are cut into
     near-equal blocks of at most _BLOCK_LINES separation lines at the
-    run's widest point, their count a multiple of `jobs` where the trials
-    allow, and each block is one task serving every point.  The tasks are
-    mapped in this process or, at `jobs` > 1, over one pool of at most
-    `jobs` workers; the result is independent of `jobs`.  The channel
-    does not depend on the SNR budget, so an snr_budget_db axis solves
-    its first point only.
+    run's widest point, their count a multiple of the workers where the
+    trials allow, and each block is one task serving every point.  The
+    workers are `jobs`, capped at the CPUs this process may use; the
+    tasks are mapped in this process or, when two blocks can run at once,
+    over one pool of min(workers, blocks) processes.  The result is
+    independent of `jobs`.  The channel does not depend on the SNR
+    budget, so an snr_budget_db axis solves its first point only.
     """
     plan = scenario.validate()
     if jobs < 1:
@@ -350,11 +351,14 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> List[ResultRow]:
     solved = plan[:1] if scenario.axis == "snr_budget_db" else plan
     lines = max(n * phases.line_offsets.size for _, n, phases, _ in solved)
     size = max(1, _BLOCK_LINES // max(1, lines))
+    if jobs > 1:  # a worker past the usable CPUs would only wait for one
+        affinity = getattr(os, "sched_getaffinity", None)
+        jobs = min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     t = scenario.trials
     count = min(t, -(-t // (size * jobs)) * jobs)
     blocks = [range(t * i // count, t * (i + 1) // count) for i in range(count)]
     worker = partial(_solve_block, scenario, solved)
-    if jobs > 1:
+    if min(jobs, count) > 1:
         pool_class = (globals().get("ProcessPoolExecutor")
                       or __getattr__("ProcessPoolExecutor"))
         with pool_class(max_workers=min(jobs, count)) as pool:

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import OFF, LinkBudget, PhaseShiftSet, as_batch, overall_h
+from .channel import OFF, PhaseShiftSet, as_batch, overall_h
 from .geometry import ANGLE_EPS, TWO_PI, arg_mod_2pi, wrap_angles
 
 HALF_PI = math.pi / 2.0
@@ -82,31 +82,6 @@ class SweepResult:
         if isinstance(self.h_star, complex):
             return abs(self.h_star)
         return np.hypot(self.h_star.real, self.h_star.imag)
-
-    def to_json(self, budget: Optional[LinkBudget] = None) -> dict:
-        """One realization's result as a JSON-ready dict.
-
-        Raises:
-            ValueError: for a batch result (one row per realization).
-        """
-        if np.ndim(self.h_star):
-            raise ValueError(
-                "to_json serializes one realization's result; this one "
-                f"holds a batch of {np.size(self.h_star)} rows")
-        doc = {
-            "schema_version": 1,
-            "config": [int(c) for c in self.config],
-            "h_star": {"re": self.h_star.real, "im": self.h_star.imag},
-            "amplitude": self.amplitude,
-        }
-        if budget is not None:
-            from .metrics import capacity
-
-            report = capacity(self.h_star, budget)
-            doc["snr_linear"] = report.snr_linear
-            doc["spectral_efficiency"] = report.spectral_efficiency
-            doc["capacity_bps"] = report.capacity_bps
-        return doc
 
 
 def separation_lines(real, phase_set: PhaseShiftSet) -> np.ndarray:

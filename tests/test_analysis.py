@@ -526,9 +526,14 @@ def test_empty_ratio_rejects_a_bad_line(center, width):
 
 def _assert_names_line_0_1(centers, widths):
     """measured_empty_ratio names line (0, 1) of the (L, N) tables, alone
-    and as row 1 of a batch."""
+    and as row 1 of a batch; write_regions_csv names it before any row."""
     with pytest.raises(ValueError, match=r"^line \(0, 1\) needs a finite"):
         measured_empty_ratio(EmptyRegions(centers, widths))
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=r"^line \(0, 1\) needs a finite"):
+        write_regions_csv(EmptyRegions(centers, widths),
+                          PhaseShiftSet.uniform(2), fh)
+    assert fh.getvalue() == ""
     # in a batch, the first bad line's row is named
     with pytest.raises(ValueError, match=r"^row 1: line \(0, 1\) needs"):
         measured_empty_ratio(EmptyRegions(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -105,6 +107,60 @@ def test_regions_upper_bound_narrows(realization_file, capsys):
     ub_rows = capsys.readouterr().out.splitlines()[1:]
     for s_row, u_row in zip(sweep_rows, ub_rows):
         assert float(u_row.split(",")[1]) <= float(s_row.split(",")[1])
+
+
+_BUDGET = ["--snr-budget-db", "140", "--bandwidth-hz", "2"]
+
+
+@pytest.mark.parametrize("cmd, digest", [
+    (["solve", "--solver", "sweep"],
+     "d2afcf1f27205dd9acee2d29af37f6895ef5836b55817f9683f363105e2d122f"),
+    (["solve", "--solver", "sweep"] + _BUDGET,
+     "f63b86f5bd7cde961ed0a6799c58e25bb1f06c45a6be205b997abf061279dfe9"),
+    (["solve", "--solver", "cpp"],
+     "e0a249a72d2f215673406b1579581bea97c13b73e66c4158a1cfec4ea168cee7"),
+    (["solve", "--solver", "cpp"] + _BUDGET,
+     "8e54d734e6518e58bba1d26c6ae1dbf13b0ae180878284075cf691adb02af690"),
+    (["solve", "--solver", "cpp_always_on"],
+     "14556b95fb3ac7d89a73947e7353c34e3919ddadb8f63ceaf85999455ad3a94f"),
+    (["solve", "--solver", "cpp_always_on"] + _BUDGET,
+     "fc6b6d9f239ee8d3869d5ca0e97534c0310437872ff9c177c2a312f762a3530b"),
+    (["solve", "--solver", "exhaustive"],
+     "addc6b14ce3eedfa6bb2a7e79cbe8d484c74fdf613b03f59350d93d99bf6d64f"),
+    (["solve", "--solver", "exhaustive"] + _BUDGET,
+     "108f2ced91fb2b72f7ff27d11149c93dd977ff94f325c83be7a1abe4d85973ad"),
+    (["regions"],
+     "da0e3f21e22efe5471215b9a6b0f17500d2323e8fdf1b5d2a4751a9ddaefffd9"),
+    (["regions", "--use-upper-bound"],
+     "72eeb026f033984d2b60a55880c480d7e6fab151ad8bb73071fe053f61ab5947"),
+])
+def test_one_realization_outputs_are_pinned(realization_file, tmp_path,
+                                            capsys, cmd, digest):
+    args = cmd + ["--input", str(realization_file), "--phases", "pi/6,5pi/6"]
+    assert main(args) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+    path = tmp_path / "made" / "out"  # --out makes its directory
+    assert main(args + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out
+
+
+def test_solve_document_keys(realization_file, capsys):
+    args = ["solve", "--input", str(realization_file),
+            "--phases", "pi/6,5pi/6", "--solver", "sweep"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema_version", "config", "h_star", "amplitude",
+                         "solver"]
+    assert set(doc["h_star"]) == {"re", "im"}
+    assert main(args + _BUDGET) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema_version", "config", "h_star", "amplitude",
+                         "snr_linear", "spectral_efficiency", "capacity_bps",
+                         "solver"]
+    assert doc["capacity_bps"] == 2 * doc["spectral_efficiency"]
+    assert doc["snr_linear"] > 0
 
 
 def scenario_doc(seed=31):
@@ -445,8 +501,11 @@ def test_capacity_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
                    f"{amplitude!r}\n")
 
 
-def test_run_jobs_do_not_change_csv_bytes(tmp_path):
+def test_run_jobs_do_not_change_csv_bytes(tmp_path, monkeypatch):
     # the n, direct-gain and gap-pair axes, each split into blocks by jobs
+    # and mapped over a pool, on any host: two usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     for preset in ("fig9", "fig10", "fig13", "fig15"):
         for jobs in ("1", "2"):
             assert main(["run", "--scenario", preset, "--fast", "--jobs",

@@ -353,10 +353,17 @@ class RecordingPool:
         return map(fn, *items)
 
 
+def usable_cpus(monkeypatch, count):
+    """The host's usable CPUs as run_scenario reads them: `count` of them."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
 def test_pool_is_capped_at_the_block_count(monkeypatch):
     made = []
     s = tiny_scenario(values=(4,), trials=6)
     serial = run_scenario(s, jobs=1)
+    usable_cpus(monkeypatch, 8)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor",
                         partial(RecordingPool, made))
     # N=4 and L=3: 12 lines a trial, at most 2 trials a block; the block
@@ -374,6 +381,7 @@ def test_one_pool_serves_every_point_of_a_run(monkeypatch):
     made = []
     s = tiny_scenario(values=(2, 3, 4), trials=4)
     serial = run_scenario(s, jobs=1)
+    usable_cpus(monkeypatch, 8)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor",
                         partial(RecordingPool, made))
     # L=3 lines an element and 24 lines a block: 2 trials a block at the
@@ -384,6 +392,45 @@ def test_one_pool_serves_every_point_of_a_run(monkeypatch):
     assert made == []
     assert run_scenario(s, jobs=8) == serial
     assert made == [4]
+
+
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    made, draws = [], []
+    s = tiny_scenario(values=(4,), trials=6)
+    serial = run_scenario(s, jobs=1)
+    draw = experiments.sample_realization
+    monkeypatch.setattr(experiments, "sample_realization",
+                        lambda *a: draws.append(a[-1][1]) or draw(*a))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        partial(RecordingPool, made))
+    # N=4 and L=3: 12 lines a trial, at most 2 trials a block
+    monkeypatch.setattr(experiments, "_BLOCK_LINES", 24)
+
+    def cut(jobs):
+        draws.clear()
+        assert run_scenario(s, jobs=jobs) == serial
+        return [len(r) for r in draws]
+
+    # 3 CPUs: 3 workers at jobs=8, and 3 blocks, a multiple of them
+    usable_cpus(monkeypatch, 3)
+    assert cut(8) == [2, 2, 2] and made == [3]
+    # one CPU: no pool, and the blocks of jobs=1
+    usable_cpus(monkeypatch, 1)
+    assert cut(2) == [2, 2, 2] and made == [3]
+    # no affinity mask: os.cpu_count(), and 1 where it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cut(8) == [1, 2, 1, 2] and made == [3, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cut(8) == [2, 2, 2] and made == [3, 4]
+
+    # jobs=1 never asks for the CPU count
+    def unreachable(*args):
+        raise AssertionError("jobs=1 read the CPU count")
+
+    monkeypatch.setattr(os, "sched_getaffinity", unreachable, raising=False)
+    monkeypatch.setattr(os, "cpu_count", unreachable)
+    assert cut(1) == [2, 2, 2] and made == [3, 4]
 
 
 def test_a_block_is_drawn_once_for_every_point(monkeypatch):

@@ -161,3 +161,41 @@ def test_every_library_import_is_used():
         dead += [f"{path.name}:{line}: {name}"
                  for line, name in _imported(tree) if name not in read]
     assert dead == []
+
+
+#: The library's layers, lowest first: a module imports only those below it.
+LAYERS = ("geometry", "channel", "optimizer", "analysis", "metrics",
+          "experiments", "cli")
+
+
+def _package_imports(tree: ast.AST) -> list:
+    """(line, name) of every import of the package, function bodies
+    included: `from .x import y` names module x and `from . import y`
+    names y.  An absolute import of ris_dps names the package as a whole,
+    which is no layer: the modules import each other relatively."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += ([(node.lineno, node.module.split(".")[0])] if node.module
+                      else [(node.lineno, a.name) for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names])
+            found += [(node.lineno, "ris_dps") for name in names
+                      if name.split(".")[0] == "ris_dps"]
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    assert sorted(LAYERS) == sorted(
+        p.stem for p in LIBRARY.glob("*.py")
+        if p.stem not in ("__init__", "__main__"))
+    upward = []
+    for rank, module in enumerate(LAYERS):
+        tree = ast.parse((LIBRARY / f"{module}.py").read_text())
+        upward += [f"{module}.py:{line}: {name}"
+                   for line, name in _package_imports(tree)
+                   if name not in LAYERS[:rank]
+                   # the meta sidecar's package version
+                   and (module, name) != ("experiments", "__version__")]
+    assert upward == []

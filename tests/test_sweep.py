@@ -341,31 +341,6 @@ def test_continuous_upper_bound():
             real) * (1 + 1e-12)
 
 
-def test_result_serialization():
-    ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
-    real = ChannelRealization(1e-7 + 0j, [1e-7 + 0j])
-    res = sweep_optimize(real, ps)
-    doc = res.to_json()
-    assert doc["config"] == [1]
-    assert set(doc["h_star"]) == {"re", "im"}
-    assert "capacity_bps" not in doc
-
-    budget = LinkBudget(-80.0, -60.0, -140.0, 100.0, bandwidth_hz=2.0)
-    doc = res.to_json(budget)
-    assert doc["capacity_bps"] == pytest.approx(2 * doc["spectral_efficiency"])
-    assert doc["snr_linear"] > 0
-
-
-def test_batch_result_does_not_serialize():
-    real = ChannelRealization(0.5 + 0j, [1j, 2 + 0j])
-    batch = RealizationBatch(np.full(3, real.h_d), np.tile(real.v, (3, 1)))
-    ps = PhaseShiftSet((0.0, PI))
-    with pytest.raises(ValueError, match="one realization"):
-        sweep_optimize(batch, ps).to_json()
-    assert sweep_optimize(real, ps).to_json()["config"] == list(
-        sweep_optimize(batch, ps).config[0])
-
-
 def test_sampled_realizations_solve_end_to_end():
     budget = LinkBudget(-80.0, -60.0, -140.0, 108.0)
     ps = PhaseShiftSet((PI / 6, 5 * PI / 6))
