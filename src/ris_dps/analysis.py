@@ -84,8 +84,17 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
         h_star_amp: amplitude of the optimal channel, (T,) for a
             RealizationBatch; pass the sweep optimum, or the continuous
             upper bound for the conservative (narrowest-region) variant.
+
+    Raises:
+        ValueError: if h_star_amp is not positive and finite, or does not
+            broadcast to (T,) (to () for one realization).
     """
-    h_star = np.broadcast_to(h_star_amp, np.shape(real.h_d))[..., None, None]
+    trials = np.shape(real.h_d)
+    try:
+        h_star = np.broadcast_to(h_star_amp, trials)[..., None, None]
+    except ValueError:
+        raise ValueError(f"h_star_amp needs shape {trials}, got "
+                         f"{np.shape(h_star_amp)}") from None
     _check_h_star(h_star)
     centers = separation_lines(real, phase_set)
     factors = phase_set.line_factors[:, None]
@@ -99,7 +108,8 @@ def empty_regions(real, phase_set: PhaseShiftSet, h_star_amp) -> EmptyRegions:
         if w < amps.shape[-1]:
             index = ((amps - lo) / ulp).astype(np.intp)[..., None, :]  # k
             amps = lo + np.arange(w) * ulp
-    ratio = np.minimum(amps[..., None, :] * factors / h_star, 1.0)
+    with np.errstate(over="ignore"):  # a ratio past the float range is 1
+        ratio = np.minimum(amps[..., None, :] * factors / h_star, 1.0)
     half_width = np.fromiter(map(math.asin, ratio.ravel().tolist()), float,
                              ratio.size).reshape(ratio.shape)
     if index is not None:  # one flat take from each (row, column)'s start
@@ -114,18 +124,27 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     Each row gets the bits of sorting its pieces by start, merging
     overlapping pieces into runs and adding the run lengths left to
     right.  An arc of width <= 0 is dropped (it becomes the piece (0, 0));
-    one of width >= 2*pi covers the circle.  Every other arc starts at its
-    wrapped start and is cut at 2*pi; the pieces left over past 2*pi all
-    start at 0, so one piece (0, the farthest of their ends) stands for
-    them, and a row sorts M + 1 pieces.  The sorted starts ascend, so a
-    running max of the runs' opening starts is each run's start.  A run's
-    length sits at its last position and 0.0 everywhere else, so one
-    cumsum adds the runs in order: a non-negative sum plus +0.0 keeps its
-    bits.
+    one of width >= 2*pi covers the circle, and its row's starts, which
+    may hold an overflowed -inf, are set to 0.  Every other arc starts at
+    its wrapped start and is cut at 2*pi; the pieces left over past 2*pi
+    all start at 0, so one piece (0, the farthest of their ends) stands
+    for them.  Each of the M + 1 pieces ends at or after its start, so a
+    row's starts S and ends E are sorted each on its own.  If
+    S[i] > E[i-1], the i pieces that end first start before S[i], as at
+    most i pieces do: they are the i that start first, and E[i-1] is
+    their reach.  If not, those i reach at least E[i-1].  So S[i] > E[i-1]
+    opens a run exactly when a merge in start order would, and E at a
+    run's close is its reach.  The sorted starts ascend, so a running max
+    of the runs' opening starts is each run's start.  A run's length sits
+    at its last position and 0.0 everywhere else, so one cumsum adds the
+    runs in order: a non-negative sum plus +0.0 keeps its bits.
     """
     t, m = lo.shape
     with np.errstate(over="ignore"):  # an overflowing width is >= 2*pi
         width = hi - lo
+    full = (width >= TWO_PI).any(axis=1)
+    if full.any():
+        lo = np.where(full[:, None], 0.0, lo)
     keep = width > 0.0
     start = wrap_angles(lo)
     end = start + width
@@ -135,19 +154,17 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     np.copyto(ends[:, 1:], np.minimum(end, TWO_PI), where=keep)
     ends[:, 0] = np.max(end - TWO_PI, axis=1, initial=0.0,
                         where=end > TWO_PI)
-    order = np.argsort(starts, axis=1)
-    order += np.arange(0, t * (m + 1), m + 1)[:, None]  # flat positions
-    starts = starts.take(order)
-    reach = np.maximum.accumulate(ends.take(order), axis=1)
+    starts.sort(axis=1)
+    ends.sort(axis=1)
     # A piece starting past everything before it opens a new run.
     opens = np.ones((t, m + 1), dtype=bool)
-    np.greater(starts[:, 1:], reach[:, :-1], out=opens[:, 1:])
+    np.greater(starts[:, 1:], ends[:, :-1], out=opens[:, 1:])
     first = np.maximum.accumulate(np.where(opens, starts, 0.0), axis=1)
     closes = np.ones_like(opens)
     closes[:, :-1] = opens[:, 1:]
-    runs = np.where(closes, reach - first, 0.0)
+    runs = np.where(closes, ends - first, 0.0)
     total = np.minimum(np.cumsum(runs, axis=1)[:, -1], TWO_PI)
-    total[(width >= TWO_PI).any(axis=1)] = TWO_PI
+    total[full] = TWO_PI
     return total
 
 
@@ -181,10 +198,13 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     *trials, l, n = regions.half_width.shape
     widths = regions.half_width.reshape(math.prod(trials), l * n)
     centers = regions.centers.reshape(widths.shape)
-    union = _union_lengths(centers - widths, centers + widths)
     by_element = regions.half_width.swapaxes(-1, -2).reshape(widths.shape)
-    summed = 2.0 * (np.cumsum(by_element, axis=1)[:, -1] if n * l
-                    else np.zeros(len(widths)))
+    # Finite lines may pass the float range: an arc with an infinite end
+    # covers the circle, and the summed width may be inf.
+    with np.errstate(over="ignore"):
+        union = _union_lengths(centers - widths, centers + widths)
+        summed = 2.0 * (np.cumsum(by_element, axis=1)[:, -1] if n * l
+                        else np.zeros(len(widths)))
     # A summed width of 0 leaves the quotient 1.0: an overlap of 0.0.
     overlap = 1.0 - np.divide(union, summed, out=np.ones_like(union),
                               where=summed != 0.0)

@@ -17,6 +17,7 @@ from ris_dps import (OFF, ChannelRealization, EmptyRatioReport, EmptyRegions,
                      empty_regions, measured_empty_ratio, sample_realization,
                      separation_lines, sweep_optimize, wrap_angle,
                      write_regions_csv)
+from ris_dps import analysis
 from ris_dps.analysis import _union_lengths
 from ris_dps.experiments import TWO_PHASE_SET, get_builtin, regions_dump
 
@@ -432,6 +433,20 @@ def arc_blocks(draw):
 # only the full-circle rule makes it 2*pi
 @example((np.array([[-2.337948404185129e-15]]),
           np.array([[-2.337948404185129e-15 + TWO_PI]])))
+# nested arcs: the order of the ends is not the order of the starts
+@example((np.array([[1.0, 1.5, 1.2], [1.0, 1.2, 4.0]]),
+          np.array([[3.0, 2.0, 1.4], [3.0, 1.4, 4.5]])))
+# equal starts with different ends, then equal ends with different starts
+@example((np.array([[2.0, 2.0, 5.0, 2.0], [1.0, 2.0, 3.5, 0.5]]),
+          np.array([[2.5, 4.0, 5.5, 2.1], [3.0, 3.0, 4.0, 3.0]])))
+# zero-width and dropped arcs at 0 beside the wrapped piece 0, which a
+# piece starting at 0.1 extends
+@example((np.array([[0.0, 0.0, TWO_PI - 0.2, -0.0, 0.1, 0.05]]),
+          np.array([[0.0, -0.1, TWO_PI + 0.3, -0.0, 0.5, 0.05]])))
+# dyadic arcs touching at one point, in and out of start order, and one
+# nested in an arc it touches
+@example((np.array([[0.5, 2.0, 1.0], [0.5, 0.75, 1.0]]),
+          np.array([[1.0, 2.5, 2.0], [1.0, 0.875, 1.5]])))
 def test_union_block_equals_rows(block):
     # one pass over the block has each row's bits from its own merge
     lo, hi = block
@@ -439,6 +454,22 @@ def test_union_block_equals_rows(block):
     assert _bits(_union_lengths(lo, hi)).tolist() == _bits(want).tolist()
     for a, b, w in zip(lo, hi, want):
         assert _bits(union_length(np.stack([a, b], axis=1))) == _bits(w)
+
+
+@pytest.mark.parametrize("scenario", get_builtin("fig15"),
+                         ids=lambda s: s.name)
+def test_union_of_runner_blocks_equals_rows(scenario):
+    # a block of the runner's size at fig15's largest N, 109 rows of
+    # 601-901 pieces, and its sweep optimum
+    batch = sample_realization(scenario.budget, 200,
+                               (scenario.seed, range(109)))
+    regions = empty_regions(batch, scenario.phases, sweep_optimize(
+        batch, scenario.phases).amplitude)
+    centers = regions.centers.reshape(109, -1)
+    widths = regions.half_width.reshape(109, -1)
+    lo, hi = centers - widths, centers + widths
+    want = [union_of_row(np.stack([a, b], axis=1)) for a, b in zip(lo, hi)]
+    assert _bits(_union_lengths(lo, hi)).tolist() == _bits(want).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -568,6 +599,62 @@ def test_overflowing_arc_width_covers_the_circle(arcs):
     # hi - lo overflows to inf on finite ends; under the suite's
     # filterwarnings = error a RuntimeWarning would fail this call.
     assert union_length(arcs) == TWO_PI
+
+
+@pytest.mark.parametrize("centers, widths, want", [
+    ([[1e308, 1.0]], [[1e308, 0.1]], (1.0, math.inf, 1.0)),
+    ([[-1e308, 1.0]], [[1e308, 0.1]], (1.0, math.inf, 1.0)),
+    ([[-1.7976931348623157e308, 1.0]], [[1e300, 0.1]],
+     (1.0, (2.0 * (1e300 + 0.1)) / TWO_PI, 1.0)),
+    ([[1.0, 2.0]], [[1.7e308, 1.7e308]], (1.0, math.inf, 1.0))])
+def test_finite_lines_that_overflow_cover_the_circle(centers, widths, want):
+    # an arc end, the summed width or both pass the float range; under
+    # the suite's filterwarnings = error a RuntimeWarning would fail, and
+    # no start reaches the wrap as -inf, where it would turn into a NaN
+    wrap = analysis.wrap_angles
+
+    def finite_wrap(theta):
+        assert np.isfinite(theta).all()
+        return wrap(theta)
+
+    regions = EmptyRegions(np.array(centers), np.array(widths))
+    plain = EmptyRegions(np.array([[1.0, 3.0]]), np.array([[0.5, 0.25]]))
+    with mock.patch.object(analysis, "wrap_angles", finite_wrap):
+        report = measured_empty_ratio(regions)
+        # in a batch, beside a row the circle does not cover
+        batch = measured_empty_ratio(EmptyRegions(
+            np.stack([regions.centers, plain.centers]),
+            np.stack([regions.half_width, plain.half_width])))
+    fields = ("measured_ratio", "sum_ratio_ub", "overlap_fraction")
+    assert tuple(getattr(report, f) for f in fields) == want
+    assert [getattr(batch, f).tolist() for f in fields] == [
+        [w, getattr(measured_empty_ratio(plain), f)]
+        for w, f in zip(want, fields)]
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+def test_a_tiny_h_star_gives_quarter_turn_widths(sampled):
+    # v / h* passes the float range at a subnormal h*: the ratio is 1, and
+    # every width pi/2, with no warning; sampled amplitudes take the
+    # binade table, distinct ones one arcsine per line
+    budget = get_builtin("fig15_k3")[0].budget
+    batch = sample_realization(budget, 6, (7, range(2)))
+    if not sampled:
+        batch = RealizationBatch(batch.h_d, batch.v * [[1, 2, 3, 4, 5, 6]])
+    regions = empty_regions(batch, PhaseShiftSet.uniform(3), 1e-320)
+    assert (regions.half_width == PI / 2).all()
+
+
+@pytest.mark.parametrize("trials, h_star_amp, shape", [
+    (3, np.ones(2), r"\(3,\), got \(2,\)"),
+    (3, np.ones((3, 1)), r"\(3,\), got \(3, 1\)"),
+    (None, np.ones(2), r"\(\), got \(2,\)")])
+def test_empty_regions_names_a_mis_shaped_h_star(trials, h_star_amp, shape):
+    budget = get_builtin("fig15_k3")[0].budget
+    real = sample_realization(budget, 4, 7 if trials is None
+                              else (7, range(trials)))
+    with pytest.raises(ValueError, match=r"^h_star_amp needs shape " + shape):
+        empty_regions(real, PhaseShiftSet.uniform(3), h_star_amp)
 
 
 #: SHA-256 of empty_regions' half-width bytes, sized from the sweep
