@@ -25,19 +25,34 @@ class EmptyRegions:
     """Arcs around every separation line that cannot contain arg(h*).
 
     The arc around line (n, c) is centered on centers[c, n] and has
-    half-width half_width[c, n]: both (L, N), or (T, L, N) for a batch;
-    any other pair of shapes raises ValueError.
+    half-width half_width[c, n]: both (L, N), or (T, L, N) for a batch,
+    kept as read-only float64 copies (a complex or string table raises
+    TypeError).  Other shapes, or a line with a non-finite center or a
+    negative or non-finite width, raise ValueError, naming the first such
+    line by element, then column, and its row in a batch.
     """
 
     centers: np.ndarray
     half_width: np.ndarray
 
     def __post_init__(self):
-        shape, widths = np.shape(self.centers), np.shape(self.half_width)
-        if shape != widths or len(shape) not in (2, 3):
+        centers, widths = (np.asarray(a).astype(float, casting="same_kind")
+                           for a in (self.centers, self.half_width))
+        if centers.shape != widths.shape or centers.ndim not in (2, 3):
             raise ValueError(
                 f"centers and half_width need one (L, N) or (T, L, N) "
-                f"shape, got {shape} and {widths}")
+                f"shape, got {centers.shape} and {widths.shape}")
+        bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
+        if bad.any():
+            *row, i, c = np.argwhere(bad.swapaxes(-1, -2))[0]
+            at = (*row, c, i)
+            raise ValueError(
+                f"{f'row {row[0]}: ' if row else ''}line ({i}, {c}) "
+                f"needs a finite center and a finite half-width >= 0, got "
+                f"{float(centers[at])!r} and {float(widths[at])!r}")
+        for name, array in (("centers", centers), ("half_width", widths)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
@@ -168,33 +183,19 @@ def _union_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_lines(regions: EmptyRegions) -> None:
-    """Raise ValueError naming the first line (n, c), by element, then
-    column, and its row in a batch, with a non-finite center or a negative
-    or non-finite width."""
-    centers, widths = regions.centers, regions.half_width
-    bad = ~(np.isfinite(centers) & (widths >= 0.0) & (widths < math.inf))
-    if bad.any():
-        *row, i, c = np.argwhere(bad.swapaxes(-1, -2))[0]
-        at = (*row, c, i)
-        raise ValueError(
-            f"{f'row {row[0]}: ' if row else ''}line ({i}, {c}) "
-            f"needs a finite center and a finite half-width >= 0, got "
-            f"{float(centers[at])!r} and {float(widths[at])!r}")
-
-
 def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
     """Union coverage of the circle, the summed-width bound, and their gap.
 
     One union pass takes every row of a batch; each row's fields have the
     bits of sorting and merging its arcs, in any order, and of adding its
     widths by element, then column, as a loop does (np.sum adds pairwise).
+    A row with a half-width of at least pi is covered whole, wherever its
+    centers lie: a center far from 0 can round an arc's ends onto it.
 
     Raises:
-        ValueError: naming the first line (n, c), and its row in a batch,
-            with a non-finite center or a negative or non-finite width.
+        Nothing of its own: EmptyRegions raises ValueError for a bad line
+            when it is built.
     """
-    _check_lines(regions)
     *trials, l, n = regions.half_width.shape
     widths = regions.half_width.reshape(math.prod(trials), l * n)
     centers = regions.centers.reshape(widths.shape)
@@ -205,6 +206,7 @@ def measured_empty_ratio(regions: EmptyRegions) -> EmptyRatioReport:
         union = _union_lengths(centers - widths, centers + widths)
         summed = 2.0 * (np.cumsum(by_element, axis=1)[:, -1] if n * l
                         else np.zeros(len(widths)))
+    union[(widths >= math.pi).any(axis=1)] = TWO_PI
     # A summed width of 0 leaves the quotient 1.0: an overlap of 0.0.
     overlap = 1.0 - np.divide(union, summed, out=np.ones_like(union),
                               where=summed != 0.0)
@@ -230,9 +232,12 @@ def write_regions_csv(regions: EmptyRegions, phase_set: PhaseShiftSet,
 
     kind is "off_boundary" for a line bordering the off region, else
     "between_phases", read off phase_set's line_starting and line_ending;
-    rows go by element, then column.  One realization's regions only, of
-    phase_set's L columns, with every line as measured_empty_ratio takes
-    it: else ValueError, before any row is written.
+    rows go by element, then column.
+
+    Raises:
+        ValueError: before any row is written, if the regions are a
+            batch's or have another L than phase_set (EmptyRegions raises
+            it for a bad line when it is built).
     """
     if regions.centers.ndim != 2:
         raise ValueError("write_regions_csv writes one realization's regions")
@@ -240,7 +245,6 @@ def write_regions_csv(regions: EmptyRegions, phase_set: PhaseShiftSet,
     if l != len(regions.centers):
         raise ValueError(f"the phase set has L = {l} columns, the regions "
                          f"{len(regions.centers)}")
-    _check_lines(regions)
     kinds = ["off_boundary" if OFF in pair else "between_phases"
              for pair in zip(phase_set.line_starting.tolist(),
                              phase_set.line_ending.tolist())]

@@ -35,6 +35,7 @@ merge (O(N*L*log L) comparisons), ties by element and then column.
 result never depends on the switch.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -199,14 +200,16 @@ def _argsort_planes(a: np.ndarray):
 
 def _contributions(vv: np.ndarray, units: np.ndarray, choices: np.ndarray,
                    g: np.ndarray) -> None:
-    """Fill g (T, L, N) with each element's contribution per column's choice.
+    """Fill g (T, L, N) with each element's contribution under choices[c].
 
-    Plane c is vv * units[choices[c]], one product per column into the
-    table's contiguous plane; an off choice contributes exactly +0.0,
-    which a product with 0j need not give.  NumPy's complex multiply
-    loops round each product as fma(ar, br, -ai*bi) whatever the operand
-    layout, so every row has the bits of the one-realization product and
-    of the (T*N, 1) x (1, L) broadcast product
+    The sweep passes each column's starting choice, and exhaustive search
+    every choice, arange(K + 1).  Plane c is vv * units[choices[c]], one
+    product per choice into the table's contiguous plane; an off choice
+    contributes exactly +0.0, which a product with 0j need not give.
+    NumPy's complex multiply loops round each product as
+    fma(ar, br, -ai*bi) whatever the operand layout, so every row has the
+    bits of the one-realization product and of the (T*N, 1) x (1, L)
+    broadcast product
     (test_sweep_paths.py::test_column_products_match_the_broadcast pins
     this).  A broadcast into the sweep's strided view of its block makes
     NumPy buffer the product (~100 KB at T = 4, N = 200, K = 3), past
@@ -423,7 +426,8 @@ def exhaustive_optimize(real, phase_set: PhaseShiftSet,
     if not exhaustive_fits(k, n, max_configs):
         raise ValueError(
             f"(K+1)^N = {k + 1}^{n} exceeds the exhaustive cap {max_configs}")
-    units = phase_set.units[None, 1:]
+    g = np.empty((batch.trials, k + 1, n), dtype=complex)  # plane c: choice c
+    _contributions(batch.v, phase_set.units, np.arange(k + 1), g)
     config = np.zeros((batch.trials, n), dtype=int)
     h_star = np.empty_like(batch.h_d)
     # A square overflows past ~1e154 and loses bits below ~1e-154, so each
@@ -431,13 +435,8 @@ def exhaustive_optimize(real, phase_set: PhaseShiftSet,
     # bound |h_d| + sum |v_n|: exact, and every |h| then lies below 1.
     exponents = np.frexp(continuous_upper_bound(batch))[1]
     for t in range(batch.trials):  # a block table would hold T*(K+1)**N
-        # Off is an explicit +0j column: v * units[OFF] can give -0.0.
-        choices = np.concatenate([np.zeros((n, 1), dtype=complex),
-                                  batch.v[t][:, None] * units], axis=1)
-        h = np.asarray(batch.h_d[t])
-        for idx in range(n):
-            shape = (1,) * idx + (k + 1,) + (1,) * (n - 1 - idx)
-            h = h + choices[idx].reshape(shape)
+        # h[c_0, ..., c_N-1] = h_d + g[t, c_0, 0] + ... + g[t, c_N-1, N-1]
+        h = functools.reduce(np.add.outer, g[t].T, np.asarray(batch.h_d[t]))
         re = np.ldexp(h.real, -exponents[t])
         im = np.ldexp(h.imag, -exponents[t])
         power = (re ** 2 + im ** 2).ravel()

@@ -440,12 +440,14 @@ def union_of_row(arcs) -> float:
 
 def empty_ratio_of_row(centers, widths):
     """(measured_ratio, sum_ratio_ub, overlap_fraction) of one row of
-    empty regions: the union of its arcs by union_of_row, and its widths
-    added left to right."""
+    empty regions: the union of its arcs by union_of_row, the whole circle
+    if a half-width is at least pi, and its widths added left to right."""
     centers = np.asarray(centers, dtype=float)
     widths = np.asarray(widths, dtype=float)
     union = union_of_row(np.stack([centers - widths, centers + widths],
                                   axis=1))
+    if (widths >= math.pi).any():
+        union = TWO_PI
     summed = 2.0 * float(np.cumsum(widths)[-1]) if widths.size else 0.0
     overlap = 0.0 if summed == 0.0 else 1.0 - union / summed
     return union / TWO_PI, summed / TWO_PI, overlap

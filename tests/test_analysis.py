@@ -591,6 +591,72 @@ def test_regions_csv_rejects_a_set_of_another_l():
         write_regions_csv(regions, ps, io.StringIO())
 
 
+def _report_and_csv(regions):
+    """measured_empty_ratio's report and write_regions_csv's text for
+    two-column regions."""
+    buf = io.StringIO()
+    write_regions_csv(regions, PhaseShiftSet.uniform(2), buf)
+    return measured_empty_ratio(regions), buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_regions_of_nested_sequences_equal_the_arrays(kind):
+    # a record built from lists or tuples holds float64 arrays, so both
+    # consumers read it as they read the array form
+    centers = [[1.0, 2.5, 6.0], [4.0, 0, 3]]
+    widths = [[0.5, 0, 1], [1, 2, 0.25]]
+    regions = EmptyRegions(kind(map(kind, centers)), kind(map(kind, widths)))
+    assert regions.centers.dtype == regions.half_width.dtype == np.float64
+    assert _report_and_csv(regions) == _report_and_csv(
+        EmptyRegions(np.array(centers), np.array(widths, dtype=float)))
+    assert measured_empty_ratio(EmptyRegions([[1.0]], [[0.5]])) == \
+        measured_empty_ratio(EmptyRegions(np.ones((1, 1)),
+                                          np.full((1, 1), 0.5)))
+
+
+def test_regions_hold_read_only_copies():
+    centers, widths = np.array([[1.0], [2.0]]), np.array([[0.5], [0.25]])
+    regions = EmptyRegions(centers, widths)
+    before = _report_and_csv(regions)
+    for table in (regions.centers, regions.half_width):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+    centers[0, 0], widths[0, 0] = 4.0, math.inf  # the caller's arrays
+    assert regions.centers.tolist() == [[1.0], [2.0]]
+    assert regions.half_width.tolist() == [[0.5], [0.25]]
+    assert _report_and_csv(regions) == before
+
+
+@pytest.mark.parametrize("centers, widths", [
+    (np.array([[1.0 + 0j]]), np.array([[0.5]])),
+    (np.array([[1.0]]), np.array([[0.5 + 0.1j]])),
+    ([["1.0"]], [[0.5]]),
+    ([[1.0]], np.array([["0.5"]]))])
+def test_regions_reject_complex_and_string_tables(centers, widths):
+    with pytest.raises(TypeError, match="same_kind"):
+        EmptyRegions(centers, widths)
+
+
+@pytest.mark.parametrize("center, width", [
+    (1e300, 4.0),  # both arc ends round onto the center
+    (1.0, 4.0),
+    (-7.995981621916742, PI)])  # the arc's ends round to under 2*pi apart
+def test_a_half_turn_arc_covers_the_circle(center, width):
+    # an arc at least a half-turn wide covers the circle, wherever its
+    # center is: alone, beside a narrow arc, and as one row of a batch
+    want = (1.0, width / PI, 1.0 - PI / width)
+    assert empty_ratio_of_row([center], [width]) == want
+    report = measured_empty_ratio(EmptyRegions([[center]], [[width]]))
+    assert (report.measured_ratio, report.sum_ratio_ub,
+            report.overlap_fraction) == want
+    pair = measured_empty_ratio(EmptyRegions([[center, 1.0]],
+                                             [[width, 0.25]]))
+    assert pair.measured_ratio == 1.0
+    batch = measured_empty_ratio(EmptyRegions(
+        [[[center]], [[1.0]]], [[[width]], [[0.25]]]))
+    assert batch.measured_ratio.tolist() == [1.0, 0.25 / PI]
+
+
 @pytest.mark.parametrize("arcs", [
     [(-1e308, 1e308)], [(-1.7e308, 1.7e308)],
     [(0.0, 1.0), (-1e308, 1e308), (2.0, 2.5)],

@@ -411,6 +411,37 @@ def test_column_products_match_the_broadcast(scale):
                 assert np.array_equal(_bits(one[0]), _bits(g[row]))
 
 
+#: Signed parts: zeros of both signs, subnormal, huge and plain values.
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300,
+                                   -1e300, -1.0]),
+                  st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(phase_sets(), st.builds(
+           lambda seed, k: random_phase_set(np.random.default_rng(seed), k),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 4))),
+       st.integers(0, 8), st.integers(1, 5), st.data())
+def test_every_choice_table_equals_the_per_row_products(ps, n, t, data):
+    # exhaustive search reads each element's contribution under every
+    # choice from _contributions(v, units, arange(K + 1), g): each row
+    # keeps the bits of the per-row table it once built, an explicit +0j
+    # column for OFF beside v * units[1:], +0.0 in both parts
+    k = ps.k
+    parts = data.draw(st.lists(PARTS, min_size=2 * t * n,
+                               max_size=2 * t * n))
+    v = np.empty((t, n), dtype=complex)
+    v.real.flat, v.imag.flat = parts[::2], parts[1::2]
+    g = np.full((t, k + 1, n), np.nan, dtype=complex)
+    optimizer._contributions(v, ps.units, np.arange(k + 1), g)
+    for row in range(t):
+        choices = np.concatenate([np.zeros((n, 1), dtype=complex),
+                                  v[row][:, None] * ps.units[None, 1:]],
+                                 axis=1)
+        assert np.array_equal(_bits(g[row]), _bits(_planes(choices)))
+    assert (_bits(g[:, OFF]) == 0).all()
+
+
 @pytest.mark.parametrize("t, n, phase_set, l", [
     (100, 50, PhaseShiftSet((0.0, PI / 6, PI / 3)), 4),
     (1, 10_000, PhaseShiftSet.uniform(3), 3),
